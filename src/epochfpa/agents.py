@@ -15,6 +15,7 @@ reserve whenever the valuation clears the bad cutoff.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -82,6 +83,15 @@ class ValueGrid:
     lo: float
     hi: float
     step: float
+
+    def __post_init__(self):
+        step = self.step
+        if (
+            isinstance(step, bool)
+            or not isinstance(step, numbers.Real)
+            or not (math.isfinite(step) and step > 0)
+        ):
+            raise AgentError(f"grid step must be a positive finite number, got {step!r}")
 
     def snap(self, v: float) -> float:
         if v <= self.lo:

@@ -68,6 +68,8 @@ class FiniteSupport:
         object.__setattr__(self, "support", support)
         values = [v for v, _ in support]
         probs = [p for _, p in support]
+        if not all(math.isfinite(v) for v in values):
+            raise DistributionError("support values must be finite")
         if any(v < 0 for v in values):
             raise DistributionError("support values must be nonnegative")
         if any(b <= a for a, b in zip(values, values[1:])):

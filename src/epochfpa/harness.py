@@ -66,6 +66,15 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
+def _integer(x, name: str, optional: bool = False):
+    """``x`` as an int if it is an integer; bools and floats such as 50.0 are refused."""
+    if optional and x is None:
+        return None
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 @dataclass
 class RunConfig:
     """A reproducible simulation: parameters, prior, roster, seed, replications."""
@@ -92,20 +101,21 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         try:
+            p = doc["params"]
             params = MechanismParams(
-                n=doc["params"]["n"],
-                horizon=doc["params"]["T"],
-                epsilon=doc["params"]["epsilon"],
-                delta=doc["params"]["delta"],
-                rho=doc["params"]["rho"],
-                reset_round=doc["params"].get("reset_round"),
+                n=_integer(p["n"], "n"),
+                horizon=_integer(p["T"], "T"),
+                epsilon=p["epsilon"],
+                delta=p["delta"],
+                rho=p["rho"],
+                reset_round=_integer(p.get("reset_round"), "reset_round", optional=True),
             )
             return cls(
                 params=params,
                 distribution=from_spec(doc["distribution"]),
                 agents=list(doc["agents"]),
-                seed=int(doc["seed"]),
-                replications=int(doc.get("replications", 1)),
+                seed=_integer(doc["seed"], "seed"),
+                replications=_integer(doc.get("replications", 1), "replications"),
                 out_dir=doc.get("out_dir"),
             )
         except (KeyError, TypeError) as exc:
@@ -185,6 +195,8 @@ def run_simulation(
     replication: int = 0,
     record: str = "full",
     substitutes: Optional[dict[int, Callable[[], Agent]]] = None,
+    *,
+    values: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Execute one replication, deterministic given (config, replication).
 
@@ -192,6 +204,12 @@ def run_simulation(
     replay and trajectory export); ``"light"`` keeps only per-epoch records
     and aggregate accounting.  ``substitutes`` swaps in freshly built agents
     for selected buyer slots; all other streams are unaffected.
+
+    ``values`` supplies the (T, n) valuation block instead of drawing it.  It
+    must be the block this (config, replication) draws, e.g. the ``values``
+    of an earlier run of it, which makes a counterfactual replay skip
+    re-sampling the prior; the trajectory then shares that array.  A block
+    of another shape raises ``ConfigError``.
     """
     if record not in ("full", "light"):
         raise ConfigError(f"unknown record mode {record!r}")
@@ -204,60 +222,81 @@ def run_simulation(
     ]
     config._bind(agents, replication)
 
-    values = dist.sample_block(substream(config.seed, "rep", replication, "values"), (horizon, n))
-    values = values.reshape(horizon, n)
-    ties = substream(config.seed, "rep", replication, "tie").random(horizon)
+    if values is None:
+        values = dist.sample_block(
+            substream(config.seed, "rep", replication, "values"), (horizon, n)
+        ).reshape(horizon, n)
+    else:
+        values = np.asarray(values, dtype=float)
+        if values.shape != (horizon, n):
+            raise ConfigError(
+                f"values must have shape (T, n) = {(horizon, n)}, got {values.shape}"
+            )
+    ties = substream(config.seed, "rep", replication, "tie").random(horizon).tolist()
 
     mech = Mechanism(params, dist)
-    utilities = np.zeros(n)
-    wins = np.zeros(n, dtype=int)
-    state_rounds = np.zeros((n, 3), dtype=int)
-    epoch_utjournal: list[np.ndarray] = []
-    epoch_util = np.zeros(n)
+    bidders = [agent.bid for agent in agents]
+    # Agent.observe does nothing, so agents that keep it are never told
+    observers = [
+        agent.observe if type(agent).observe is not Agent.observe else None
+        for agent in agents
+    ]
+    utilities = [0.0] * n
+    wins = [0] * n
+    state_rounds = [[0, 0, 0] for _ in range(n)]
+    epoch_utils: list[list[float]] = []
+    epoch_util = [0.0] * n
     epochs_seen = 0
     good_rounds = 0
     uncleared_good = 0
     rounds: Optional[list[RoundOutcome]] = [] if record == "full" else None
+    # the mechanism replaces its states tuple whenever a state changes, so
+    # occupancy is counted once per run of rounds sharing one tuple
+    segment_states, segment_start = mech.states_snapshot(), 0
 
     for t in range(horizon):
         view = mech.view()
         participants = mech.participants()
-        vrow = values[t]
+        if view.states is not segment_states:
+            _count_states(state_rounds, segment_states, t - segment_start)
+            segment_states, segment_start = view.states, t
+        vrow = values[t].tolist()
         try:
-            bids = {i: agents[i].bid(view, float(vrow[i])) for i in participants}
-            outcome = mech.run_round(bids, float(ties[t]))
+            bids = {i: bidders[i](view, vrow[i]) for i in participants}
+            outcome = mech.run_round(bids, ties[t])
         except (MechanismError, AgentError) as exc:
             raise type(exc)(
                 f"round {t} ({view.phase} phase, epoch {view.config.index}): {exc}"
             ) from exc
+        winner = outcome.winner
         if outcome.phase == GOOD_PHASE:
             good_rounds += 1
             if not outcome.cleared:
                 uncleared_good += 1
-        if outcome.winner is not None:
-            w = outcome.winner
-            gain = float(vrow[w]) - outcome.payment
-            utilities[w] += gain
-            epoch_util[w] += gain
-            wins[w] += 1
+        gain = 0.0
+        if winner is not None:
+            gain = vrow[winner] - outcome.payment
+            utilities[winner] += gain
+            epoch_util[winner] += gain
+            wins[winner] += 1
         for i in participants:
-            util = (float(vrow[i]) - outcome.payment) if outcome.winner == i else 0.0
-            agents[i].observe(view, float(vrow[i]), util, bids, outcome.winner)
-        for i, s in enumerate(view.states):
-            state_rounds[i][s] += 1
+            observe = observers[i]
+            if observe is not None:
+                observe(view, vrow[i], gain if i == winner else 0.0, bids, winner)
         if rounds is not None:
             rounds.append(outcome)
         mech.advance()
         while len(mech.epoch_records) > epochs_seen:
-            epoch_utjournal.append(epoch_util)
-            epoch_util = np.zeros(n)
+            epoch_utils.append(epoch_util)
+            epoch_util = [0.0] * n
             epochs_seen += 1
 
+    _count_states(state_rounds, segment_states, horizon - segment_start)
     final_states = mech.states_snapshot()
     mech.finish()
-    while len(epoch_utjournal) < len(mech.epoch_records):
-        epoch_utjournal.append(epoch_util)
-        epoch_util = np.zeros(n)
+    while len(epoch_utils) < len(mech.epoch_records):
+        epoch_utils.append(epoch_util)
+        epoch_util = [0.0] * n
 
     return Trajectory(
         seed=config.seed,
@@ -266,14 +305,19 @@ def run_simulation(
         values=values,
         epochs=list(mech.epoch_records),
         final_states=final_states,
-        agent_utilities=utilities,
-        agent_wins=wins,
-        state_rounds=state_rounds,
-        epoch_agent_utilities=epoch_utjournal,
+        agent_utilities=np.array(utilities, dtype=float),
+        agent_wins=np.array(wins, dtype=int),
+        state_rounds=np.array(state_rounds, dtype=int),
+        epoch_agent_utilities=[np.array(u, dtype=float) for u in epoch_utils],
         good_rounds=good_rounds,
         uncleared_good_rounds=uncleared_good,
         rounds=rounds,
     )
+
+
+def _count_states(state_rounds: list[list[int]], states, rounds: int) -> None:
+    for i, s in enumerate(states):
+        state_rounds[i][s] += rounds
 
 
 def run_replications(config: RunConfig, record: str = "light") -> list[Trajectory]:
@@ -555,15 +599,26 @@ def estimate_policy_regret(
     seed: identical value draws, identical tie-break draws, and identical
     internal streams for every other agent.  Returns the best counterfactual
     total utility minus the realized one.
+
+    ``base`` is the realized run of ``(config, replication)``, if one exists;
+    the replays reuse its value block rather than drawing it again.  A base
+    with another seed, replication, horizon or roster size raises
+    ``ConfigError``.
     """
     if len(family) == 0:
         raise ConfigError("expert family must be non-empty")
+    params = config.params
     if base is None:
         base = run_simulation(config, replication, record="light")
     elif (base.seed, base.replication) != (config.seed, replication):
         raise ConfigError(
             "base trajectory seed metadata does not match the config; "
             "counterfactual replays need identical streams"
+        )
+    elif base.values.shape != (params.horizon, params.n):
+        raise ConfigError(
+            f"base trajectory holds values for {base.values.shape} (rounds, buyers) "
+            f"but the config has horizon {params.horizon} and n={params.n}"
         )
     realized = float(base.agent_utilities[agent])
     best = -math.inf
@@ -573,6 +628,7 @@ def estimate_policy_regret(
             replication,
             record="light",
             substitutes={agent: lambda j=j: ExpertAgent(family, j)},
+            values=base.values,
         )
         best = max(best, float(counter.agent_utilities[agent]))
     return best - realized

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .distributions import (
     ValueDistribution,
@@ -203,8 +203,7 @@ class ProjectedHistory:
     uncleared_this_epoch: int
 
 
-@dataclass(frozen=True)
-class AgentView:
+class AgentView(NamedTuple):
     """Everything an agent may condition on when bidding in the current round."""
 
     t: int
@@ -224,8 +223,7 @@ class AgentView:
         )
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
+class RoundOutcome(NamedTuple):
     """Public log of one auction round."""
 
     t: int
@@ -266,16 +264,21 @@ class EpochRecord:
 class Mechanism:
     """Mutable state machine running the epoch schedule round by round.
 
-    The caller drives it: collect bids from the current participants, call
-    ``run_bad_round`` or ``run_good_round`` (matching ``phase``), then
-    ``advance``.  Tie-breaking consumes exactly one uniform draw per round,
-    supplied by the caller, so replays under common random numbers stay
-    aligned.
+    The caller drives it: collect bids from ``participants()``, call
+    ``run_round``, then ``advance``.  Tie-breaking consumes exactly one
+    uniform draw per round, supplied by the caller, so replays under common
+    random numbers stay aligned.
+
+    ``states`` is the mutable per-buyer list; ``view()``, ``participants()``
+    and each outcome's ``states_before`` read a snapshot of it that
+    ``_rebuild_rosters`` refreshes, so code that edits ``states`` directly
+    must call ``_rebuild_rosters`` afterwards.
     """
 
     def __init__(self, params: MechanismParams, dist: ValueDistribution):
         self.params = params
         self.dist = dist
+        self._rest_threshold = params.rest_threshold
         self.t = 0
         self.states: list[BuyerState] = [BuyerState.GOOD] * params.n
         self.allocations: list[int] = [0] * params.n
@@ -296,20 +299,20 @@ class Mechanism:
         return self._phase
 
     def states_snapshot(self) -> tuple[BuyerState, ...]:
-        return tuple(self.states)
+        return self._states
 
     def participants(self) -> tuple[int, ...]:
         return self._bad_ids if self._phase == BAD_PHASE else self._good_ids
 
     def view(self) -> AgentView:
         return AgentView(
-            t=self.t,
-            phase=self._phase,
-            config=self._config,
-            uncleared=self.uncleared,
-            states=tuple(self.states),
-            num_good=len(self._good_ids),
-            num_bad=len(self._bad_ids),
+            self.t,
+            self._phase,
+            self._config,
+            self.uncleared,
+            self._states,
+            len(self._good_ids),
+            len(self._bad_ids),
         )
 
     def projected_history(self, buyer: int) -> ProjectedHistory:
@@ -320,63 +323,70 @@ class Mechanism:
     # -- rounds ---------------------------------------------------------------
 
     def run_bad_round(self, bids: dict[int, float], tie: float = 0.0) -> RoundOutcome:
-        """First-price auction among bad-state buyers; never moves anyone."""
+        """``run_round``, asserting that the mechanism is in the bad phase."""
         if self._phase != BAD_PHASE:
             raise MechanismError("not in the bad phase")
-        self._check_bids(bids, self._bad_set)
-        states_before = tuple(self.states)
-        winner, payment, cleared = None, 0.0, False
-        if bids:
-            winner, payment = self._settle(bids, self._bad_ids, self._config.bad_reserve, tie)
-            cleared = winner is not None
-            if cleared:
-                self._bad_revenue += payment
-        return RoundOutcome(
-            t=self.t,
-            phase=BAD_PHASE,
-            epoch=self.epoch_index,
-            participants=self._bad_ids,
-            bids=dict(bids),
-            winner=winner,
-            payment=payment,
-            cleared=cleared,
-            transitions=(),
-            uncleared_before=self.uncleared,
-            uncleared=self.uncleared,
-            allocations=tuple(self.allocations),
-            states_before=states_before,
-        )
+        return self.run_round(bids, tie)
 
     def run_good_round(self, bids: dict[int, float], tie: float = 0.0) -> RoundOutcome:
-        """First-price auction among good-state buyers, then state moves.
+        """``run_round``, asserting that the mechanism is in the good phase."""
+        if self._phase != GOOD_PHASE:
+            raise MechanismError("not in the good phase")
+        return self.run_round(bids, tie)
 
-        An uncleared auction bumps the uncleared counter.  Once the counter
-        has reached the epoch threshold, every good buyer bidding below the
+    def run_round(self, bids: dict[int, float], tie: float = 0.0) -> RoundOutcome:
+        """First-price auction among the current phase's participants.
+
+        A bad-phase auction never moves anyone.  In the good phase an
+        uncleared auction bumps the uncleared counter.  Once the counter has
+        reached the epoch threshold, every good buyer bidding below the
         reserve is moved to the bad state; a winner reaching the allocation
         quota is rested.
         """
-        if self._phase != GOOD_PHASE:
-            raise MechanismError("not in the good phase")
         cfg = self._config
-        self._check_bids(bids, self._good_set)
-        states_before = tuple(self.states)
+        states_before = self._states
         uncleared_before = self.uncleared
-        winner, payment, cleared = None, 0.0, False
+        if self._phase == BAD_PHASE:
+            ids = self._bad_ids
+            self._check_bids(bids, self._bad_set)
+            winner, payment = None, 0.0
+            if bids:
+                winner, payment = self._settle(bids, ids, cfg.bad_reserve, tie)
+                if winner is not None:
+                    self._bad_revenue += payment
+            # positional, in field order: keywords would double the cost
+            return RoundOutcome(
+                self.t,
+                BAD_PHASE,
+                self.epoch_index,
+                ids,  # participants
+                dict(bids),
+                winner,
+                payment,
+                winner is not None,  # cleared
+                (),  # transitions
+                uncleared_before,
+                uncleared_before,  # uncleared: bad rounds leave it alone
+                tuple(self.allocations),
+                states_before,
+            )
+        ids = self._good_ids
+        self._check_bids(bids, self._good_set)
+        winner, payment = None, 0.0
         if bids:
-            winner, payment = self._settle(bids, self._good_ids, cfg.good_reserve, tie)
-            cleared = winner is not None
-        if cleared:
+            winner, payment = self._settle(bids, ids, cfg.good_reserve, tie)
+        if winner is not None:
             self.allocations[winner] += 1
             self._good_revenue += payment
         else:
             self.uncleared += 1
         transitions = []
         if self.uncleared >= cfg.uncleared_threshold and bids:
-            for i in self._good_ids:
+            for i in ids:
                 if bids[i] < cfg.good_reserve:
                     self.states[i] = BuyerState.BAD
                     transitions.append((i, BuyerState.GOOD, BuyerState.BAD))
-        if winner is not None and self.allocations[winner] >= self.params.rest_threshold:
+        if winner is not None and self.allocations[winner] >= self._rest_threshold:
             self.states[winner] = BuyerState.REST
             transitions.append((winner, BuyerState.GOOD, BuyerState.REST))
         if transitions:
@@ -390,25 +400,20 @@ class Mechanism:
                 i for i in range(self.params.n) if self.states[i] == BuyerState.GOOD
             )
         return RoundOutcome(
-            t=self.t,
-            phase=GOOD_PHASE,
-            epoch=self.epoch_index,
-            participants=tuple(sorted(bids)),
-            bids=dict(bids),
-            winner=winner,
-            payment=payment,
-            cleared=cleared,
-            transitions=tuple(transitions),
-            uncleared_before=uncleared_before,
-            uncleared=self.uncleared,
-            allocations=tuple(self.allocations),
-            states_before=states_before,
+            self.t,
+            GOOD_PHASE,
+            self.epoch_index,
+            ids,  # participants
+            dict(bids),
+            winner,
+            payment,
+            winner is not None,  # cleared
+            tuple(transitions),
+            uncleared_before,
+            self.uncleared,
+            tuple(self.allocations),
+            states_before,
         )
-
-    def run_round(self, bids: dict[int, float], tie: float = 0.0) -> RoundOutcome:
-        if self._phase == BAD_PHASE:
-            return self.run_bad_round(bids, tie)
-        return self.run_good_round(bids, tie)
 
     def advance(self) -> None:
         """Book-keep the end of a round: phase switches, epoch ends, the reset."""
@@ -443,11 +448,10 @@ class Mechanism:
 
     def _settle(self, bids, ordered_ids, reserve, tie):
         best = max(bids.values())
+        if best < reserve:
+            return None, 0.0
         tied = [i for i in ordered_ids if bids[i] == best]
-        leader = tied[int(tie * len(tied))] if len(tied) > 1 else tied[0]
-        if best >= reserve:
-            return leader, best
-        return None, 0.0
+        return (tied[int(tie * len(tied))] if len(tied) > 1 else tied[0]), best
 
     def _check_bids(self, bids, expected: frozenset) -> None:
         if bids.keys() != expected:
@@ -459,11 +463,12 @@ class Mechanism:
                 raise MechanismError(f"buyer {i} submitted an invalid bid {b!r}")
 
     def _rebuild_rosters(self) -> None:
+        self._states = tuple(self.states)
         self._good_ids = tuple(
-            i for i in range(self.params.n) if self.states[i] == BuyerState.GOOD
+            i for i, s in enumerate(self._states) if s == BuyerState.GOOD
         )
         self._bad_ids = tuple(
-            i for i in range(self.params.n) if self.states[i] == BuyerState.BAD
+            i for i, s in enumerate(self._states) if s == BuyerState.BAD
         )
         self._good_set = frozenset(self._good_ids)
         self._bad_set = frozenset(self._bad_ids)
@@ -512,4 +517,5 @@ class Mechanism:
         for i in range(self.params.n):
             if self.states[i] == BuyerState.REST:
                 self.states[i] = BuyerState.GOOD
+        self._rebuild_rosters()
         self.epoch_index += 1

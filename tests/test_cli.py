@@ -101,3 +101,45 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def one_buyer_config(tmp_path, **changes):
+    """A one-buyer config file, with ``changes`` applied to params or the top level."""
+    doc = {
+        "params": {"n": 1, "T": 50, "epsilon": 0.3, "delta": 0.3, "rho": 0.006},
+        "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        "agents": [{"kind": "myopic"}],
+        "seed": 3,
+        "replications": 1,
+    }
+    for key, value in changes.items():
+        (doc["params"] if key in doc["params"] else doc)[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("T", 50.0), ("seed", 1.7), ("n", True), ("T", True), ("seed", True), ("replications", True)],
+    ids=["float-T", "float-seed", "bool-n", "bool-T", "bool-seed", "bool-replications"],
+)
+def test_non_integer_run_config_fields_exit_two(tmp_path, capsys, key, value):
+    path = one_buyer_config(tmp_path, **{key: value})
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("step", [0, -0.25, float("nan")], ids=["zero", "negative", "nan"])
+def test_exp3_bad_grid_step_exits_two(tmp_path, capsys, step):
+    path = one_buyer_config(tmp_path, agents=[{"kind": "exp3", "grid_step": step}])
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "grid step must be a positive finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_finite_support_non_finite_value_exits_two(capsys, value):
+    dist = f'{{"kind":"finite","support":[[{value},0.5],[1.0,0.5]]}}'
+    assert main(["inspect", "--dist", dist, "--m", "1", "--n", "1"]) == 2
+    assert "support values must be finite" in capsys.readouterr().err

@@ -207,6 +207,78 @@ def test_policy_regret_rejects_mismatched_base():
         estimate_policy_regret(cfg, 0, GOOD_ONLY_FAMILY, base=base)
 
 
+def test_policy_regret_rejects_base_of_another_horizon_or_roster():
+    cfg = make_config(n=2, horizon=100)
+    longer = run_simulation(make_config(n=2, horizon=120), record="light")
+    with pytest.raises(ConfigError, match=r"\(120, 2\) \(rounds, buyers\)"):
+        estimate_policy_regret(cfg, 0, GOOD_ONLY_FAMILY, base=longer)
+    wider = run_simulation(make_config(n=3, horizon=100), record="light")
+    with pytest.raises(ConfigError, match=r"\(100, 3\) \(rounds, buyers\)"):
+        estimate_policy_regret(cfg, 0, GOOD_ONLY_FAMILY, base=wider)
+
+
+def _sqrt_icdf(p):
+    return p**0.5
+
+
+def inverse_cdf_replay_config():
+    from epochfpa.distributions import InverseCdf
+
+    return make_config(
+        n=3,
+        horizon=1500,
+        seed=11,
+        dist=InverseCdf(_sqrt_icdf, label="sqrt"),
+        agents=[{"kind": "exp3"}, {"kind": "lookahead"}, {"kind": "myopic", "good_mode": "zero"}],
+    )
+
+
+# recorded before replays reused the base run's values
+INVERSE_CDF_POLICY_REGRET = 64.58426661230942
+
+
+def test_policy_regret_on_inverse_cdf_prior_matches_recorded_value():
+    from epochfpa.agents import default_expert_family
+
+    cfg = inverse_cdf_replay_config()
+    family = default_expert_family(cfg.distribution)
+    assert estimate_policy_regret(cfg, 0, family) == INVERSE_CDF_POLICY_REGRET
+    base = run_simulation(cfg, record="full")
+    assert estimate_policy_regret(cfg, 0, family, base=base) == INVERSE_CDF_POLICY_REGRET
+
+
+def test_policy_regret_replays_sample_no_values(monkeypatch):
+    from epochfpa.agents import default_expert_family
+    from epochfpa.distributions import InverseCdf
+
+    cfg = inverse_cdf_replay_config()
+    family = default_expert_family(cfg.distribution, levels=1)
+    base = run_simulation(cfg, record="light")
+    calls = []
+    original = InverseCdf.sample_block
+
+    def counting(self, rng, shape):
+        calls.append(shape)
+        return original(self, rng, shape)
+
+    monkeypatch.setattr(InverseCdf, "sample_block", counting)
+    estimate_policy_regret(cfg, 0, family, base=base)
+    assert calls == []
+    estimate_policy_regret(cfg, 0, family)
+    assert calls == [(1500, 3)]
+
+
+def test_run_simulation_with_supplied_values_is_identical():
+    cfg = make_config(n=3, horizon=700, agents=[{"kind": "exp3"}, {"kind": "myopic"}, {"kind": "etc"}])
+    drawn = run_simulation(cfg)
+    reused = run_simulation(cfg, values=drawn.values)
+    assert trajectory_ndjson(reused) == trajectory_ndjson(drawn)
+    assert np.array_equal(reused.agent_utilities, drawn.agent_utilities)
+    for shape in [(699, 3), (700, 2), (2100,)]:
+        with pytest.raises(ConfigError, match=r"\(700, 3\)"):
+            run_simulation(cfg, values=np.zeros(shape))
+
+
 def test_empirical_myopic_runs_end_to_end():
     cfg = make_config(
         n=2,
