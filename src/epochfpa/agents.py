@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -373,7 +374,10 @@ class MyopicAgent(Agent):
             raise AgentError(f"unknown bad_mode {bad_mode!r}")
         self.good_mode = good_mode
         self.bad_mode = bad_mode
+        # the last 512 opposing top bids in arrival order, and the same
+        # window kept sorted so a win rate is one binary search
         self._rival_bids = deque(maxlen=512)
+        self._sorted_rivals: list[float] = []
 
     def bid(self, view: AgentView, value: float) -> float:
         cfg = view.config
@@ -390,16 +394,23 @@ class MyopicAgent(Agent):
         return r if value >= r else 0.0
 
     def _empirical_bid(self, reserve: float, value: float) -> float:
+        """The candidate bid maximizing ``(value - b) * P(b > rival)``.
+
+        The win rate of ``b`` is the share of the window strictly below it;
+        the first of several maximizers wins.
+        """
         if value < reserve:
             return 0.0
-        rivals = np.array(self._rival_bids)
         step = (self.dist.support_max - self.dist.support_min) / 64.0
-        candidates = np.arange(reserve, value + 1e-12, step if step > 0 else 1.0)
-        if candidates.size == 0:
-            candidates = np.array([reserve])
-        win = np.array([(b > rivals).mean() for b in candidates])
-        surplus = (value - candidates) * win
-        return float(candidates[int(np.argmax(surplus))])
+        candidates = np.arange(reserve, value + 1e-12, step if step > 0 else 1.0).tolist()
+        rivals = self._sorted_rivals
+        size = len(rivals)
+        best, best_surplus = reserve, -math.inf
+        for b in candidates:
+            surplus = (value - b) * (bisect_left(rivals, b) / size)
+            if surplus > best_surplus:
+                best, best_surplus = b, surplus
+        return float(best)
 
     def observe(self, view, value, utility, bids, winner) -> None:
         if self.good_mode != "empirical" or view.phase != "good":
@@ -408,7 +419,11 @@ class MyopicAgent(Agent):
             (b for i, b in bids.items() if i != self.buyer_id), default=None
         )
         if rival is not None:
-            self._rival_bids.append(rival)
+            window, rivals = self._rival_bids, self._sorted_rivals
+            if len(window) == window.maxlen:
+                del rivals[bisect_left(rivals, window[0])]
+            window.append(rival)
+            insort(rivals, rival)
 
 
 class Exp3Agent(Agent):

@@ -58,8 +58,16 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
+def _load_config(path) -> RunConfig:
+    """Read a run config and build its roster once, so a bad agent spec fails
+    before any work is done or any file is written."""
+    config = RunConfig.from_file(path)
+    config.build_agents()
+    return config
+
+
 def _cmd_simulate(args) -> int:
-    config = RunConfig.from_file(args.config)
+    config = _load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
     target = args.out if args.out is not None else config.out_dir
@@ -93,7 +101,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    config = RunConfig.from_file(args.config)
+    config = _load_config(args.config)
     report = bound_report(config, measure=args.measure)
     for line in report.lines():
         print(line)

@@ -141,6 +141,9 @@ class Uniform:
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
+        for name, bound in (("lo", self.lo), ("hi", self.hi)):
+            if not math.isfinite(bound):
+                raise DistributionError(f"uniform bound {name} must be finite, got {bound!r}")
         if self.lo < 0:
             raise DistributionError("uniform lower bound must be nonnegative")
         if not self.hi > self.lo:

@@ -657,14 +657,16 @@ def _round_record(outcome: RoundOutcome) -> dict:
     }
 
 
+# what json.dumps(..., sort_keys=True, separators=(",", ":")) builds per call
+_ROUND_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def trajectory_ndjson(traj: Trajectory) -> str:
     """Line-delimited JSON, one record per round; byte-stable across runs."""
     if traj.rounds is None:
         raise ConfigError("trajectory was not recorded in full mode")
-    lines = [
-        json.dumps(_round_record(o), sort_keys=True, separators=(",", ":"))
-        for o in traj.rounds
-    ]
+    encode = _ROUND_ENCODER.encode
+    lines = [encode(_round_record(o)) for o in traj.rounds]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -34,11 +35,11 @@ EPS = 0.3
 RHO = EPS * (1 - EPS) ** 4 / 12
 
 
-def make_view(n=2, uncleared=0, states=None, phase="good"):
+def make_view(n=2, uncleared=0, states=None, phase="good", dist=None):
     params = MechanismParams(n=n, horizon=1000, epsilon=EPS, delta=EPS, rho=RHO)
     good = [i for i in range(n) if states is None or states[i] != BuyerState.BAD]
     bad = [i for i in range(n) if states is not None and states[i] == BuyerState.BAD]
-    cfg = derive_epoch_config(params, good, bad, Uniform(0.0, 1.0))
+    cfg = derive_epoch_config(params, good, bad, dist or Uniform(0.0, 1.0))
     states = tuple(states or [BuyerState.GOOD] * n)
     return params, AgentView(
         t=0,
@@ -51,8 +52,8 @@ def make_view(n=2, uncleared=0, states=None, phase="good"):
     )
 
 
-def bind(agent, params, buyer=0, seed=123):
-    agent.bind(buyer, params, Uniform(0.0, 1.0), substream(seed, "agent", buyer))
+def bind(agent, params, buyer=0, seed=123, dist=None):
+    agent.bind(buyer, params, dist or Uniform(0.0, 1.0), substream(seed, "agent", buyer))
     return agent
 
 
@@ -153,6 +154,52 @@ def test_myopic_empirical_mode_bids_between_reserve_and_value():
     bid = agent.bid(view, 0.95)
     assert r_g <= bid <= 0.95
     assert agent.bid(view, r_g - 0.05) == 0.0
+
+
+def oracle_empirical_bid(dist, rivals, reserve, value):
+    """The empirical best response as one numpy mean per candidate bid."""
+    if value < reserve:
+        return 0.0
+    rivals = np.array(rivals)
+    step = (dist.support_max - dist.support_min) / 64.0
+    candidates = np.arange(reserve, value + 1e-12, step if step > 0 else 1.0)
+    if candidates.size == 0:
+        candidates = np.array([reserve])
+    win = np.array([(b > rivals).mean() for b in candidates])
+    surplus = (value - candidates) * win
+    return float(candidates[int(np.argmax(surplus))])
+
+
+@pytest.mark.parametrize(
+    "dist, seed",
+    [(Uniform(0.0, 1.0), 1), (Uniform(0.0, 1.0), 2), (Uniform(2.0, 5.0), 3)],
+    ids=["unit-1", "unit-2", "uniform-2-5"],
+)
+def test_myopic_empirical_bid_matches_per_candidate_oracle(dist, seed):
+    params, view = make_view(n=3, dist=dist)
+    agent = bind(MyopicAgent(good_mode="empirical"), params, dist=dist)
+    reserve = view.config.good_reserve
+    lo, hi = dist.support_min, dist.support_max
+    # rival bids that equal candidate bids exactly, so the strict ">" matters
+    grid = np.arange(reserve, hi + 1e-12, (hi - lo) / 64.0).tolist()
+    rng = np.random.default_rng(seed)
+    window = deque(maxlen=512)
+    for _ in range(1300):
+        draw = rng.random()
+        if draw < 0.4:
+            rival = grid[rng.integers(len(grid))]
+        elif draw < 0.6:
+            rival = 0.0
+        else:
+            rival = float(rng.uniform(lo, hi))
+        other = float(rng.uniform(0.0, rival)) if rival > 0 else 0.0
+        agent.observe(view, 0.0, 0.0, {0: 0.0, 1: rival, 2: other}, 1)
+        window.append(rival)
+        if len(window) < 20:
+            continue
+        for value in (reserve, hi, float(rng.uniform(lo, hi)), grid[rng.integers(len(grid))]):
+            assert agent.bid(view, value) == oracle_empirical_bid(dist, window, reserve, value)
+    assert list(agent._rival_bids) == list(window)
 
 
 def test_myopic_rejects_unknown_modes():

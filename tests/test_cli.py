@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from epochfpa.cli import main
 
@@ -134,8 +135,12 @@ def test_non_integer_run_config_fields_exit_two(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("step", [0, -0.25, float("nan")], ids=["zero", "negative", "nan"])
 def test_exp3_bad_grid_step_exits_two(tmp_path, capsys, step):
     path = one_buyer_config(tmp_path, agents=[{"kind": "exp3", "grid_step": step}])
+    assert main(["bounds", "--config", str(path)]) == 2
+    assert "grid step must be a positive finite number" in capsys.readouterr().err
+    # the roster is built before the output directory is made
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "grid step must be a positive finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
@@ -143,3 +148,13 @@ def test_finite_support_non_finite_value_exits_two(capsys, value):
     dist = f'{{"kind":"finite","support":[[{value},0.5],[1.0,0.5]]}}'
     assert main(["inspect", "--dist", dist, "--m", "1", "--n", "1"]) == 2
     assert "support values must be finite" in capsys.readouterr().err
+
+
+def test_uniform_infinite_bound_exits_two(capsys, recwarn):
+    dist = '{"kind":"uniform","lo":0,"hi":Infinity}'
+    assert main(["inspect", "--dist", dist, "--m", "2", "--n", "2"]) == 2
+    assert "uniform bound hi must be finite" in capsys.readouterr().err
+    assert not [
+        w for w in recwarn if issubclass(w.category, (RuntimeWarning, IntegrationWarning))
+    ]
+
