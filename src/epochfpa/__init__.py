@@ -30,7 +30,6 @@ from .mechanism import (
     Mechanism,
     MechanismError,
     MechanismParams,
-    ProjectedHistory,
     RoundOutcome,
     derive_epoch_config,
 )

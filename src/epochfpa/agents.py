@@ -6,10 +6,11 @@ strategy that risks the bad state), adversarial-bandit learners over a finite
 expert family, and explore-then-commit learners that pair with the
 mechanism's one-time reset.
 
-Expert strategies map a projected history and a (gridded) valuation to a bid.
-The family always contains the two benchmark experts the guarantees rely on:
-the good strategy itself, and the bad-state threshold rule that bids the bad
-reserve whenever the valuation clears the bad cutoff.
+Expert strategies map an agent's view (its own state, the epoch's reserves)
+and a (gridded) valuation to a bid.  The family always contains the two
+benchmark experts the guarantees rely on: the good strategy itself, and the
+bad-state threshold rule that bids the bad reserve whenever the valuation
+clears the bad cutoff.
 """
 
 from __future__ import annotations

@@ -115,7 +115,9 @@ def _cmd_verify(args) -> int:
     if args.replications is not None:
         overrides["replications"] = args.replications
     accepted = inspect.signature(SUITES[args.suite]).parameters
-    overrides = {k: v for k, v in overrides.items() if k in accepted}
+    for name in overrides:
+        if name not in accepted:
+            raise ConfigError(f"suite {args.suite} does not take --{name}")
     report = run_suite(args.suite, **overrides)
     print(f"=== suite {report.name}: {'PASS' if report.passed else 'FAIL'} ===")
     for line in report.lines:

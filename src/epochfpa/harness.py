@@ -254,12 +254,28 @@ def run_simulation(
     # occupancy is counted once per run of rounds sharing one tuple
     segment_states, segment_start = mech.states_snapshot(), 0
 
-    for t in range(horizon):
-        view = mech.view()
-        participants = mech.participants()
-        if view.states is not segment_states:
+    t = 0
+    while t < horizon:
+        while len(mech.epoch_records) > epochs_seen:
+            epoch_utils.append(epoch_util)
+            epoch_util = [0.0] * n
+            epochs_seen += 1
+        states = mech.states_snapshot()
+        if states is not segment_states:
             _count_states(state_rounds, segment_states, t - segment_start)
-            segment_states, segment_start = view.states, t
+            segment_states, segment_start = states, t
+        participants = mech.participants()
+        if not participants:
+            # the phase stays empty until it ends or the reset fires, and no
+            # agent, value or tie is read meanwhile: one mechanism step
+            good = mech.phase == GOOD_PHASE
+            k = mech.run_idle(horizon - t, rounds)
+            if good:
+                good_rounds += k
+                uncleared_good += k
+            t += k
+            continue
+        view = mech.view()
         vrow = values[t].tolist()
         try:
             bids = {i: bidders[i](view, vrow[i]) for i in participants}
@@ -286,10 +302,7 @@ def run_simulation(
         if rounds is not None:
             rounds.append(outcome)
         mech.advance()
-        while len(mech.epoch_records) > epochs_seen:
-            epoch_utils.append(epoch_util)
-            epoch_util = [0.0] * n
-            epochs_seen += 1
+        t += 1
 
     _count_states(state_rounds, segment_states, horizon - segment_start)
     final_states = mech.states_snapshot()

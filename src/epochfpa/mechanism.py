@@ -36,7 +36,6 @@ __all__ = [
     "MechanismParams",
     "EpochConfig",
     "derive_epoch_config",
-    "ProjectedHistory",
     "AgentView",
     "RoundOutcome",
     "EpochRecord",
@@ -193,16 +192,6 @@ def derive_epoch_config(
     )
 
 
-@dataclass(frozen=True)
-class ProjectedHistory:
-    """The fixed-size history projection that expert strategies see."""
-
-    in_bad_state: bool
-    num_good: int
-    num_bad: int
-    uncleared_this_epoch: int
-
-
 class AgentView(NamedTuple):
     """Everything an agent may condition on when bidding in the current round."""
 
@@ -213,14 +202,6 @@ class AgentView(NamedTuple):
     states: tuple[BuyerState, ...]
     num_good: int
     num_bad: int
-
-    def projected(self, buyer: int) -> ProjectedHistory:
-        return ProjectedHistory(
-            in_bad_state=self.states[buyer] == BuyerState.BAD,
-            num_good=self.num_good,
-            num_bad=self.num_bad,
-            uncleared_this_epoch=self.uncleared,
-        )
 
 
 class RoundOutcome(NamedTuple):
@@ -259,6 +240,8 @@ class EpochRecord:
     allocations_final: tuple[int, ...]
     threshold_round: Optional[int]
     good_at_threshold: Optional[tuple[int, ...]]
+    # rounds of the epoch whose phase had no participants (not in the epoch CSV)
+    idle_rounds: int = 0
 
 
 class Mechanism:
@@ -268,6 +251,12 @@ class Mechanism:
     ``run_round``, then ``advance``.  Tie-breaking consumes exactly one
     uniform draw per round, supplied by the caller, so replays under common
     random numbers stay aligned.
+
+    When ``participants()`` is empty, ``run_idle(limit)`` may stand in for
+    that cycle: it runs up to ``limit`` participant-less rounds at once, to
+    the end of the phase or to the pending reset, whichever comes first, and
+    leaves the mechanism exactly as that many ``run_round({})`` plus
+    ``advance()`` calls would.  Such rounds read no bid and no tie draw.
 
     ``states`` is the mutable per-buyer list; ``view()``, ``participants()``
     and each outcome's ``states_before`` read a snapshot of it that
@@ -315,11 +304,6 @@ class Mechanism:
             len(self._bad_ids),
         )
 
-    def projected_history(self, buyer: int) -> ProjectedHistory:
-        if not 0 <= buyer < self.params.n:
-            raise MechanismError(f"unknown buyer {buyer}")
-        return self.view().projected(buyer)
-
     # -- rounds ---------------------------------------------------------------
 
     def run_bad_round(self, bids: dict[int, float], tie: float = 0.0) -> RoundOutcome:
@@ -354,6 +338,8 @@ class Mechanism:
                 winner, payment = self._settle(bids, ids, cfg.bad_reserve, tie)
                 if winner is not None:
                     self._bad_revenue += payment
+            else:
+                self._idle_rounds += 1
             # positional, in field order: keywords would double the cost
             return RoundOutcome(
                 self.t,
@@ -375,6 +361,8 @@ class Mechanism:
         winner, payment = None, 0.0
         if bids:
             winner, payment = self._settle(bids, ids, cfg.good_reserve, tie)
+        else:
+            self._idle_rounds += 1
         if winner is not None:
             self.allocations[winner] += 1
             self._good_revenue += payment
@@ -414,6 +402,59 @@ class Mechanism:
             tuple(self.allocations),
             states_before,
         )
+
+    def run_idle(self, limit: int, outcomes: Optional[list[RoundOutcome]] = None) -> int:
+        """Run up to ``limit`` rounds of a phase that has no participants.
+
+        Stops at the end of the phase or at the pending reset, whichever
+        comes first, and returns the number of rounds run: 0 if the phase
+        has participants or ``limit < 1``, otherwise at least 1.  The state
+        afterwards, and the outcomes appended to ``outcomes`` if given, are
+        those of as many ``run_round({})`` plus ``advance()`` calls.
+        """
+        if limit < 1 or self.participants():
+            return 0
+        k = min(limit, max(1, self._rounds_left))
+        reset = self.params.reset_round
+        if reset is not None and not self._reset_done:
+            k = min(k, max(1, reset - self.t))
+        t0, before = self.t, self.uncleared
+        good = self._phase == GOOD_PHASE
+        step = 1 if good else 0  # an empty good auction is uncleared
+        if outcomes is not None:
+            allocations = tuple(self.allocations)
+            for j in range(k):
+                u = before + step * j
+                outcomes.append(
+                    RoundOutcome(
+                        t0 + j,
+                        self._phase,
+                        self.epoch_index,
+                        (),  # participants
+                        {},  # bids
+                        None,  # winner
+                        0.0,  # payment
+                        False,  # cleared
+                        (),  # transitions
+                        u,  # uncleared_before
+                        u + step,  # uncleared
+                        allocations,
+                        self._states,
+                    )
+                )
+        if good:
+            self.uncleared += k
+            crossing = self._config.uncleared_threshold - before - 1
+            if self._threshold_round is None and 0 <= crossing < k:
+                self._threshold_round = t0 + crossing
+                self._good_at_threshold = self._good_ids
+        self._idle_rounds += k
+        # k stops short of every phase end and of the reset, so the first
+        # k - 1 advances only count rounds; the last one is a real advance
+        self.t += k - 1
+        self._rounds_left -= k - 1
+        self.advance()
+        return k
 
     def advance(self) -> None:
         """Book-keep the end of a round: phase switches, epoch ends, the reset."""
@@ -491,6 +532,7 @@ class Mechanism:
         self._epoch_start = self.t
         self._threshold_round: Optional[int] = None
         self._good_at_threshold: Optional[tuple[int, ...]] = None
+        self._idle_rounds = 0
 
     def _close_epoch(self, completed: bool, reset: bool = False) -> None:
         good_end = tuple(
@@ -512,6 +554,7 @@ class Mechanism:
                 allocations_final=tuple(self.allocations),
                 threshold_round=self._threshold_round,
                 good_at_threshold=self._good_at_threshold,
+                idle_rounds=self._idle_rounds,
             )
         )
         for i in range(self.params.n):

@@ -91,6 +91,15 @@ def test_verify_suite_fail_exit_one(monkeypatch, capsys):
     assert main(["verify", "--suite", "policy-regret"]) == 1
 
 
+@pytest.mark.parametrize(
+    "suite, value", [("lemma-b1", "7"), ("regret", "0")], ids=["lemma-b1", "regret"]
+)
+def test_verify_option_the_suite_does_not_take_exits_two(suite, value, capsys):
+    assert main(["verify", "--suite", suite, "--replications", value]) == 2
+    err = capsys.readouterr().err
+    assert suite in err and "--replications" in err
+
+
 def test_config_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"params": {"n": 2}}')

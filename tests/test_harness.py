@@ -170,6 +170,29 @@ def test_threshold_reached_or_everyone_rested_each_epoch():
         assert e.threshold_round is not None or all_rested
 
 
+def test_epoch_idle_rounds_count_participantless_rounds():
+    # good-strategy buyers are rested at their quota and zero bidders punished,
+    # so good blocks end idle; with nobody bad, every bad block is idle too
+    agents = [
+        {"kind": "good-strategy"},
+        {"kind": "myopic", "good_mode": "zero"},
+        {"kind": "myopic"},
+    ]
+    cfg = make_config(n=3, horizon=3000, agents=agents, reset_round=900)
+    full = run_simulation(cfg, record="full")
+    light = run_simulation(cfg, record="light")
+    idle = [o for o in full.rounds if not o.participants]
+    assert {o.phase for o in idle} == {"good", "bad"}
+    per_epoch = [sum(1 for o in idle if o.epoch == e.config.index) for e in full.epochs]
+    assert [e.idle_rounds for e in full.epochs] == per_epoch
+    assert sum(per_epoch) == len(idle)
+    assert light.epochs == full.epochs
+    good = [o for o in full.rounds if o.phase == "good"]
+    assert full.good_rounds == light.good_rounds == len(good)
+    uncleared = sum(1 for o in good if not o.cleared)
+    assert full.uncleared_good_rounds == light.uncleared_good_rounds == uncleared
+
+
 def test_good_strategy_agent_never_turns_bad():
     # three saboteurs force threshold crossings every epoch; the good-strategy
     # buyer must never be punished

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epochfpa.distributions import Uniform
 from epochfpa.mechanism import (
@@ -17,9 +20,9 @@ EPS = 0.3
 RHO = EPS * (1 - EPS) ** 4 / 12
 
 
-def make_params(n=4, horizon=10_000, **kw):
+def make_params(n=4, horizon=10_000, rho=RHO, **kw):
     return MechanismParams(
-        n=n, horizon=horizon, epsilon=EPS, delta=EPS, rho=RHO, **kw
+        n=n, horizon=horizon, epsilon=EPS, delta=EPS, rho=rho, **kw
     )
 
 
@@ -296,27 +299,6 @@ def test_finish_records_partial_epoch():
     assert not mech.epoch_records[0].completed
 
 
-def test_projected_history_examples():
-    mech = fresh(n=3)
-    ph = mech.projected_history(0)
-    assert (ph.in_bad_state, ph.num_good, ph.num_bad, ph.uncleared_this_epoch) == (
-        False,
-        3,
-        0,
-        0,
-    )
-    drain_bad_phase(mech)
-    mech.run_good_round({i: 0.0 for i in range(3)})
-    assert mech.projected_history(0).uncleared_this_epoch == 1
-    mech.states[1] = BuyerState.REST
-    mech._rebuild_rosters()
-    ph = mech.projected_history(1)
-    assert not ph.in_bad_state
-    assert ph.num_good == 2 and ph.num_bad == 0
-    with pytest.raises(MechanismError):
-        mech.projected_history(7)
-
-
 def test_allocations_never_exceed_quota():
     mech = fresh(n=2)
     drain_bad_phase(mech)
@@ -328,3 +310,179 @@ def test_allocations_never_exceed_quota():
         mech.run_good_round(bids)
         mech.advance()
     assert mech.allocations[0] == h
+
+
+# -- idle stretches ---------------------------------------------------------------
+
+
+def _snapshot(mech):
+    return (
+        mech.t,
+        mech.phase,
+        mech.epoch_index,
+        mech.uncleared,
+        list(mech.allocations),
+        list(mech.states),
+        mech.participants(),
+        mech.config,
+        mech._rounds_left,
+        mech._threshold_round,
+        mech._good_at_threshold,
+        mech._idle_rounds,
+        mech._reset_done,
+        list(mech.epoch_records),
+    )
+
+
+def _bid(rng, mode, reserve):
+    if mode == "win":
+        return reserve + float(rng.random())
+    if mode == "low":
+        return 0.0
+    return 1.5 * reserve * float(rng.random())
+
+
+class _Scenario:
+    """Two mechanisms on one bid stream: ``idle`` fast-forwards empty phases
+    with ``run_idle``, ``ref`` runs them as ``run_round({})`` + ``advance()``."""
+
+    def __init__(self, params, modes, start_bad, force_t, rest_mask, seed):
+        self.modes, self.force_t, self.rest_mask = modes, force_t, rest_mask
+        self.bid_rng = np.random.default_rng(seed)
+        self.idle = Mechanism(params, Uniform(0.0, 1.0))
+        self.ref = Mechanism(params, Uniform(0.0, 1.0))
+        for mech in (self.idle, self.ref):
+            for i in start_bad:
+                mech.states[i] = BuyerState.BAD
+            mech._rebuild_rosters()
+        self.forced = force_t is None
+
+    def force_empty_good_set(self):
+        mech = self.idle
+        if self.forced or mech.t < self.force_t or mech.phase != GOOD_PHASE:
+            return
+        if not mech.participants():  # already empty: force it later
+            return
+        for m in (self.idle, self.ref):
+            for i in m.participants():
+                m.states[i] = BuyerState.REST if self.rest_mask[i] else BuyerState.BAD
+            m._rebuild_rosters()
+        self.forced = True
+
+    def busy_round(self):
+        ids = self.idle.participants()
+        cfg = self.idle.config
+        reserve = cfg.good_reserve if self.idle.phase == GOOD_PHASE else cfg.bad_reserve
+        bids = {i: _bid(self.bid_rng, self.modes[i], reserve) for i in ids}
+        tie = float(self.bid_rng.random())
+        out = []
+        for mech in (self.idle, self.ref):
+            out.append(mech.run_round(bids, tie))
+            mech.advance()
+        return out
+
+
+def _idle_stretches(params, modes, start_bad, force_t, rest_mask, seed):
+    """(start, end) of every maximal run of participant-less rounds."""
+    sc = _Scenario(params, modes, start_bad, force_t, rest_mask, seed)
+    mech, stretches, start = sc.ref, [], None
+    while mech.t < params.horizon:
+        sc.force_empty_good_set()
+        if mech.participants():
+            if start is not None:
+                stretches.append((start, mech.t))
+                start = None
+            sc.busy_round()
+        else:
+            start = mech.t if start is None else start
+            for m in (sc.idle, sc.ref):
+                m.run_round({})
+                m.advance()
+    if start is not None:
+        stretches.append((start, params.horizon))
+    return stretches
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_run_idle_matches_per_round_reference(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    epsilon = data.draw(st.sampled_from([0.3, 0.5, 0.6]), label="epsilon")
+    delta = data.draw(st.sampled_from([0.7, 0.8, 0.9]), label="delta")
+    if data.draw(st.booleans(), label="capped rho"):
+        cap = MechanismParams(n=n, horizon=0, epsilon=epsilon, delta=delta, rho=1e-6).rho_cap
+        rho, kw = cap * data.draw(st.sampled_from([0.2, 0.9]), label="rho share"), {}
+    else:  # a longer bad block, for schedule arithmetic only
+        rho, kw = data.draw(st.sampled_from([0.05, 0.2]), label="rho"), {"enforce_rho_cap": False}
+    horizon = data.draw(st.integers(1, 1200), label="horizon")
+    modes = data.draw(
+        st.lists(st.sampled_from(["win", "low", "mixed"]), min_size=n, max_size=n), label="modes"
+    )
+    start_bad = data.draw(st.sets(st.integers(0, n - 1)), label="start_bad")
+    force_t = data.draw(st.one_of(st.none(), st.integers(0, horizon)), label="force_t")
+    rest_mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="rest_mask")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    scenario = (modes, start_bad, force_t, rest_mask, seed)
+
+    # place the reset before, inside or just after an idle stretch of the run
+    # without one: the two runs agree up to the reset round
+    base = MechanismParams(n=n, horizon=horizon, epsilon=epsilon, delta=delta, rho=rho, **kw)
+    stretches = _idle_stretches(base, *scenario)
+    reset_round = None
+    if stretches and data.draw(st.booleans(), label="reset"):
+        start, end = stretches[data.draw(st.integers(0, len(stretches) - 1), label="stretch")]
+        anchor = data.draw(st.sampled_from(["start", "inside", "end"]), label="anchor")
+        if anchor == "inside":
+            reset_round = data.draw(st.integers(start, end), label="reset_round")
+        else:
+            point = start if anchor == "start" else end
+            reset_round = max(0, point + data.draw(st.integers(-2, 2), label="offset"))
+    params = MechanismParams(
+        n=n, horizon=horizon, epsilon=epsilon, delta=delta, rho=rho, reset_round=reset_round, **kw
+    )
+    limit_cap = data.draw(st.one_of(st.none(), st.integers(1, 40)), label="limit_cap")
+    limit_rng = np.random.default_rng(seed + 1)
+
+    sc = _Scenario(params, *scenario)
+    idle_out, ref_out = [], []
+    idle_rounds = 0
+    while sc.idle.t < horizon:
+        sc.force_empty_good_set()
+        left = horizon - sc.idle.t
+        if sc.idle.participants():
+            assert sc.idle.run_idle(left, idle_out) == 0
+            a, b = sc.busy_round()
+            idle_out.append(a)
+            ref_out.append(b)
+        else:
+            assert sc.idle.run_idle(0, idle_out) == 0
+            limit = left if limit_cap is None else min(left, int(limit_rng.integers(1, limit_cap + 1)))
+            k = sc.idle.run_idle(limit, idle_out)
+            assert 1 <= k <= limit
+            for _ in range(k):
+                assert not sc.ref.participants()
+                ref_out.append(sc.ref.run_round({}))
+                sc.ref.advance()
+            idle_rounds += k
+        assert _snapshot(sc.idle) == _snapshot(sc.ref)
+    for mech in (sc.idle, sc.ref):
+        mech.finish()
+    assert _snapshot(sc.idle) == _snapshot(sc.ref)
+    assert idle_out == ref_out
+    assert sum(e.idle_rounds for e in sc.idle.epoch_records) == idle_rounds
+    assert idle_rounds == sum(1 for o in ref_out if not o.participants)
+
+
+def test_run_idle_stops_at_the_reset_and_phase_end():
+    # nobody is bad, so every bad block is idle; rho=0.2 makes it long
+    mech = fresh(n=2, reset_round=5, rho=0.2, enforce_rho_cap=False)
+    bad_rounds = mech.config.bad_rounds
+    assert bad_rounds > 10 and mech.participants() == ()
+    assert mech.run_idle(0) == 0
+    assert mech.run_idle(100) == 5  # up to the reset
+    assert mech.epoch_records[-1].reset and mech.epoch_records[-1].idle_rounds == 5
+    assert (mech.t, mech.epoch_index, mech.phase) == (5, 1, BAD_PHASE)
+    assert mech.run_idle(3) == 3  # the limit ends it mid-stretch
+    assert mech.run_idle(10**6) == bad_rounds - 3  # up to the phase end
+    assert mech.phase == GOOD_PHASE and mech.t == 5 + bad_rounds
+    assert mech.run_idle(100) == 0  # both buyers are good and bid now
