@@ -652,35 +652,72 @@ def estimate_policy_regret(
 # ---------------------------------------------------------------------------
 
 
-def _round_record(outcome: RoundOutcome) -> dict:
-    return {
-        "t": outcome.t,
-        "phase": outcome.phase,
-        "epoch": outcome.epoch,
-        "participants": list(outcome.participants),
-        "bids": {str(i): b for i, b in sorted(outcome.bids.items())},
-        "winner": outcome.winner,
-        "payment": outcome.payment,
-        "cleared": outcome.cleared,
-        "transitions": [
-            [i, frm.label, to.label] for i, frm, to in outcome.transitions
-        ],
-        "uncleared": outcome.uncleared,
-        "allocations": list(outcome.allocations),
-    }
-
-
-# what json.dumps(..., sort_keys=True, separators=(",", ":")) builds per call
-_ROUND_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
 def trajectory_ndjson(traj: Trajectory) -> str:
-    """Line-delimited JSON, one record per round; byte-stable across runs."""
+    """Line-delimited JSON, one record per round; byte-stable across runs.
+
+    Each line is the text ``json.dumps(record, sort_keys=True,
+    separators=(",", ":"))`` gives for a record with the keys ``allocations``,
+    ``bids``, ``cleared``, ``epoch``, ``participants``, ``payment``,
+    ``phase``, ``t``, ``transitions`` (``[buyer, from, to]`` with state
+    labels), ``uncleared`` (after the round) and ``winner``, in that order.
+    Bid keys are buyer ids as decimal strings, sorted as strings, so ``"10"``
+    comes before ``"2"``.  Lines are formatted directly: an exact finite
+    ``float`` is written with ``float.__repr__`` as the encoder does, and any
+    other number (an ``int`` bid, ``np.float64``, a non-finite float) goes
+    through the encoder itself.
+    """
     if traj.rounds is None:
         raise ConfigError("trajectory was not recorded in full mode")
-    encode = _ROUND_ENCODER.encode
-    lines = [encode(_round_record(o)) for o in traj.rounds]
+    encode = _COMPACT_ENCODER.encode
+    int_lists: dict[tuple, str] = {}  # participants and allocations, reused across rounds
+    key_orders: dict[tuple, tuple] = {}  # bid keys -> ((key, '"key":'), ...) in string order
+    lines = []
+    for (
+        t, phase, epoch, participants, bids, winner, payment, cleared,
+        transitions, _, uncleared, allocations, _,
+    ) in traj.rounds:
+        if bids:
+            keys = tuple(bids)
+            order = key_orders.get(keys)
+            if order is None:
+                order = key_orders[keys] = tuple(
+                    (k, f'"{k}":') for k in sorted(keys, key=str)
+                )
+            bid_text = ",".join(
+                [
+                    label + (repr(b) if type(b) is float and b - b == 0.0 else encode(b))
+                    for k, label in order
+                    for b in (bids[k],)
+                ]
+            )
+        else:
+            bid_text = ""
+        part_text = int_lists.get(participants)
+        if part_text is None:
+            part_text = int_lists[participants] = encode(list(participants))
+        alloc_text = int_lists.get(allocations)
+        if alloc_text is None:
+            alloc_text = int_lists[allocations] = encode(list(allocations))
+        move_text = ",".join(
+            f'[{i},"{frm.label}","{to.label}"]' for i, frm, to in transitions
+        ) if transitions else ""
+        if type(payment) is float and payment - payment == 0.0:
+            pay_text = repr(payment)
+        else:
+            pay_text = encode(payment)
+        lines.append(
+            f'{{"allocations":{alloc_text},"bids":{{{bid_text}}},'
+            f'"cleared":{"true" if cleared else "false"},"epoch":{epoch},'
+            f'"participants":{part_text},"payment":{pay_text},'
+            f'"phase":"{phase}","t":{t},"transitions":[{move_text}],'
+            f'"uncleared":{uncleared},"winner":{"null" if winner is None else winner}}}'
+        )
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+# for the values a line does not format itself: id lists, and numbers other
+# than exact finite floats (ints, float subclasses, inf and nan)
+_COMPACT_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def write_trajectory(traj: Trajectory, path) -> None:

@@ -240,8 +240,11 @@ class EpochRecord:
     allocations_final: tuple[int, ...]
     threshold_round: Optional[int]
     good_at_threshold: Optional[tuple[int, ...]]
-    # rounds of the epoch whose phase had no participants (not in the epoch CSV)
+    # rounds of the epoch whose phase had no participants, and its GOOD->BAD
+    # and GOOD->REST moves (none of the three is in the epoch CSV)
     idle_rounds: int = 0
+    punishments: int = 0
+    rests: int = 0
 
 
 class Mechanism:
@@ -374,9 +377,11 @@ class Mechanism:
                 if bids[i] < cfg.good_reserve:
                     self.states[i] = BuyerState.BAD
                     transitions.append((i, BuyerState.GOOD, BuyerState.BAD))
+                    self._punishments += 1
         if winner is not None and self.allocations[winner] >= self._rest_threshold:
             self.states[winner] = BuyerState.REST
             transitions.append((winner, BuyerState.GOOD, BuyerState.REST))
+            self._rests += 1
         if transitions:
             self._rebuild_rosters()
         if (
@@ -500,7 +505,12 @@ class Mechanism:
                 f"bids must come from exactly the current participants {sorted(expected)}"
             )
         for i, b in bids.items():
-            if not (isinstance(b, (int, float)) and math.isfinite(b) and b >= 0.0):
+            if type(b) is float and b >= 0.0 and b - b == 0.0:
+                continue  # finite and nonnegative: nearly every bid ends here
+            # a bool is an int, but True is no bid
+            if type(b) is bool or not (
+                isinstance(b, (int, float)) and math.isfinite(b) and b >= 0.0
+            ):
                 raise MechanismError(f"buyer {i} submitted an invalid bid {b!r}")
 
     def _rebuild_rosters(self) -> None:
@@ -533,6 +543,8 @@ class Mechanism:
         self._threshold_round: Optional[int] = None
         self._good_at_threshold: Optional[tuple[int, ...]] = None
         self._idle_rounds = 0
+        self._punishments = 0
+        self._rests = 0
 
     def _close_epoch(self, completed: bool, reset: bool = False) -> None:
         good_end = tuple(
@@ -555,6 +567,8 @@ class Mechanism:
                 threshold_round=self._threshold_round,
                 good_at_threshold=self._good_at_threshold,
                 idle_rounds=self._idle_rounds,
+                punishments=self._punishments,
+                rests=self._rests,
             )
         )
         for i in range(self.params.n):

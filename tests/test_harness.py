@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epochfpa.agents import (
     GOOD_TEMPLATE,
+    Agent,
     ZERO_BID,
     Expert,
     ExpertFamily,
@@ -30,7 +33,7 @@ from epochfpa.harness import (
     write_epoch_csv,
     write_trajectory,
 )
-from epochfpa.mechanism import MechanismParams
+from epochfpa.mechanism import BuyerState, MechanismParams
 
 EPS = 0.3
 RHO = EPS * (1 - EPS) ** 4 / 12
@@ -191,6 +194,35 @@ def test_epoch_idle_rounds_count_participantless_rounds():
     assert full.good_rounds == light.good_rounds == len(good)
     uncleared = sum(1 for o in good if not o.cleared)
     assert full.uncleared_good_rounds == light.uncleared_good_rounds == uncleared
+
+
+def twelve_buyer_config():
+    # good-strategy and lookahead buyers reach their quota and rest; once they
+    # have, zero bidders leave the good block uncleared and are punished
+    agents = (
+        [{"kind": "good-strategy"}] * 3
+        + [{"kind": "myopic", "good_mode": "zero"}] * 2
+        + [{"kind": "lookahead"}] * 3
+        + [{"kind": "myopic"}] * 2
+        + [{"kind": "exp3", "levels": 2}, {"kind": "myopic", "good_mode": "zero"}]
+    )
+    return make_config(n=12, horizon=4000, agents=agents, seed=7, reset_round=2500)
+
+
+def test_epoch_punishments_and_rests_count_transitions():
+    cfg = twelve_buyer_config()
+    full = run_simulation(cfg, record="full")
+    light = run_simulation(cfg, record="light")
+    moves = [(o.epoch, to) for o in full.rounds for _, _, to in o.transitions]
+    for e in full.epochs:
+        i = e.config.index
+        assert e.punishments == moves.count((i, BuyerState.BAD))
+        assert e.rests == moves.count((i, BuyerState.REST))
+    punished = sum(e.punishments for e in full.epochs)
+    rested = sum(e.rests for e in full.epochs)
+    assert punished > 0 and rested > 0
+    assert punished + rested == len(moves)
+    assert light.epochs == full.epochs
 
 
 def test_good_strategy_agent_never_turns_bad():
@@ -585,40 +617,80 @@ def test_policy_regret_positive_for_sabotaged_agent():
 # -- exports ---------------------------------------------------------------------------
 
 
-def test_mixed_roster_fuzz_invariants():
-    from epochfpa.mechanism import BuyerState
+ROSTER_KINDS = (
+    {"kind": "lookahead"},
+    {"kind": "good-strategy"},
+    {"kind": "myopic"},
+    {"kind": "myopic", "good_mode": "zero"},
+    {"kind": "myopic", "good_mode": "empirical"},
+    {"kind": "exp3", "levels": 2},
+    {"kind": "etc", "levels": 1},
+)
 
-    roster = [
-        {"kind": "lookahead"},
-        {"kind": "myopic"},
-        {"kind": "myopic", "good_mode": "zero"},
-        {"kind": "exp3", "levels": 2},
-        {"kind": "etc", "levels": 1},
-    ]
-    for seed in range(4):
-        cfg = make_config(n=5, horizon=1300, agents=roster, seed=100 + seed)
-        h = cfg.params.rest_threshold
-        traj = run_simulation(cfg)
-        epoch_cfg = {e.config.index: e.config for e in traj.epochs}
-        prev_states = None
-        for r in traj.rounds:
-            c = epoch_cfg[r.epoch]
-            assert set(r.bids) == set(r.participants)
-            assert all(b >= 0.0 for b in r.bids.values())
-            assert all(a <= h for a in r.allocations)
-            if r.winner is not None:
-                assert r.winner in r.participants
-                reserve = c.good_reserve if r.phase == "good" else c.bad_reserve
-                assert r.payment == r.bids[r.winner] >= reserve
-            else:
-                assert r.payment == 0.0
-            if prev_states is not None:
-                for i, was in enumerate(prev_states):
-                    if was == BuyerState.BAD:  # absorbing without a reset
-                        assert r.states_before[i] == BuyerState.BAD
-            prev_states = r.states_before
-        for e in traj.epochs:
-            assert e.uncleared_final <= e.config.good_rounds
+
+@st.composite
+def mixed_runs(draw):
+    n = draw(st.integers(1, 6))
+    eps = draw(st.sampled_from((0.2, 0.3, 0.4)))
+    delta = draw(st.sampled_from((0.3, 0.4, 0.5)))
+    # below both admissibility caps, since (1 - rho) > 0.99 at these sizes
+    cap = min(eps * (1 - eps) ** 4, eps * (1 - eps) * (1 - delta) / (1 + eps)) / 12
+    rho = draw(st.floats(0.2, 0.99)) * cap
+    horizon = draw(st.integers(150, 1500))
+    reset = draw(st.one_of(st.none(), st.integers(0, horizon)))
+    params = MechanismParams(
+        n=n, horizon=horizon, epsilon=eps, delta=delta, rho=rho, reset_round=reset
+    )
+    return RunConfig(
+        params=params,
+        distribution=Uniform(0.0, 1.0),
+        agents=draw(st.lists(st.sampled_from(ROSTER_KINDS), min_size=n, max_size=n)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:mechanism reset at round")  # ETC explores past it
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(mixed_runs())
+def test_mixed_roster_fuzz_invariants(cfg):
+    params = cfg.params
+    h = params.rest_threshold
+    traj = run_simulation(cfg)
+    epoch_cfg = {e.config.index: e.config for e in traj.epochs}
+    epoch_starts = {e.start for e in traj.epochs}
+    revenue = {}  # (epoch, phase) -> payments summed in round order
+    moves = []  # (epoch, new state) of every transition
+    prev_states = None
+    for r in traj.rounds:
+        c = epoch_cfg[r.epoch]
+        assert set(r.bids) == set(r.participants)
+        assert all(b >= 0.0 for b in r.bids.values())
+        assert all(a <= h for a in r.allocations)
+        if r.winner is not None:
+            assert r.winner in r.participants
+            reserve = c.good_reserve if r.phase == "good" else c.bad_reserve
+            assert r.payment == r.bids[r.winner] >= reserve
+        else:
+            assert r.payment == 0.0
+        if prev_states is not None and r.t != params.reset_round:
+            for i, was in enumerate(prev_states):
+                if was == BuyerState.BAD:  # absorbing, except at the reset
+                    assert r.states_before[i] == BuyerState.BAD
+        if r.t in epoch_starts:  # rested buyers return to good at the boundary
+            assert BuyerState.REST not in r.states_before
+        prev_states = r.states_before
+        key = (r.epoch, r.phase)
+        revenue[key] = revenue.get(key, 0.0) + r.payment
+        moves += [(r.epoch, to) for _, _, to in r.transitions]
+    assert len(traj.rounds) == params.horizon
+    for e in traj.epochs:
+        i = e.config.index
+        assert e.uncleared_final <= e.config.good_rounds
+        assert e.end - e.start <= params.max_epoch_length
+        assert e.good_revenue == revenue.get((i, "good"), 0.0)
+        assert e.bad_revenue == revenue.get((i, "bad"), 0.0)
+        assert e.punishments == moves.count((i, BuyerState.BAD))
+        assert e.rests == moves.count((i, BuyerState.REST))
 
 
 def test_epoch_csv_schema(tmp_path):
@@ -629,6 +701,80 @@ def test_epoch_csv_schema(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,m_g,m_b,r_g,r_b,good_revenue,bad_revenue"
     assert len(lines) == len(traj.epochs) + 1
+
+
+def _round_record(outcome):
+    # the record the writer used to build per round, kept as its reference
+    return {
+        "t": outcome.t,
+        "phase": outcome.phase,
+        "epoch": outcome.epoch,
+        "participants": list(outcome.participants),
+        "bids": {str(i): b for i, b in sorted(outcome.bids.items())},
+        "winner": outcome.winner,
+        "payment": outcome.payment,
+        "cleared": outcome.cleared,
+        "transitions": [[i, frm.label, to.label] for i, frm, to in outcome.transitions],
+        "uncleared": outcome.uncleared,
+        "allocations": list(outcome.allocations),
+    }
+
+
+def reference_ndjson(traj):
+    lines = [
+        json.dumps(_round_record(o), sort_keys=True, separators=(",", ":"))
+        for o in traj.rounds
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def assert_same_text(text, expected):
+    # line by line, so that a failure shows one line, not a diff of megabytes
+    got, want = text.split("\n"), expected.split("\n")
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"line {k}"
+    assert len(got) == len(want)
+
+
+class IntBidder(Agent):
+    def bid(self, view, value):
+        return 1 if value > 0.8 else 0
+
+
+class Float64Bidder(Agent):
+    def bid(self, view, value):
+        return np.float64(value)
+
+
+def test_ndjson_matches_reference_encoder_on_twelve_buyers():
+    traj = run_simulation(twelve_buyer_config())
+    moves = {to for o in traj.rounds for _, _, to in o.transitions}
+    assert {BuyerState.BAD, BuyerState.REST} <= moves
+    assert any(e.reset for e in traj.epochs)
+    text = reference_ndjson(traj)
+    # string order puts buyers 10 and 11 before buyer 2
+    assert '"bids":{"0":' in text and '"11":' in text
+    assert all(
+        line.index('"11":') < line.index('"2":')
+        for line in text.splitlines()
+        if '"2":' in line and '"11":' in line
+    )
+    assert_same_text(trajectory_ndjson(traj), text)
+
+
+def test_ndjson_matches_reference_encoder_on_int_and_float64_bids():
+    cfg = make_config(n=3, horizon=700, agents=[{"kind": "myopic"}] * 3)
+    traj = run_simulation(cfg, substitutes={0: IntBidder, 2: Float64Bidder})
+    payments = {type(o.payment) for o in traj.rounds if o.winner is not None}
+    assert {int, np.float64} <= payments
+    text = reference_ndjson(traj)
+    assert '"payment":1,' in text and "np.float64" not in text
+    assert_same_text(trajectory_ndjson(traj), text)
+
+
+def test_ndjson_of_zero_horizon_is_empty():
+    traj = run_simulation(make_config(horizon=0))
+    assert trajectory_ndjson(traj) == reference_ndjson(traj) == ""
 
 
 def test_ndjson_schema_fields():

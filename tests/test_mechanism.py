@@ -155,6 +155,25 @@ def test_bad_round_never_transitions():
         assert mech.states[2] == BuyerState.BAD
 
 
+@pytest.mark.parametrize("bid", [True, -0.5, math.nan, math.inf, "1", None])
+def test_invalid_bids_are_rejected(bid):
+    mech = fresh(n=2)
+    drain_bad_phase(mech)
+    with pytest.raises(MechanismError, match="invalid bid"):
+        mech.run_good_round({0: bid, 1: 0.0})
+    assert mech.allocations == [0, 0] and mech.uncleared == 0
+
+
+@pytest.mark.parametrize("bid", [0, 1, 0.0, np.float64(0.5)])
+def test_valid_bids_are_accepted(bid):
+    mech = fresh(n=2)
+    drain_bad_phase(mech)
+    out = mech.run_good_round({0: bid, 1: 0.0})
+    assert out.bids[0] is bid
+    if bid >= mech.config.good_reserve:
+        assert out.winner == 0 and out.payment is bid
+
+
 # -- good rounds ------------------------------------------------------------------
 
 
