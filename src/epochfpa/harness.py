@@ -669,13 +669,13 @@ def trajectory_ndjson(traj: Trajectory) -> str:
     if traj.rounds is None:
         raise ConfigError("trajectory was not recorded in full mode")
     encode = _COMPACT_ENCODER.encode
-    int_lists: dict[tuple, str] = {}  # participants and allocations, reused across rounds
+    part_texts: dict[tuple, str] = {}  # the mechanism reuses participants tuples
     key_orders: dict[tuple, tuple] = {}  # bid keys -> ((key, '"key":'), ...) in string order
     lines = []
-    for (
-        t, phase, epoch, participants, bids, winner, payment, cleared,
-        transitions, _, uncleared, allocations, _,
-    ) in traj.rounds:
+    # text of the last allocations: it stands until a win changes them
+    last_allocations = alloc_text = None
+    for o in traj.rounds:
+        bids = o.bids
         if bids:
             keys = tuple(bids)
             order = key_orders.get(keys)
@@ -692,25 +692,29 @@ def trajectory_ndjson(traj: Trajectory) -> str:
             )
         else:
             bid_text = ""
-        part_text = int_lists.get(participants)
+        participants = o.participants
+        part_text = part_texts.get(participants)
         if part_text is None:
-            part_text = int_lists[participants] = encode(list(participants))
-        alloc_text = int_lists.get(allocations)
-        if alloc_text is None:
-            alloc_text = int_lists[allocations] = encode(list(allocations))
+            part_text = part_texts[participants] = encode(participants)
+        if o.allocations != last_allocations:
+            last_allocations = o.allocations
+            alloc_text = encode(last_allocations)
+        transitions = o.transitions
         move_text = ",".join(
             f'[{i},"{frm.label}","{to.label}"]' for i, frm, to in transitions
         ) if transitions else ""
+        payment = o.payment
         if type(payment) is float and payment - payment == 0.0:
             pay_text = repr(payment)
         else:
             pay_text = encode(payment)
+        winner = o.winner
         lines.append(
             f'{{"allocations":{alloc_text},"bids":{{{bid_text}}},'
-            f'"cleared":{"true" if cleared else "false"},"epoch":{epoch},'
+            f'"cleared":{"true" if o.cleared else "false"},"epoch":{o.epoch},'
             f'"participants":{part_text},"payment":{pay_text},'
-            f'"phase":"{phase}","t":{t},"transitions":[{move_text}],'
-            f'"uncleared":{uncleared},"winner":{"null" if winner is None else winner}}}'
+            f'"phase":"{o.phase}","t":{o.t},"transitions":[{move_text}],'
+            f'"uncleared":{o.uncleared},"winner":{"null" if winner is None else winner}}}'
         )
     return "\n".join(lines) + ("\n" if lines else "")
 

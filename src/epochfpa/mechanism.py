@@ -505,8 +505,6 @@ class Mechanism:
                 f"bids must come from exactly the current participants {sorted(expected)}"
             )
         for i, b in bids.items():
-            if type(b) is float and b >= 0.0 and b - b == 0.0:
-                continue  # finite and nonnegative: nearly every bid ends here
             # a bool is an int, but True is no bid
             if type(b) is bool or not (
                 isinstance(b, (int, float)) and math.isfinite(b) and b >= 0.0
