@@ -127,13 +127,6 @@ class Expert:
     level: Optional[float] = None
     cutoff: Optional[float] = None
 
-    def describe(self) -> str:
-        if self.style == ZERO_BID:
-            return "zero"
-        if self.level is None and self.cutoff is None:
-            return self.style
-        return f"{self.style}(level={self.level}, cutoff={self.cutoff})"
-
 
 @dataclass(frozen=True)
 class ExpertFamily:
@@ -226,7 +219,6 @@ class Exp3Learner:
         self.reward_scale = reward_scale if reward_scale > 0 else 1.0
         self.rng = rng if rng is not None else np.random.default_rng()
         self.weights = np.ones(n_arms)
-        self.rounds = 0
         self._pending: Optional[tuple[int, float]] = None
 
     def probabilities(self) -> np.ndarray:
@@ -247,7 +239,6 @@ class Exp3Learner:
             raise AgentError("update without a pending selection")
         idx, prob = self._pending
         self._pending = None
-        self.rounds += 1
         reward = min(max(utility, 0.0), self.reward_scale) / self.reward_scale
         estimate = reward / prob
         self.weights[idx] *= math.exp(self.gamma * estimate / self.n_arms)
@@ -267,8 +258,21 @@ class Exp3Learner:
 # ---------------------------------------------------------------------------
 
 
+def _optional_count(x, name: str, minimum: int):
+    """``x`` if it is ``None`` or an integer (not a bool) of at least ``minimum``."""
+    if x is not None and (
+        isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < minimum
+    ):
+        raise AgentError(f"{name} must be an integer of at least {minimum}, got {x!r}")
+    return x
+
+
 class Agent:
-    """Base buyer: bound to a buyer slot, bids on views, observes own outcomes."""
+    """Base buyer: bound to a buyer slot, bids on views, observes own outcomes.
+
+    ``sophisticated`` says whether the bound agent counts as a sophisticated
+    buyer in the revenue guarantee; every other buyer counts as naive.
+    """
 
     kind = "agent"
     sophisticated = False
@@ -323,15 +327,15 @@ class LookaheadAgent(GoodStrategyAgent):
 
     For a lookahead depth at or beyond the mechanism's threshold, any strategy
     entering the bad state is dominated by the good strategy, so the agent
-    plays the good strategy outright.  Construction below the threshold only
-    warns; the fallback is still the good strategy.
+    plays the good strategy outright.  A depth below the threshold only warns;
+    the fallback is still the good strategy, but the buyer counts as naive.
     """
 
     kind = "lookahead"
 
     def __init__(self, k: Optional[int] = None):
         super().__init__()
-        self.k = k
+        self.k = _optional_count(k, "lookahead depth k", 0)
 
     def _setup(self) -> None:
         threshold = self.params.lookahead_threshold
@@ -345,7 +349,7 @@ class LookaheadAgent(GoodStrategyAgent):
             )
 
     @property
-    def is_deep(self) -> bool:
+    def sophisticated(self) -> bool:
         return self.k >= self.params.lookahead_threshold
 
 
@@ -362,7 +366,6 @@ class MyopicAgent(Agent):
     """
 
     kind = "myopic"
-    sophisticated = False
 
     GOOD_MODES = ("reserve", "empirical", "zero")
     BAD_MODES = ("reserve", "value")
@@ -431,7 +434,6 @@ class Exp3Agent(Agent):
     """No-regret learner: adversarial-bandit weights over an expert family."""
 
     kind = "exp3"
-    sophisticated = False
 
     def __init__(
         self,
@@ -472,11 +474,11 @@ class EtcAgent(Agent):
     Exploration assigns global rounds ``[j*L, (j+1)*L)`` to expert ``j``; after
     ``N*L`` rounds the agent commits permanently to the expert with the highest
     accumulated exploration utility (ties to the lowest index).  Pair with a
-    mechanism reset at round ``N*L`` so exploration mistakes are forgiven.
+    mechanism reset at round ``N*L`` or later so exploration mistakes are
+    forgiven; only then does the agent count as sophisticated.
     """
 
     kind = "etc"
-    sophisticated = True
 
     def __init__(
         self,
@@ -486,7 +488,7 @@ class EtcAgent(Agent):
     ):
         super().__init__()
         self.family = family
-        self.explore_len = explore_len
+        self.explore_len = _optional_count(explore_len, "explore_len", 1)
         self.levels = levels
         self.committed_index: Optional[int] = None
 
@@ -498,7 +500,14 @@ class EtcAgent(Agent):
             self.explore_len = max(1, math.ceil(self.params.horizon ** (2.0 / 3.0) / n))
         self.explore_total = n * self.explore_len
         reset = self.params.reset_round
-        if reset is not None and reset < self.explore_total:
+        self.sophisticated = reset is not None and reset >= self.explore_total
+        if reset is None:
+            warnings.warn(
+                f"no mechanism reset: punishments incurred while exploring (up to "
+                f"round {self.explore_total}) are permanent",
+                stacklevel=2,
+            )
+        elif reset < self.explore_total:
             warnings.warn(
                 f"mechanism reset at round {reset} precedes the end of exploration "
                 f"({self.explore_total}); punishments incurred after the reset are "
@@ -526,7 +535,6 @@ class ExpertAgent(Agent):
     """Deterministically plays a single fixed expert from a family."""
 
     kind = "expert"
-    sophisticated = False
 
     def __init__(self, family: ExpertFamily, index: int):
         super().__init__()

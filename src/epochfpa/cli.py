@@ -22,7 +22,7 @@ from .harness import (
     RunConfig,
     bound_report,
     mean_se,
-    run_simulation,
+    run_replications,
     summarize,
     write_epoch_csv,
     write_trajectory,
@@ -76,8 +76,7 @@ def _cmd_simulate(args) -> int:
     out = Path(target)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for rep in range(config.replications):
-        traj = run_simulation(config, rep)
+    for rep, traj in enumerate(run_replications(config, record="full")):
         write_trajectory(traj, out / f"trajectory_rep{rep:03d}.ndjson")
         write_epoch_csv(traj, out / f"epochs_rep{rep:03d}.csv")
         summary = summarize(traj)
@@ -105,7 +104,7 @@ def _cmd_bounds(args) -> int:
     report = bound_report(config, measure=args.measure)
     for line in report.lines():
         print(line)
-    return 0
+    return 0 if report.passed else 1
 
 
 def _cmd_verify(args) -> int:

@@ -118,9 +118,6 @@ class FiniteSupport:
         idx = min(idx, len(self.support) - 1)
         return float(self.values[idx])
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.sample_block(rng, ()))
-
     def sample_block(self, rng: np.random.Generator, shape) -> np.ndarray:
         u = rng.random(shape)
         idx = np.minimum(
@@ -172,9 +169,6 @@ class Uniform:
     def inv_cdf(self, p: float) -> float:
         _check_prob(p)
         return self.lo + p * (self.hi - self.lo)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.sample_block(rng, ()))
 
     def sample_block(self, rng: np.random.Generator, shape) -> np.ndarray:
         return self.lo + (self.hi - self.lo) * rng.random(shape)
@@ -237,9 +231,6 @@ class InverseCdf:
     def inv_cdf(self, p: float) -> float:
         _check_prob(p)
         return float(self.icdf(p))
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.icdf(rng.random()))
 
     def sample_block(self, rng: np.random.Generator, shape) -> np.ndarray:
         u = rng.random(shape)

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -93,6 +93,9 @@ class RunConfig:
             )
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
+        for i, spec in enumerate(self.agents):
+            if not isinstance(spec, dict):
+                raise ConfigError(f"roster entry {i} must be an object, got {spec!r}")
         ids = [spec.get("id", i) for i, spec in enumerate(self.agents)]
         if sorted(ids) != list(range(self.params.n)):
             raise ConfigError("agent ids must be exactly 0..n-1")
@@ -146,12 +149,20 @@ class RunConfig:
             doc["out_dir"] = self.out_dir
         return doc
 
-    def build_agents(self, replication: int = 0) -> list[Agent]:
-        agents = [build_agent(spec) for spec in self.agents]
-        self._bind(agents, replication)
-        return agents
+    def build_agents(
+        self,
+        replication: int = 0,
+        substitutes: Optional[dict[int, Callable[[], Agent]]] = None,
+    ) -> list[Agent]:
+        """The roster of one replication, each agent built and bound to its slot.
 
-    def _bind(self, agents: list[Agent], replication: int) -> None:
+        ``substitutes`` swaps in freshly built agents for selected slots; every
+        agent draws from its own named stream either way.
+        """
+        agents = [
+            substitutes[i]() if substitutes and i in substitutes else build_agent(spec)
+            for i, spec in enumerate(self.agents)
+        ]
         for i, agent in enumerate(agents):
             agent.bind(
                 i,
@@ -159,6 +170,7 @@ class RunConfig:
                 self.distribution,
                 substream(self.seed, "rep", replication, "agent", i),
             )
+        return agents
 
 
 @dataclass
@@ -216,11 +228,7 @@ def run_simulation(
     params, dist, n = config.params, config.distribution, config.params.n
     horizon = params.horizon
 
-    agents = [
-        substitutes[i]() if substitutes and i in substitutes else build_agent(spec)
-        for i, spec in enumerate(config.agents)
-    ]
-    config._bind(agents, replication)
+    agents = config.build_agents(replication, substitutes)
 
     if values is None:
         values = dist.sample_block(
@@ -333,8 +341,11 @@ def _count_states(state_rounds: list[list[int]], states, rounds: int) -> None:
         state_rounds[i][s] += rounds
 
 
-def run_replications(config: RunConfig, record: str = "light") -> list[Trajectory]:
-    return [run_simulation(config, rep, record=record) for rep in range(config.replications)]
+def run_replications(config: RunConfig, record: str = "light") -> Iterator[Trajectory]:
+    """Every replication of ``config`` in order, one trajectory at a time, so
+    that no caller holds more than the one it is reading."""
+    for rep in range(config.replications):
+        yield run_simulation(config, rep, record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +476,8 @@ def revenue_slack(
 
 
 def classify_roster(config: RunConfig) -> tuple[int, int]:
-    """Count sophisticated vs naive buyers from the roster specs."""
-    n_soph = 0
-    threshold = config.params.lookahead_threshold
-    for spec in config.agents:
-        kind = spec.get("kind")
-        if kind in ("etc", "good-strategy"):
-            n_soph += 1
-        elif kind == "lookahead":
-            k = spec.get("k")
-            if k is None or k >= threshold:
-                n_soph += 1
+    """Count sophisticated vs naive buyers, as each bound agent declares itself."""
+    n_soph = sum(agent.sophisticated for agent in config.build_agents())
     return n_soph, config.params.n - n_soph
 
 
@@ -529,8 +531,7 @@ def bound_report(config: RunConfig, measure: bool = True) -> BoundReport:
     )
     if not measure:
         return report
-    rates = [t.revenue_per_round for t in run_replications(config)]
-    mean, se = mean_se(rates)
+    mean, se = mean_se(t.revenue_per_round for t in run_replications(config))
     report.measured_mean, report.measured_se = mean, se
     floor = report.lower_bound - report.slack - 3.0 * se
     ceil = report.upper_bound + 3.0 * se

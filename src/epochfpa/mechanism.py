@@ -309,18 +309,6 @@ class Mechanism:
 
     # -- rounds ---------------------------------------------------------------
 
-    def run_bad_round(self, bids: dict[int, float], tie: float = 0.0) -> RoundOutcome:
-        """``run_round``, asserting that the mechanism is in the bad phase."""
-        if self._phase != BAD_PHASE:
-            raise MechanismError("not in the bad phase")
-        return self.run_round(bids, tie)
-
-    def run_good_round(self, bids: dict[int, float], tie: float = 0.0) -> RoundOutcome:
-        """``run_round``, asserting that the mechanism is in the good phase."""
-        if self._phase != GOOD_PHASE:
-            raise MechanismError("not in the good phase")
-        return self.run_round(bids, tie)
-
     def run_round(self, bids: dict[int, float], tie: float = 0.0) -> RoundOutcome:
         """First-price auction among the current phase's participants.
 

@@ -38,6 +38,7 @@ from .harness import (
     mean_se,
     revenue_slack,
     revenue_upper_bound,
+    run_replications,
     run_simulation,
     theorem_lower_bound,
     trajectory_ndjson,
@@ -338,11 +339,7 @@ def suite_theorem_1(
             seed=seed,
             replications=replications,
         )
-        rates = [
-            run_simulation(config, rep, record="light").revenue_per_round
-            for rep in range(replications)
-        ]
-        mean, se = mean_se(rates)
+        mean, se = mean_se(t.revenue_per_round for t in run_replications(config))
         lower = theorem_lower_bound(dist, config.params, n_soph, n_naive)
         upper = revenue_upper_bound(dist, n_soph, n_naive)
         slack = revenue_slack(config.params, dist, horizon)
@@ -379,11 +376,7 @@ def suite_upper_bound(replications: int = 8, seed: int = 808) -> SuiteReport:
                 seed=seed,
                 replications=replications,
             )
-            rates = [
-                run_simulation(config, rep, record="light").revenue_per_round
-                for rep in range(replications)
-            ]
-            mean, se = mean_se(rates)
+            mean, se = mean_se(t.revenue_per_round for t in run_replications(config))
             upper = revenue_upper_bound(dist, n_soph, n_naive)
             report.check(
                 mean <= upper + 3.0 * se,

@@ -78,7 +78,7 @@ def test_lookahead_defaults_to_sophisticated_depth():
     params, view = make_view()
     agent = bind(LookaheadAgent(), params)
     assert agent.k == params.lookahead_threshold
-    assert agent.is_deep
+    assert agent.sophisticated
     assert agent.bid(view, 0.9) == view.config.good_reserve
 
 
@@ -86,7 +86,7 @@ def test_lookahead_warns_below_threshold_but_still_plays_safe():
     params, view = make_view()
     with pytest.warns(UserWarning):
         agent = bind(LookaheadAgent(k=3), params)
-    assert not agent.is_deep
+    assert not agent.sophisticated
     assert agent.bid(view, 0.9) == view.config.good_reserve
     assert agent.bid(view, 0.1) == 0.0
 
@@ -397,7 +397,25 @@ def test_etc_warns_when_reset_precedes_exploration_end():
         n=2, horizon=1000, epsilon=EPS, delta=EPS, rho=RHO, reset_round=10
     )
     with pytest.warns(UserWarning, match="precedes the end of exploration"):
-        bind(EtcAgent(levels=1), params)
+        agent = bind(EtcAgent(levels=1), params)
+    assert not agent.sophisticated
+
+
+def test_etc_warns_without_reset_and_counts_as_naive():
+    params, _ = make_view()
+    with pytest.warns(UserWarning, match="no mechanism reset"):
+        agent = bind(EtcAgent(levels=1), params)
+    assert not agent.sophisticated
+
+
+@pytest.mark.parametrize("reset", [100, 400])
+def test_etc_is_sophisticated_with_reset_at_or_after_exploration_end(reset):
+    params = MechanismParams(
+        n=2, horizon=1000, epsilon=EPS, delta=EPS, rho=RHO, reset_round=reset
+    )
+    agent = etc_with_family(params, n_experts=2, explore_len=50)
+    assert agent.explore_total == 100
+    assert agent.sophisticated
 
 
 # -- roster construction -------------------------------------------------------------

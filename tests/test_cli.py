@@ -167,3 +167,73 @@ def test_uniform_infinite_bound_exits_two(capsys, recwarn):
         w for w in recwarn if issubclass(w.category, (RuntimeWarning, IntegrationWarning))
     ]
 
+
+
+@pytest.mark.parametrize(
+    "agent, message",
+    [
+        ("myopic", "roster entry 0 must be an object"),
+        ({"kind": "lookahead", "k": "deep"}, "lookahead depth k must be an integer"),
+        ({"kind": "lookahead", "k": True}, "lookahead depth k must be an integer"),
+        ({"kind": "etc", "explore_len": 0.5}, "explore_len must be an integer"),
+        ({"kind": "etc", "explore_len": 0}, "explore_len must be an integer"),
+    ],
+    ids=["not-an-object", "string-k", "bool-k", "fractional-explore-len", "zero-explore-len"],
+)
+def test_malformed_roster_entry_exits_two(tmp_path, capsys, agent, message):
+    path = one_buyer_config(tmp_path, agents=[agent])
+    assert main(["bounds", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bounds_measure_failed_check_exits_one(monkeypatch, config_file, capsys):
+    from epochfpa import cli, harness
+
+    def failing(config, measure=True):
+        report = harness.BoundReport(
+            n_soph=1, n_naive=1, lower_bound=0.5, lower_bound_conservative=0.4,
+            upper_bound=1.0, slack=0.1, measured_mean=0.0, measured_se=0.0,
+        )
+        report.checks.append(("revenue >= lower bound - slack - 3se", False, -0.4))
+        return report
+
+    monkeypatch.setattr(cli, "bound_report", failing)
+    assert main(["bounds", "--config", str(config_file), "--measure"]) == 1
+    assert "[FAIL]" in capsys.readouterr().out
+
+
+def six_etc_config(tmp_path, reset_round):
+    """Six etc buyers at the theorem-1 horizon; 15 experts explore 88 rounds each."""
+    doc = {
+        "params": {
+            "n": 6, "T": 47_532, "epsilon": 0.3, "delta": 0.3,
+            "rho": 0.3 * 0.7**4 / 12, "reset_round": reset_round,
+        },
+        "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        "agents": [{"kind": "etc"}] * 6,
+        "seed": 606,
+        "replications": 4,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_bounds_measure_counts_etc_without_reset_as_naive(tmp_path, capsys):
+    path = six_etc_config(tmp_path, reset_round=None)
+    with pytest.warns(UserWarning, match="no mechanism reset"):
+        assert main(["bounds", "--config", str(path), "--measure"]) == 0
+    out = capsys.readouterr().out
+    assert "0 sophisticated, 6 naive" in out
+    assert "[FAIL]" not in out
+
+
+def test_bounds_measure_counts_etc_with_reset_as_sophisticated(tmp_path, capsys):
+    path = six_etc_config(tmp_path, reset_round=1320)
+    assert main(["bounds", "--config", str(path), "--measure"]) == 0
+    out = capsys.readouterr().out
+    assert "6 sophisticated, 0 naive" in out
+    assert "[FAIL]" not in out

@@ -500,21 +500,23 @@ def test_revenue_slack_formula():
 
 
 def test_classify_roster():
-    cfg = make_config(
-        n=4,
-        horizon=100,
-        agents=[
-            {"kind": "lookahead"},
-            {"kind": "etc"},
-            {"kind": "myopic"},
-            {"kind": "exp3"},
-        ],
-    )
+    roster = [
+        {"kind": "lookahead"},
+        {"kind": "etc"},
+        {"kind": "myopic"},
+        {"kind": "exp3"},
+    ]
+    # the etc buyer explores 15 experts for 2 rounds each; the reset forgives them
+    cfg = make_config(n=4, horizon=100, agents=roster, reset_round=30)
     assert classify_roster(cfg) == (2, 2)
+    cfg_no_reset = make_config(n=4, horizon=100, agents=roster)
+    with pytest.warns(UserWarning, match="no mechanism reset"):
+        assert classify_roster(cfg_no_reset) == (1, 3)
     cfg2 = make_config(
         n=2, horizon=100, agents=[{"kind": "lookahead", "k": 1}, {"kind": "myopic"}]
     )
-    assert classify_roster(cfg2) == (0, 2)
+    with pytest.warns(UserWarning, match="below the sophistication threshold"):
+        assert classify_roster(cfg2) == (0, 2)
 
 
 def test_bound_report_measures_and_checks():
@@ -650,6 +652,7 @@ def mixed_runs(draw):
 
 
 @pytest.mark.filterwarnings("ignore:mechanism reset at round")  # ETC explores past it
+@pytest.mark.filterwarnings("ignore:no mechanism reset")  # ETC explores unforgiven
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(mixed_runs())
 def test_mixed_roster_fuzz_invariants(cfg):

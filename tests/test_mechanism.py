@@ -30,9 +30,19 @@ def fresh(n=4, horizon=10_000, dist=None, **kw):
     return Mechanism(make_params(n, horizon, **kw), dist or Uniform(0.0, 1.0))
 
 
+def bad_round(mech, bids, tie=0.0):
+    assert mech.phase == BAD_PHASE
+    return mech.run_round(bids, tie)
+
+
+def good_round(mech, bids, tie=0.0):
+    assert mech.phase == GOOD_PHASE
+    return mech.run_round(bids, tie)
+
+
 def drain_bad_phase(mech):
     while mech.phase == BAD_PHASE:
-        mech.run_bad_round({i: 0.0 for i in mech.participants()})
+        bad_round(mech, {i: 0.0 for i in mech.participants()})
         mech.advance()
 
 
@@ -125,8 +135,8 @@ def test_bad_round_requires_bad_phase_participants():
     mech = fresh()
     assert mech.phase == BAD_PHASE
     with pytest.raises(MechanismError):
-        mech.run_bad_round({0: 1.0})  # buyer 0 is good, not bad
-    out = mech.run_bad_round({})
+        bad_round(mech, {0: 1.0})  # buyer 0 is good, not bad
+    out = bad_round(mech, {})
     assert out.winner is None and not out.cleared and out.payment == 0.0
 
 
@@ -136,13 +146,13 @@ def test_bad_round_first_price_rule():
     mech.states[3] = BuyerState.BAD
     mech._rebuild_rosters()
     r_b = mech.config.bad_reserve
-    out = mech.run_bad_round({2: r_b + 0.1, 3: r_b + 0.05})
+    out = bad_round(mech, {2: r_b + 0.1, 3: r_b + 0.05})
     assert out.winner == 2 and out.payment == pytest.approx(r_b + 0.1)
     assert out.cleared and out.transitions == ()
-    out = mech.run_bad_round({2: r_b - 0.2, 3: r_b - 0.1})
+    out = bad_round(mech, {2: r_b - 0.2, 3: r_b - 0.1})
     assert out.winner is None and not out.cleared
     with pytest.raises(MechanismError):
-        mech.run_bad_round({2: -0.5, 3: 0.0})
+        bad_round(mech, {2: -0.5, 3: 0.0})
 
 
 def test_bad_round_never_transitions():
@@ -150,7 +160,7 @@ def test_bad_round_never_transitions():
     mech.states[2] = BuyerState.BAD
     mech._rebuild_rosters()
     for bid in (0.0, 0.2, 5.0):
-        out = mech.run_bad_round({2: bid})
+        out = bad_round(mech, {2: bid})
         assert out.transitions == ()
         assert mech.states[2] == BuyerState.BAD
 
@@ -160,7 +170,7 @@ def test_invalid_bids_are_rejected(bid):
     mech = fresh(n=2)
     drain_bad_phase(mech)
     with pytest.raises(MechanismError, match="invalid bid"):
-        mech.run_good_round({0: bid, 1: 0.0})
+        good_round(mech, {0: bid, 1: 0.0})
     assert mech.allocations == [0, 0] and mech.uncleared == 0
 
 
@@ -168,7 +178,7 @@ def test_invalid_bids_are_rejected(bid):
 def test_valid_bids_are_accepted(bid):
     mech = fresh(n=2)
     drain_bad_phase(mech)
-    out = mech.run_good_round({0: bid, 1: 0.0})
+    out = good_round(mech, {0: bid, 1: 0.0})
     assert out.bids[0] is bid
     if bid >= mech.config.good_reserve:
         assert out.winner == 0 and out.payment is bid
@@ -181,17 +191,17 @@ def test_good_round_first_price_and_allocation_count():
     mech = fresh(n=2)
     drain_bad_phase(mech)
     r_g = mech.config.good_reserve
-    out = mech.run_good_round({0: r_g + 0.1, 1: r_g + 0.05})
+    out = good_round(mech, {0: r_g + 0.1, 1: r_g + 0.05})
     assert out.winner == 0 and out.payment == pytest.approx(r_g + 0.1)
     assert mech.allocations[0] == 1 and mech.allocations[1] == 0
     with pytest.raises(MechanismError):
-        mech.run_good_round({0: 1.0})  # missing buyer 1's bid
+        good_round(mech, {0: 1.0})  # missing buyer 1's bid
 
 
 def test_good_round_uncleared_increments_counter():
     mech = fresh(n=2)
     drain_bad_phase(mech)
-    out = mech.run_good_round({0: 0.0, 1: 0.0})
+    out = good_round(mech, {0: 0.0, 1: 0.0})
     assert not out.cleared and out.winner is None
     assert out.uncleared == 1 and out.uncleared_before == 0
 
@@ -201,11 +211,11 @@ def test_threshold_punishes_low_bidders():
     drain_bad_phase(mech)
     cfg = mech.config
     mech.uncleared = cfg.uncleared_threshold - 1
-    out = mech.run_good_round({0: cfg.good_reserve + 0.01, 1: 0.1})
+    out = good_round(mech, {0: cfg.good_reserve + 0.01, 1: 0.1})
     # cleared round, but the counter already crossed? no: clearing keeps U fixed
     assert out.cleared and out.transitions == ()
     mech.uncleared = cfg.uncleared_threshold
-    out = mech.run_good_round({0: cfg.good_reserve + 0.01, 1: 0.1})
+    out = good_round(mech, {0: cfg.good_reserve + 0.01, 1: 0.1})
     assert (1, BuyerState.GOOD, BuyerState.BAD) in out.transitions
     assert mech.states[1] == BuyerState.BAD
 
@@ -215,7 +225,7 @@ def test_threshold_crossing_round_punishes_same_round():
     drain_bad_phase(mech)
     cfg = mech.config
     mech.uncleared = cfg.uncleared_threshold - 1
-    out = mech.run_good_round({0: 0.0, 1: 0.0})
+    out = good_round(mech, {0: 0.0, 1: 0.0})
     assert out.uncleared == cfg.uncleared_threshold
     assert set(mech.states[:2]) == {BuyerState.BAD}
     assert mech._threshold_round == out.t
@@ -228,7 +238,7 @@ def test_winner_rests_at_quota():
     h = mech.params.rest_threshold
     r_g = mech.config.good_reserve
     mech.allocations[0] = h - 1
-    out = mech.run_good_round({0: r_g + 0.2, 1: 0.0})
+    out = good_round(mech, {0: r_g + 0.2, 1: 0.0})
     assert (0, BuyerState.GOOD, BuyerState.REST) in out.transitions
     assert mech.states[0] == BuyerState.REST
     assert mech.allocations[0] == h
@@ -241,13 +251,13 @@ def test_tie_break_uses_supplied_uniform():
     drain_bad_phase(mech)
     r_g = mech.config.good_reserve
     bids = {i: r_g for i in range(4)}
-    assert mech.run_good_round(bids, tie=0.0).winner == 0
+    assert good_round(mech, bids, tie=0.0).winner == 0
     mech2 = fresh(n=4)
     drain_bad_phase(mech2)
-    assert mech2.run_good_round(bids, tie=0.999).winner == 3
+    assert good_round(mech2, bids, tie=0.999).winner == 3
     mech3 = fresh(n=4)
     drain_bad_phase(mech3)
-    assert mech3.run_good_round(bids, tie=0.5).winner == 2
+    assert good_round(mech3, bids, tie=0.5).winner == 2
 
 
 def test_empty_good_roster_rounds_are_uncleared_noops():
@@ -257,9 +267,9 @@ def test_empty_good_roster_rounds_are_uncleared_noops():
     mech._rebuild_rosters()
     drain_bad_phase_bids = {i: 0.0 for i in mech.participants()}
     while mech.phase == BAD_PHASE:
-        mech.run_bad_round(drain_bad_phase_bids)
+        bad_round(mech, drain_bad_phase_bids)
         mech.advance()
-    out = mech.run_good_round({})
+    out = good_round(mech, {})
     assert not out.cleared and out.uncleared == 1
 
 
@@ -271,7 +281,7 @@ def test_phase_switch_after_bad_rounds():
     cfg = mech.config
     for _ in range(cfg.bad_rounds):
         assert mech.phase == BAD_PHASE
-        mech.run_bad_round({})
+        bad_round(mech, {})
         mech.advance()
     assert mech.phase == GOOD_PHASE
 
@@ -311,7 +321,7 @@ def test_reset_round_restores_everyone_once():
 
 def test_finish_records_partial_epoch():
     mech = fresh(n=2)
-    mech.run_bad_round({})
+    bad_round(mech, {})
     mech.advance()
     mech.finish()
     assert len(mech.epoch_records) == 1
@@ -326,7 +336,7 @@ def test_allocations_never_exceed_quota():
     # buyer 0 wins every round until rested
     while mech.states[0] == BuyerState.GOOD and mech.phase == GOOD_PHASE:
         bids = {i: (r_g if i == 0 else 0.0) for i in mech.participants()}
-        mech.run_good_round(bids)
+        good_round(mech, bids)
         mech.advance()
     assert mech.allocations[0] == h
 
