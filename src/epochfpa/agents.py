@@ -343,8 +343,8 @@ class LookaheadAgent(GoodStrategyAgent):
             self.k = threshold
         elif self.k < threshold:
             warnings.warn(
-                f"lookahead depth {self.k} is below the sophistication "
-                f"threshold {threshold}; playing the good strategy anyway",
+                f"lookahead depth {self.k} of buyer {self.buyer_id} is below the "
+                f"sophistication threshold {threshold}; playing the good strategy anyway",
                 stacklevel=2,
             )
 
@@ -503,15 +503,15 @@ class EtcAgent(Agent):
         self.sophisticated = reset is not None and reset >= self.explore_total
         if reset is None:
             warnings.warn(
-                f"no mechanism reset: punishments incurred while exploring (up to "
-                f"round {self.explore_total}) are permanent",
+                f"no mechanism reset: punishments buyer {self.buyer_id} incurs while "
+                f"exploring (up to round {self.explore_total}) are permanent",
                 stacklevel=2,
             )
         elif reset < self.explore_total:
             warnings.warn(
                 f"mechanism reset at round {reset} precedes the end of exploration "
-                f"({self.explore_total}); punishments incurred after the reset are "
-                "permanent",
+                f"({self.explore_total}) of buyer {self.buyer_id}; punishments "
+                "incurred after the reset are permanent",
                 stacklevel=2,
             )
         self._scores = np.zeros(n)

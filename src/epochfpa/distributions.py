@@ -64,7 +64,12 @@ class FiniteSupport:
     def __post_init__(self):
         if not self.support:
             raise DistributionError("finite support must be non-empty")
-        support = tuple((float(v), float(p)) for v, p in self.support)
+        try:
+            support = tuple((float(v), float(p)) for v, p in self.support)
+        except (TypeError, ValueError):
+            raise DistributionError(
+                f"finite support must be [value, probability] pairs, got {self.support!r}"
+            ) from None
         object.__setattr__(self, "support", support)
         values = [v for v, _ in support]
         probs = [p for _, p in support]
@@ -136,11 +141,15 @@ class Uniform:
     kind = "uniform"
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        for name, bound in (("lo", self.lo), ("hi", self.hi)):
-            if not math.isfinite(bound):
-                raise DistributionError(f"uniform bound {name} must be finite, got {bound!r}")
+        for name in ("lo", "hi"):
+            x = getattr(self, name)
+            try:
+                x = float(x)
+            except (TypeError, ValueError):
+                raise DistributionError(f"uniform bound {name} must be a number, got {x!r}") from None
+            if not math.isfinite(x):
+                raise DistributionError(f"uniform bound {name} must be finite, got {x!r}")
+            object.__setattr__(self, name, x)
         if self.lo < 0:
             raise DistributionError("uniform lower bound must be nonnegative")
         if not self.hi > self.lo:
@@ -252,10 +261,13 @@ def from_spec(spec: dict) -> ValueDistribution:
         kind = spec["kind"]
     except (TypeError, KeyError):
         raise DistributionError("distribution spec must carry a 'kind'") from None
-    if kind == "finite":
-        return FiniteSupport(tuple((v, p) for v, p in spec["support"]))
-    if kind == "uniform":
-        return Uniform(spec["lo"], spec["hi"])
+    try:
+        if kind == "finite":
+            return FiniteSupport(spec["support"])
+        if kind == "uniform":
+            return Uniform(spec["lo"], spec["hi"])
+    except KeyError as exc:
+        raise DistributionError(f"{kind} distribution needs a {exc.args[0]!r} field") from None
     raise DistributionError(f"unknown distribution kind {kind!r}")
 
 

@@ -187,9 +187,16 @@ class Trajectory:
     agent_wins: np.ndarray
     state_rounds: np.ndarray
     epoch_agent_utilities: list[np.ndarray]
-    good_rounds: int
-    uncleared_good_rounds: int
     rounds: Optional[list[RoundOutcome]] = None
+
+    @property
+    def good_rounds(self) -> int:
+        # every epoch opens with its bad phase
+        return sum(max(0, e.end - e.start - e.config.bad_rounds) for e in self.epochs)
+
+    @property
+    def uncleared_good_rounds(self) -> int:
+        return sum(e.uncleared_final for e in self.epochs)
 
     @property
     def total_revenue(self) -> float:
@@ -251,37 +258,16 @@ def run_simulation(
     ]
     utilities = [0.0] * n
     wins = [0] * n
-    state_rounds = [[0, 0, 0] for _ in range(n)]
     epoch_utils: list[list[float]] = []
-    epoch_util = [0.0] * n
-    epochs_seen = 0
-    good_rounds = 0
-    uncleared_good = 0
     rounds: Optional[list[RoundOutcome]] = [] if record == "full" else None
-    # the mechanism replaces its states tuple whenever a state changes, so
-    # occupancy is counted once per run of rounds sharing one tuple
-    segment_states, segment_start = mech.states_snapshot(), 0
 
     t = 0
     while t < horizon:
-        while len(mech.epoch_records) > epochs_seen:
-            epoch_utils.append(epoch_util)
-            epoch_util = [0.0] * n
-            epochs_seen += 1
-        states = mech.states_snapshot()
-        if states is not segment_states:
-            _count_states(state_rounds, segment_states, t - segment_start)
-            segment_states, segment_start = states, t
         participants = mech.participants()
         if not participants:
             # the phase stays empty until it ends or the reset fires, and no
             # agent, value or tie is read meanwhile: one mechanism step
-            good = mech.phase == GOOD_PHASE
-            k = mech.run_idle(horizon - t, rounds)
-            if good:
-                good_rounds += k
-                uncleared_good += k
-            t += k
+            t += mech.run_idle(horizon - t, rounds)
             continue
         view = mech.view()
         vrow = values[t].tolist()
@@ -293,16 +279,14 @@ def run_simulation(
                 f"round {t} ({view.phase} phase, epoch {view.config.index}): {exc}"
             ) from exc
         winner = outcome.winner
-        if outcome.phase == GOOD_PHASE:
-            good_rounds += 1
-            if not outcome.cleared:
-                uncleared_good += 1
         gain = 0.0
         if winner is not None:
             gain = vrow[winner] - outcome.payment
             utilities[winner] += gain
-            epoch_util[winner] += gain
             wins[winner] += 1
+            while len(epoch_utils) <= outcome.epoch:
+                epoch_utils.append([0.0] * n)
+            epoch_utils[outcome.epoch][winner] += gain
         for i in participants:
             observe = observers[i]
             if observe is not None:
@@ -312,12 +296,10 @@ def run_simulation(
         mech.advance()
         t += 1
 
-    _count_states(state_rounds, segment_states, horizon - segment_start)
-    final_states = mech.states_snapshot()
+    final_states = tuple(mech.states)
     mech.finish()
     while len(epoch_utils) < len(mech.epoch_records):
-        epoch_utils.append(epoch_util)
-        epoch_util = [0.0] * n
+        epoch_utils.append([0.0] * n)
 
     return Trajectory(
         seed=config.seed,
@@ -328,17 +310,10 @@ def run_simulation(
         final_states=final_states,
         agent_utilities=np.array(utilities, dtype=float),
         agent_wins=np.array(wins, dtype=int),
-        state_rounds=np.array(state_rounds, dtype=int),
+        state_rounds=np.array(mech.state_rounds, dtype=int),
         epoch_agent_utilities=[np.array(u, dtype=float) for u in epoch_utils],
-        good_rounds=good_rounds,
-        uncleared_good_rounds=uncleared_good,
         rounds=rounds,
     )
-
-
-def _count_states(state_rounds: list[list[int]], states, rounds: int) -> None:
-    for i, s in enumerate(states):
-        state_rounds[i][s] += rounds
 
 
 def run_replications(config: RunConfig, record: str = "light") -> Iterator[Trajectory]:

@@ -57,10 +57,7 @@ class BuyerState(IntEnum):
 
     @property
     def label(self) -> str:
-        return _STATE_LABELS[self]
-
-
-_STATE_LABELS = {BuyerState.GOOD: "good", BuyerState.BAD: "bad", BuyerState.REST: "rest"}
+        return self.name.lower()
 
 
 @dataclass(frozen=True)
@@ -251,9 +248,10 @@ class Mechanism:
     """Mutable state machine running the epoch schedule round by round.
 
     The caller drives it: collect bids from ``participants()``, call
-    ``run_round``, then ``advance``.  Tie-breaking consumes exactly one
-    uniform draw per round, supplied by the caller, so replays under common
-    random numbers stay aligned.
+    ``run_round``, then ``advance``.  ``run_round`` is the one round body for
+    both phases.  Tie-breaking consumes exactly one uniform draw per round,
+    supplied by the caller, so replays under common random numbers stay
+    aligned.
 
     When ``participants()`` is empty, ``run_idle(limit)`` may stand in for
     that cycle: it runs up to ``limit`` participant-less rounds at once, to
@@ -264,7 +262,9 @@ class Mechanism:
     ``states`` is the mutable per-buyer list; ``view()``, ``participants()``
     and each outcome's ``states_before`` read a snapshot of it that
     ``_rebuild_rosters`` refreshes, so code that edits ``states`` directly
-    must call ``_rebuild_rosters`` afterwards.
+    must call ``_rebuild_rosters`` afterwards.  ``state_rounds[i][s]`` counts
+    the rounds buyer ``i`` spent in state ``s``; it is brought up to date
+    whenever the snapshot is, and by ``finish()``.
     """
 
     def __init__(self, params: MechanismParams, dist: ValueDistribution):
@@ -275,8 +275,10 @@ class Mechanism:
         self.states: list[BuyerState] = [BuyerState.GOOD] * params.n
         self.allocations: list[int] = [0] * params.n
         self.uncleared = 0
-        self.epoch_index = 0
         self.epoch_records: list[EpochRecord] = []
+        self.state_rounds = [[0, 0, 0] for _ in range(params.n)]
+        self._states: tuple[BuyerState, ...] = ()
+        self._states_since = 0
         self._reset_done = False
         self._start_epoch()
 
@@ -290,8 +292,9 @@ class Mechanism:
     def phase(self) -> str:
         return self._phase
 
-    def states_snapshot(self) -> tuple[BuyerState, ...]:
-        return self._states
+    @property
+    def epoch_index(self) -> int:
+        return len(self.epoch_records)
 
     def participants(self) -> tuple[int, ...]:
         return self._bad_ids if self._phase == BAD_PHASE else self._good_ids
@@ -321,77 +324,60 @@ class Mechanism:
         cfg = self._config
         states_before = self._states
         uncleared_before = self.uncleared
-        if self._phase == BAD_PHASE:
-            ids = self._bad_ids
-            self._check_bids(bids, self._bad_set)
-            winner, payment = None, 0.0
-            if bids:
-                winner, payment = self._settle(bids, ids, cfg.bad_reserve, tie)
-                if winner is not None:
-                    self._bad_revenue += payment
-            else:
-                self._idle_rounds += 1
-            # positional, in field order: keywords would double the cost
-            return RoundOutcome(
-                self.t,
-                BAD_PHASE,
-                self.epoch_index,
-                ids,  # participants
-                dict(bids),
-                winner,
-                payment,
-                winner is not None,  # cleared
-                (),  # transitions
-                uncleared_before,
-                uncleared_before,  # uncleared: bad rounds leave it alone
-                tuple(self.allocations),
-                states_before,
-            )
-        ids = self._good_ids
-        self._check_bids(bids, self._good_set)
+        good = self._phase == GOOD_PHASE
+        if good:
+            ids, reserve, expected = self._good_ids, cfg.good_reserve, self._good_set
+        else:
+            ids, reserve, expected = self._bad_ids, cfg.bad_reserve, self._bad_set
+        self._check_bids(bids, expected)
         winner, payment = None, 0.0
         if bids:
-            winner, payment = self._settle(bids, ids, cfg.good_reserve, tie)
+            winner, payment = self._settle(bids, ids, reserve, tie)
         else:
             self._idle_rounds += 1
-        if winner is not None:
-            self.allocations[winner] += 1
-            self._good_revenue += payment
-        else:
-            self.uncleared += 1
-        transitions = []
-        if self.uncleared >= cfg.uncleared_threshold and bids:
-            for i in ids:
-                if bids[i] < cfg.good_reserve:
-                    self.states[i] = BuyerState.BAD
-                    transitions.append((i, BuyerState.GOOD, BuyerState.BAD))
-                    self._punishments += 1
-        if winner is not None and self.allocations[winner] >= self._rest_threshold:
-            self.states[winner] = BuyerState.REST
-            transitions.append((winner, BuyerState.GOOD, BuyerState.REST))
-            self._rests += 1
-        if transitions:
-            self._rebuild_rosters()
-        if (
-            self._threshold_round is None
-            and uncleared_before < cfg.uncleared_threshold <= self.uncleared
-        ):
-            self._threshold_round = self.t
-            self._good_at_threshold = tuple(
-                i for i in range(self.params.n) if self.states[i] == BuyerState.GOOD
-            )
+        transitions = ()
+        if good:
+            if winner is not None:
+                self.allocations[winner] += 1
+                self._good_revenue += payment
+            else:
+                self.uncleared += 1
+            moves = []
+            if self.uncleared >= cfg.uncleared_threshold and bids:
+                for i in ids:
+                    if bids[i] < reserve:
+                        self.states[i] = BuyerState.BAD
+                        moves.append((i, BuyerState.GOOD, BuyerState.BAD))
+                        self._punishments += 1
+            if winner is not None and self.allocations[winner] >= self._rest_threshold:
+                self.states[winner] = BuyerState.REST
+                moves.append((winner, BuyerState.GOOD, BuyerState.REST))
+                self._rests += 1
+            if moves:
+                transitions = tuple(moves)
+                # the moves take effect from the next round on
+                self._rebuild_rosters(self.t + 1)
+            if (
+                self._threshold_round is None
+                and uncleared_before < cfg.uncleared_threshold <= self.uncleared
+            ):
+                self._threshold_round = self.t
+                self._good_at_threshold = self._good_ids
+        elif winner is not None:
+            self._bad_revenue += payment
+        # positional, in field order: keywords would double the cost
         return RoundOutcome(
             self.t,
-            GOOD_PHASE,
-            self.epoch_index,
+            self._phase,
+            cfg.index,
             ids,  # participants
             dict(bids),
             winner,
             payment,
             winner is not None,  # cleared
-            tuple(transitions),
+            transitions,
             uncleared_before,
-            self.uncleared,
+            self.uncleared,  # bad rounds leave it alone
             tuple(self.allocations),
             states_before,
         )
@@ -422,7 +408,7 @@ class Mechanism:
                     RoundOutcome(
                         t0 + j,
                         self._phase,
-                        self.epoch_index,
+                        self._config.index,
                         (),  # participants
                         {},  # bids
                         None,  # winner
@@ -474,7 +460,9 @@ class Mechanism:
             self._start_epoch()
 
     def finish(self) -> None:
-        """Record the final partial epoch, if any rounds of it were executed."""
+        """Count ``state_rounds`` up to the current round and record the final
+        partial epoch, if any rounds of it were executed."""
+        self._rebuild_rosters()
         if self.t > self._epoch_start:
             self._close_epoch(completed=False)
 
@@ -499,7 +487,19 @@ class Mechanism:
             ):
                 raise MechanismError(f"buyer {i} submitted an invalid bid {b!r}")
 
-    def _rebuild_rosters(self) -> None:
+    @property
+    def _epoch_start(self) -> int:
+        return self.epoch_records[-1].end if self.epoch_records else 0
+
+    def _rebuild_rosters(self, since: Optional[int] = None) -> None:
+        """Snapshot ``states``, which hold from round ``since`` (by default
+        the current one) on, and count the rounds the old snapshot held."""
+        if since is None:
+            since = self.t
+        held = since - self._states_since
+        for i, s in enumerate(self._states):
+            self.state_rounds[i][s] += held
+        self._states_since = since
         self._states = tuple(self.states)
         self._good_ids = tuple(
             i for i, s in enumerate(self._states) if s == BuyerState.GOOD
@@ -525,7 +525,6 @@ class Mechanism:
         self._rounds_left = self._config.bad_rounds
         self._good_revenue = 0.0
         self._bad_revenue = 0.0
-        self._epoch_start = self.t
         self._threshold_round: Optional[int] = None
         self._good_at_threshold: Optional[tuple[int, ...]] = None
         self._idle_rounds = 0
@@ -561,4 +560,3 @@ class Mechanism:
             if self.states[i] == BuyerState.REST:
                 self.states[i] = BuyerState.GOOD
         self._rebuild_rosters()
-        self.epoch_index += 1

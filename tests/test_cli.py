@@ -159,6 +159,21 @@ def test_finite_support_non_finite_value_exits_two(capsys, value):
     assert "support values must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        ('{"kind":"finite"}', "finite distribution needs a 'support' field"),
+        ('{"kind":"finite","support":5}', "finite support must be [value, probability] pairs"),
+        ('{"kind":"uniform","lo":0}', "uniform distribution needs a 'hi' field"),
+        ('{"kind":"uniform","lo":null,"hi":1}', "uniform bound lo must be a number"),
+    ],
+    ids=["finite-no-support", "finite-support-not-pairs", "uniform-no-hi", "uniform-null-lo"],
+)
+def test_malformed_distribution_exits_two(capsys, dist, message):
+    assert main(["inspect", "--dist", dist, "--m", "1", "--n", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_uniform_infinite_bound_exits_two(capsys, recwarn):
     dist = '{"kind":"uniform","lo":0,"hi":Infinity}'
     assert main(["inspect", "--dist", dist, "--m", "2", "--n", "2"]) == 2

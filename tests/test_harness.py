@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -384,14 +385,17 @@ def test_summarize_epoch_split_totals():
     from epochfpa.harness import Trajectory
     from epochfpa.mechanism import EpochRecord, derive_epoch_config
 
-    params = MechanismParams(n=2, horizon=10, epsilon=EPS, delta=EPS, rho=RHO)
+    # a small rho gives each epoch a one-round bad phase
+    params = MechanismParams(n=2, horizon=10, epsilon=EPS, delta=EPS, rho=0.003)
     cfg = derive_epoch_config(params, [0, 1], [], Uniform(0.0, 1.0))
+    assert cfg.bad_rounds == 1
 
     def record(index, good, bad):
+        # rounds 5*index..5*index+4: one bad round, four good ones, one uncleared
         return EpochRecord(
             config=cfg,
-            start=0,
-            end=5,
+            start=5 * index,
+            end=5 * index + 5,
             completed=True,
             reset=False,
             good_revenue=good,
@@ -399,7 +403,7 @@ def test_summarize_epoch_split_totals():
             good_start=(0, 1),
             bad_start=(),
             good_end=(0, 1),
-            uncleared_final=0,
+            uncleared_final=1,
             allocations_final=(0, 0),
             threshold_round=None,
             good_at_threshold=None,
@@ -416,9 +420,8 @@ def test_summarize_epoch_split_totals():
         agent_wins=np.zeros(2, dtype=int),
         state_rounds=np.array([[10, 0, 0], [10, 0, 0]]),
         epoch_agent_utilities=[np.zeros(2), np.zeros(2)],
-        good_rounds=8,
-        uncleared_good_rounds=2,
     )
+    assert (traj.good_rounds, traj.uncleared_good_rounds) == (8, 2)
     s = summarize(traj)
     assert s.epoch_revenue == [(10.0, 0.5), (12.0, 0.0)]
     assert s.total_revenue == pytest.approx(22.5)
@@ -517,6 +520,18 @@ def test_classify_roster():
     )
     with pytest.warns(UserWarning, match="below the sophistication threshold"):
         assert classify_roster(cfg2) == (0, 2)
+
+
+def test_bind_warnings_name_each_buyer():
+    # one message per slot, so the once-per-location filter shows every buyer
+    cfg = make_config(n=2, horizon=100, agents=[{"kind": "etc"}] * 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        cfg.build_agents()
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2
+    assert all(m.startswith("no mechanism reset") for m in messages)
+    assert "buyer 0 " in messages[0] and "buyer 1 " in messages[1]
 
 
 def test_bound_report_measures_and_checks():
@@ -686,6 +701,13 @@ def test_mixed_roster_fuzz_invariants(cfg):
         revenue[key] = revenue.get(key, 0.0) + r.payment
         moves += [(r.epoch, to) for _, _, to in r.transitions]
     assert len(traj.rounds) == params.horizon
+    for i in range(params.n):
+        for s in BuyerState:
+            held = sum(1 for r in traj.rounds if r.states_before[i] == s)
+            assert traj.state_rounds[i][s] == held
+    good = [r for r in traj.rounds if r.phase == "good"]
+    assert traj.good_rounds == len(good)
+    assert traj.uncleared_good_rounds == sum(1 for r in good if not r.cleared)
     for e in traj.epochs:
         i = e.config.index
         assert e.uncleared_final <= e.config.good_rounds
