@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import sys
@@ -82,7 +83,7 @@ def _cmd_simulate(args) -> int:
         summary = summarize(traj)
         rows.append(summary)
         (out / f"summary_rep{rep:03d}.json").write_text(
-            json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
+            json.dumps(dataclasses.asdict(summary), indent=2, sort_keys=True) + "\n"
         )
     rates = [s.revenue_per_round for s in rows]
     mean, se = mean_se(rates)

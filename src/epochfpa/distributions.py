@@ -5,8 +5,6 @@ continuous priors given by their inverse CDF.  All scalars (tail quantiles,
 upper-tail means, monopoly reserves, optimal-auction revenue and win
 probabilities) are computed exactly where possible: closed forms for uniform,
 ordered-support sums for finite supports, adaptive quadrature otherwise.
-A sampling fallback exists for optimal-auction revenue but always reports a
-confidence interval.
 
 Quantile convention: ``inv_cdf(p)`` is the left-continuous infimum,
 ``inf {v : F(v) >= p}``.  Ties in auctions are broken uniformly at random
@@ -40,7 +38,6 @@ __all__ = [
     "myerson_detail",
     "myerson_revenue",
     "myerson_win_prob",
-    "myerson_revenue_mc",
     "win_quantile",
     "auction_scalars",
 ]
@@ -354,7 +351,6 @@ class MyersonAuction:
     revenue: float
     win_prob: float
     method: str
-    ci_halfwidth: float = 0.0
 
 
 def _second_highest_tail(F: float, n: int) -> float:
@@ -424,24 +420,6 @@ def myerson_win_prob(dist: ValueDistribution, m: int) -> float:
     """Probability that a fixed buyer among m iid buyers wins the optimal auction."""
     _check_count(m)
     return myerson_detail(dist, m).win_prob
-
-
-def myerson_revenue_mc(
-    dist: ValueDistribution, n: int, rng: np.random.Generator, samples: int = 200_000
-) -> MyersonAuction:
-    """Monte Carlo estimate of the optimal-auction revenue, with a 95% CI."""
-    if n == 0:
-        return MyersonAuction(0, 0.0, 0.0, 0.0, "monte-carlo")
-    n = _check_count(n)
-    r = monopoly_reserve(dist)
-    draws = dist.sample_block(rng, (samples, n))
-    top = np.max(draws, axis=1)
-    second = np.partition(draws, n - 2, axis=1)[:, n - 2] if n > 1 else np.zeros(samples)
-    payment = np.where(top >= r, np.maximum(second, r), 0.0)
-    mean = float(np.mean(payment))
-    half = 1.96 * float(np.std(payment, ddof=1)) / math.sqrt(samples)
-    theta = float(np.mean(top >= r)) / n
-    return MyersonAuction(n, r, mean, theta, "monte-carlo", half)
 
 
 @lru_cache(maxsize=65536)

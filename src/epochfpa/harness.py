@@ -96,7 +96,9 @@ class RunConfig:
         for i, spec in enumerate(self.agents):
             if not isinstance(spec, dict):
                 raise ConfigError(f"roster entry {i} must be an object, got {spec!r}")
-        ids = [spec.get("id", i) for i, spec in enumerate(self.agents)]
+        ids = [
+            _integer(spec.get("id", i), f"roster entry {i} id") for i, spec in enumerate(self.agents)
+        ]
         if sorted(ids) != list(range(self.params.n)):
             raise ConfigError("agent ids must be exactly 0..n-1")
         self.agents = [s for _, s in sorted(zip(ids, self.agents))]
@@ -341,20 +343,6 @@ class RunSummary:
     state_occupancy: list[dict[str, float]]
     uncleared_good_fraction: float
 
-    def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "revenue_per_round": self.revenue_per_round,
-            "total_revenue": self.total_revenue,
-            "good_revenue": self.good_revenue,
-            "bad_revenue": self.bad_revenue,
-            "epoch_revenue": [list(pair) for pair in self.epoch_revenue],
-            "agent_utilities": self.agent_utilities,
-            "agent_wins": self.agent_wins,
-            "state_occupancy": self.state_occupancy,
-            "uncleared_good_fraction": self.uncleared_good_fraction,
-        }
-
 
 def summarize(traj: Trajectory) -> RunSummary:
     """Aggregate a trajectory into revenue, utility, and occupancy statistics."""
@@ -491,7 +479,7 @@ class BoundReport:
 
 
 def bound_report(config: RunConfig, measure: bool = True) -> BoundReport:
-    """Theoretical bounds for a config, optionally with measured revenue."""
+    """Theoretical bounds for a config, optionally with revenue measured over T > 0 rounds."""
     n_soph, n_naive = classify_roster(config)
     dist, params = config.distribution, config.params
     report = BoundReport(
@@ -506,6 +494,8 @@ def bound_report(config: RunConfig, measure: bool = True) -> BoundReport:
     )
     if not measure:
         return report
+    if params.horizon == 0:
+        raise ConfigError("T=0 runs no round, so there is no revenue to measure")
     mean, se = mean_se(t.revenue_per_round for t in run_replications(config))
     report.measured_mean, report.measured_se = mean, se
     floor = report.lower_bound - report.slack - 3.0 * se

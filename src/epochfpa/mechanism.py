@@ -106,11 +106,15 @@ class MechanismParams:
         """Allocations a buyer may win per epoch before being rested."""
         return max(1, math.ceil(4.0 * math.log(1.0 / self.epsilon) / self.delta**2))
 
+    def epoch_length(self, good_count: int) -> int:
+        """Rounds in an epoch that opens with ``good_count`` good buyers."""
+        return math.ceil(
+            2.0 * self.rest_threshold * good_count / ((1.0 - self.delta) * (1.0 - self.rho))
+        )
+
     @property
     def max_epoch_length(self) -> int:
-        return math.ceil(
-            2.0 * self.rest_threshold * self.n / ((1.0 - self.delta) * (1.0 - self.rho))
-        )
+        return self.epoch_length(self.n)
 
     @property
     def lookahead_threshold(self) -> int:
@@ -159,10 +163,7 @@ def derive_epoch_config(
         raise MechanismError("good and bad sets must partition the buyers")
     m_good = max(1, len(good_set))
     m_bad = max(math.ceil(params.n / 2), len(bad_set))
-    h = params.rest_threshold
-    length = math.ceil(
-        2.0 * h * m_good / ((1.0 - params.delta) * (1.0 - params.rho))
-    )
+    length = params.epoch_length(m_good)
     bad_rounds = math.ceil(params.rho * length)
     good_rounds = length - bad_rounds
     good_tail = upper_tail_mean(dist, m_good)
@@ -185,7 +186,7 @@ def derive_epoch_config(
         bad_cutoff=bad_p,
         bad_quantile=bad_q,
         bad_tail_mean=upper_tail_mean(dist, m_bad),
-        uncleared_threshold=math.ceil(m_good * h / (1.0 - params.delta)),
+        uncleared_threshold=math.ceil(m_good * params.rest_threshold / (1.0 - params.delta)),
     )
 
 

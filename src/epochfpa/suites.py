@@ -34,16 +34,13 @@ from .distributions import (
 )
 from .harness import (
     RunConfig,
+    bound_report,
     estimate_policy_regret,
     mean_se,
-    revenue_slack,
-    revenue_upper_bound,
-    run_replications,
     run_simulation,
-    theorem_lower_bound,
     trajectory_ndjson,
 )
-from .mechanism import BuyerState, MechanismParams, derive_epoch_config
+from .mechanism import BuyerState, MechanismParams
 from .rng import substream
 
 __all__ = [
@@ -86,14 +83,6 @@ def _params(n: int, horizon: int, reset_round=None) -> MechanismParams:
         n=n, horizon=horizon, epsilon=EPSILON, delta=EPSILON, rho=RHO,
         reset_round=reset_round,
     )
-
-
-def _epoch_length(n: int, good: int) -> int:
-    params = _params(n, 1)
-    cfg = derive_epoch_config(
-        params, range(good), range(good, n), Uniform(0.0, 1.0)
-    )
-    return cfg.length
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +177,7 @@ def suite_lemma_b1(runs: int = 100, seed: int = 101) -> SuiteReport:
     epochs_checked = 0
     for r in range(runs):
         n = (2, 4, 6)[r % 3]
-        horizon = 2 * _epoch_length(n, n) + 5
+        horizon = 2 * _params(n, 1).max_epoch_length + 5
         config = _good_strategy_config(n, horizon, seed + r)
         traj = run_simulation(config, record="light")
         h = config.params.rest_threshold
@@ -213,7 +202,7 @@ def suite_lemma_b3(epochs: int = 200, seed: int = 303) -> SuiteReport:
     """Per-epoch utility floor of the good strategy, plus its tail event."""
     report = SuiteReport("lemma-b3")
     n = 4
-    horizon = epochs * _epoch_length(n, n) + 3
+    horizon = epochs * _params(n, 1).max_epoch_length + 3
     config = _good_strategy_config(n, horizon, seed)
     traj = run_simulation(config, record="light")
     params = config.params
@@ -247,7 +236,7 @@ def suite_lemma_b3(epochs: int = 200, seed: int = 303) -> SuiteReport:
 def _bad_population_config(n: int, epochs: int, seed: int, bad_mode: str) -> RunConfig:
     # zero bids in good rounds walk the whole roster into the bad state in
     # epoch 0; measurements start once the bad population is in place
-    horizon = _epoch_length(n, n) + epochs * _epoch_length(n, 0) + 3
+    horizon = _params(n, 1).max_epoch_length + epochs * _params(n, 1).epoch_length(1) + 3
     return RunConfig(
         params=_params(n, horizon),
         distribution=Uniform(0.0, 1.0),
@@ -320,6 +309,24 @@ def _theorem_roster(n_soph: int, n_naive: int) -> list[dict]:
     return [{"kind": "lookahead"}] * n_soph + [{"kind": "myopic"}] * n_naive
 
 
+def _check_bounds(report: SuiteReport, config: RunConfig, split: tuple, prior: str = "") -> None:
+    """Measure ``config`` through ``bound_report`` and add its floor and ceiling
+    checks, after checking that the agents declare the intended split."""
+    label = f"{prior}roster ({split[0]},{split[1]})"
+    bounds = bound_report(config)
+    report.check(
+        (bounds.n_soph, bounds.n_naive) == split,
+        f"{label}: agents declare {bounds.n_soph} sophisticated, {bounds.n_naive} naive",
+    )
+    report.note(
+        f"{label}: T={config.params.horizon}, measured {bounds.measured_mean:.4f} "
+        f"(se {bounds.measured_se:.5f}), lower {bounds.lower_bound:.4f}, "
+        f"slack {bounds.slack:.4f}, upper {bounds.upper_bound:.4f}"
+    )
+    for name, ok, margin in bounds.checks:
+        report.check(ok, f"{label}: {name} (margin {margin:+.4f})")
+
+
 def suite_theorem_1(
     replications: int = 32, min_epochs: int = 50, seed: int = 606
 ) -> SuiteReport:
@@ -327,62 +334,40 @@ def suite_theorem_1(
     information-theoretic ceiling, for three roster mixes."""
     report = SuiteReport("theorem-1")
     n = 6
-    dist = Uniform(0.0, 1.0)
     # epochs never exceed the all-good length, so this horizon guarantees the
     # requested number of epochs under any roster dynamics
     horizon = (min_epochs + 1) * _params(n, 1).max_epoch_length
-    for n_soph, n_naive in ((6, 0), (3, 3), (0, 6)):
+    for split in ((6, 0), (3, 3), (0, 6)):
         config = RunConfig(
             params=_params(n, horizon),
-            distribution=dist,
-            agents=_theorem_roster(n_soph, n_naive),
+            distribution=Uniform(0.0, 1.0),
+            agents=_theorem_roster(*split),
             seed=seed,
             replications=replications,
         )
-        mean, se = mean_se(t.revenue_per_round for t in run_replications(config))
-        lower = theorem_lower_bound(dist, config.params, n_soph, n_naive)
-        upper = revenue_upper_bound(dist, n_soph, n_naive)
-        slack = revenue_slack(config.params, dist, horizon)
-        report.note(
-            f"roster ({n_soph},{n_naive}): T={horizon}, measured {mean:.4f} "
-            f"(se {se:.5f}), lower {lower:.4f}, slack {slack:.4f}, upper {upper:.4f}"
-        )
-        report.check(
-            mean >= lower - slack - 3.0 * se,
-            f"roster ({n_soph},{n_naive}): revenue above the theorem floor",
-        )
-        report.check(
-            mean <= upper + 3.0 * se,
-            f"roster ({n_soph},{n_naive}): revenue below the ceiling",
-        )
+        _check_bounds(report, config, split)
     return report
 
 
 def suite_upper_bound(replications: int = 8, seed: int = 808) -> SuiteReport:
-    """Ceiling check across priors and roster mixes."""
+    """Floor and ceiling checks across priors and roster mixes."""
     report = SuiteReport("upper-bound")
     dists = {
         "uniform(0,1)": Uniform(0.0, 1.0),
         "two-point{1,2}": FiniteSupport(((1.0, 0.5), (2.0, 0.5))),
     }
     n = 2
+    horizon = 2 * _params(n, 1).max_epoch_length + 5
     for label, dist in dists.items():
-        for n_soph, n_naive in ((2, 0), (1, 1), (0, 2)):
-            horizon = 2 * _epoch_length(n, n) + 5
+        for split in ((2, 0), (1, 1), (0, 2)):
             config = RunConfig(
                 params=_params(n, horizon),
                 distribution=dist,
-                agents=_theorem_roster(n_soph, n_naive),
+                agents=_theorem_roster(*split),
                 seed=seed,
                 replications=replications,
             )
-            mean, se = mean_se(t.revenue_per_round for t in run_replications(config))
-            upper = revenue_upper_bound(dist, n_soph, n_naive)
-            report.check(
-                mean <= upper + 3.0 * se,
-                f"{label} roster ({n_soph},{n_naive}): measured {mean:.4f} <= "
-                f"{upper:.4f} + 3se ({se:.5f})",
-            )
+            _check_bounds(report, config, split, f"{label} ")
     return report
 
 
@@ -494,7 +479,7 @@ def suite_policy_regret(seed: int = 909) -> SuiteReport:
     determinism of serialized trajectories."""
     report = SuiteReport("policy-regret")
     n = 2
-    horizon = _epoch_length(n, n) + 5
+    horizon = _params(n, 1).max_epoch_length + 5
     config = RunConfig(
         params=_params(n, horizon),
         distribution=Uniform(0.0, 1.0),

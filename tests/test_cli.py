@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -54,6 +55,12 @@ def test_simulate_writes_outputs(tmp_path, config_file, capsys):
     assert len(runs) == 1 + 2 + 1  # header, two replications, aggregate row
     assert runs[-1].startswith("aggregate")
     assert "ci95" in runs[-1]
+    # the summary is pinned byte for byte: its fields, their order and the float text
+    summary = (out / "summary_rep000.json").read_bytes()
+    assert json.loads(summary)["rounds"] == 700
+    assert hashlib.sha256(summary).hexdigest() == (
+        "66c2e127c5bf8574f5968924d221fa234044c1d3f620d4af2faa2a38f6fe9a8b"
+    )
 
 
 def test_simulate_seed_override_changes_output(tmp_path, config_file):
@@ -192,8 +199,14 @@ def test_uniform_infinite_bound_exits_two(capsys, recwarn):
         ({"kind": "lookahead", "k": True}, "lookahead depth k must be an integer"),
         ({"kind": "etc", "explore_len": 0.5}, "explore_len must be an integer"),
         ({"kind": "etc", "explore_len": 0}, "explore_len must be an integer"),
+        ({"id": False, "kind": "myopic"}, "roster entry 0 id must be an integer, got False"),
+        ({"id": 0.0, "kind": "myopic"}, "roster entry 0 id must be an integer, got 0.0"),
+        ({"id": "0", "kind": "myopic"}, "roster entry 0 id must be an integer, got '0'"),
     ],
-    ids=["not-an-object", "string-k", "bool-k", "fractional-explore-len", "zero-explore-len"],
+    ids=[
+        "not-an-object", "string-k", "bool-k", "fractional-explore-len", "zero-explore-len",
+        "bool-id", "float-id", "string-id",
+    ],
 )
 def test_malformed_roster_entry_exits_two(tmp_path, capsys, agent, message):
     path = one_buyer_config(tmp_path, agents=[agent])
@@ -218,6 +231,19 @@ def test_bounds_measure_failed_check_exits_one(monkeypatch, config_file, capsys)
     monkeypatch.setattr(cli, "bound_report", failing)
     assert main(["bounds", "--config", str(config_file), "--measure"]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_bounds_measure_at_zero_horizon_exits_two(tmp_path, config_file, capsys):
+    doc = json.loads(config_file.read_text())
+    doc["params"]["T"] = 0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bounds", "--config", str(path), "--measure"]) == 2
+    captured = capsys.readouterr()
+    assert "T=0" in captured.err and "[FAIL]" not in captured.out
+    # without --measure nothing is run, and the report prints as before
+    assert main(["bounds", "--config", str(path)]) == 0
+    assert "slack=0.000000" in capsys.readouterr().out
 
 
 def six_etc_config(tmp_path, reset_round):

@@ -13,7 +13,6 @@ from epochfpa.distributions import (
     monopoly_reserve,
     myerson_detail,
     myerson_revenue,
-    myerson_revenue_mc,
     myerson_win_prob,
     tail_quantile,
     to_spec,
@@ -170,12 +169,6 @@ def test_myerson_matches_enumeration_oracle():
 def test_enumeration_budget_guard(two_point):
     with pytest.raises(ValueError):
         brute_force_myerson(two_point, 3, budget=4)
-
-
-def test_myerson_monte_carlo_brackets_exact(uniform01):
-    est = myerson_revenue_mc(uniform01, 2, substream(5, "mc"))
-    assert est.ci_halfwidth > 0
-    assert abs(est.revenue - 5.0 / 12.0) < 3 * est.ci_halfwidth + 1e-3
 
 
 def test_win_quantile_examples(uniform01, two_point):

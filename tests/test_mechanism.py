@@ -530,3 +530,107 @@ def test_run_idle_stops_at_the_reset_and_phase_end():
     assert mech.run_idle(10**6) == bad_rounds - 3  # up to the phase end
     assert mech.phase == GOOD_PHASE and mech.t == 5 + bad_rounds
     assert mech.run_idle(100) == 0  # both buyers are good and bid now
+
+
+# -- raw bid streams --------------------------------------------------------------
+
+BID_KINDS = ("zero", "reserve", "below", "above", "tie", "int")
+
+
+def _raw_bid(rng, kind, reserve, shared):
+    if kind == "zero":
+        return 0.0
+    if kind == "reserve":
+        return reserve
+    if kind == "below":
+        return math.nextafter(reserve, 0.0)
+    if kind == "above":
+        return reserve + float(rng.random())
+    if kind == "tie":
+        return shared
+    return int(rng.integers(0, 3))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_raw_bid_streams_keep_the_round_invariants(data):
+    """Bids no agent produces, fed straight to ``participants`` / ``run_round`` /
+    ``advance``: every round settles, moves and counts by the rules, and each
+    epoch's revenue is its payments summed in order."""
+    n = data.draw(st.integers(1, 4), label="n")
+    epsilon = data.draw(st.sampled_from([0.3, 0.5, 0.6]), label="epsilon")
+    delta = data.draw(st.sampled_from([0.7, 0.8, 0.9]), label="delta")
+    if data.draw(st.booleans(), label="capped rho"):
+        cap = MechanismParams(n=n, horizon=0, epsilon=epsilon, delta=delta, rho=1e-6).rho_cap
+        rho, kw = cap * data.draw(st.sampled_from([0.2, 0.9]), label="rho share"), {}
+    else:  # a longer bad block, for schedule arithmetic only
+        rho, kw = data.draw(st.sampled_from([0.05, 0.2]), label="rho"), {"enforce_rho_cap": False}
+    horizon = data.draw(st.integers(1, 1200), label="horizon")
+    reset = data.draw(st.one_of(st.none(), st.integers(0, horizon)), label="reset_round")
+    start_bad = data.draw(st.sets(st.integers(0, n - 1)), label="start_bad")
+    # each buyer bids from its own kinds, so some are rested and others punished
+    kinds = data.draw(
+        st.lists(
+            st.lists(st.sampled_from(BID_KINDS), min_size=1, max_size=2, unique=True),
+            min_size=n,
+            max_size=n,
+        ),
+        label="kinds",
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = MechanismParams(
+        n=n, horizon=horizon, epsilon=epsilon, delta=delta, rho=rho, reset_round=reset, **kw
+    )
+    mech = Mechanism(params, Uniform(0.0, 1.0))
+    for i in start_bad:
+        mech.states[i] = BuyerState.BAD
+    mech._rebuild_rosters()
+    payments = {}  # (epoch, phase) -> payments in round order
+
+    for _ in range(horizon):
+        ids, phase, cfg = mech.participants(), mech.phase, mech.config
+        states, uncleared = list(mech.states), mech.uncleared
+        good = phase == GOOD_PHASE
+        reserve = cfg.good_reserve if good else cfg.bad_reserve
+        shared = _raw_bid(rng, str(rng.choice(["reserve", "below", "above", "int"])), reserve, 0.0)
+        bids = {i: _raw_bid(rng, str(rng.choice(kinds[i])), reserve, shared) for i in ids}
+        tie = float(rng.random())
+        out = mech.run_round(bids, tie)
+
+        top = max(bids.values(), default=None)
+        assert out.participants == ids and out.cleared == (out.winner is not None)
+        assert out.cleared == (top is not None and top >= reserve)
+        if out.cleared:
+            tied = [i for i in ids if bids[i] == top]
+            assert out.winner == tied[int(tie * len(tied))]
+            assert out.payment == bids[out.winner]
+            payments.setdefault((out.epoch, phase), []).append(out.payment)
+        else:
+            assert out.payment == 0.0
+        moved = list(out.transitions)
+        if not good:
+            assert moved == [] and mech.uncleared == uncleared
+        else:
+            assert mech.uncleared == uncleared + (0 if out.cleared else 1)
+            punish = mech.uncleared >= cfg.uncleared_threshold
+            assert [i for i, _, to in moved if to == BuyerState.BAD] == [
+                i for i in ids if punish and bids[i] < reserve
+            ]
+            rested = out.cleared and mech.allocations[out.winner] >= params.rest_threshold
+            assert [i for i, _, to in moved if to == BuyerState.REST] == (
+                [out.winner] if rested else []
+            )
+            assert all(frm == BuyerState.GOOD for _, frm, _ in moved)
+        for i, _, to in moved:
+            states[i] = to
+        assert mech.states == states
+        mech.advance()
+
+    mech.finish()
+    assert sum(e.end - e.start for e in mech.epoch_records) == horizon
+    for e in mech.epoch_records:
+        for phase, revenue in ((GOOD_PHASE, e.good_revenue), (BAD_PHASE, e.bad_revenue)):
+            total = 0.0
+            for p in payments.get((e.config.index, phase), []):
+                total += p
+            assert revenue == total
