@@ -102,6 +102,11 @@ class ValueGrid:
             return self.hi
         return self.lo + math.floor((v - self.lo) / self.step) * self.step
 
+    def snap_all(self, values: np.ndarray) -> np.ndarray:
+        """``snap`` of every value; ``np.floor`` gives the floats ``math.floor`` does."""
+        inner = self.lo + np.floor((values - self.lo) / self.step) * self.step
+        return np.where(values <= self.lo, self.lo, np.where(values >= self.hi, self.hi, inner))
+
     def levels(self, count: int) -> tuple[float, ...]:
         """Evenly spread interior bid levels, snapped onto the grid."""
         raw = np.linspace(self.lo, self.hi, count + 2)[1:-1]
@@ -139,6 +144,9 @@ class ExpertFamily:
     def bid(self, index: int, view: AgentView, buyer: int, value: float) -> float:
         return evaluate_expert(self.experts[index], view, buyer, value, self.grid)
 
+    def bids(self, index: int, view: AgentView, buyer: int, values: np.ndarray) -> np.ndarray:
+        return _expert_bids(self.experts[index], view, buyer, values, self.grid)
+
 
 def evaluate_expert(
     expert: Expert, view: AgentView, buyer: int, value: float, grid: ValueGrid
@@ -164,6 +172,33 @@ def evaluate_expert(
         if view.uncleared >= cfg.uncleared_threshold:
             return level
         return level if v >= cfg.good_cutoff else 0.0
+    raise AgentError(f"unknown expert style {expert.style!r}")
+
+
+def _expert_bids(
+    expert: Expert, view: AgentView, buyer: int, values: np.ndarray, grid: ValueGrid
+) -> np.ndarray:
+    """``evaluate_expert`` of every value in ``values``, equal to it bit for bit."""
+    cfg = view.config
+    in_bad = view.states[buyer] == BuyerState.BAD
+    if expert.style == ZERO_BID:
+        return np.zeros(len(values))
+    if expert.style == BAD_THRESHOLD:
+        if not in_bad:
+            return np.zeros(len(values))
+        canonical = expert.level is None and expert.cutoff is None
+        level = cfg.bad_reserve if expert.level is None else expert.level
+        cutoff = cfg.bad_cutoff if expert.cutoff is None else expert.cutoff
+        v = values if canonical else grid.snap_all(values)
+        return np.where(v >= cutoff, level, 0.0)
+    if expert.style == GOOD_TEMPLATE:
+        if in_bad:
+            return np.zeros(len(values))
+        level = cfg.good_reserve if expert.level is None else expert.level
+        if view.uncleared >= cfg.uncleared_threshold:
+            return np.full(len(values), level)
+        v = values if expert.level is None else grid.snap_all(values)
+        return np.where(v >= cfg.good_cutoff, level, 0.0)
     raise AgentError(f"unknown expert style {expert.style!r}")
 
 
@@ -258,11 +293,12 @@ class Exp3Learner:
 # ---------------------------------------------------------------------------
 
 
-def _optional_count(x, name: str, minimum: int):
-    """``x`` if it is ``None`` or an integer (not a bool) of at least ``minimum``."""
-    if x is not None and (
-        isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < minimum
-    ):
+def _count(x, name: str, minimum: int, optional: bool = False):
+    """``x`` if it is an integer (not a bool) of at least ``minimum``, or an
+    ``optional`` ``None``."""
+    if optional and x is None:
+        return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < minimum:
         raise AgentError(f"{name} must be an integer of at least {minimum}, got {x!r}")
     return x
 
@@ -272,10 +308,20 @@ class Agent:
 
     ``sophisticated`` says whether the bound agent counts as a sophisticated
     buyer in the revenue guarantee; every other buyer counts as naive.
+
+    ``stationary`` says that the bound agent's ``bid`` is a pure function of
+    the value and of the view's buyer states, phase, epoch config and whether
+    ``uncleared`` has reached the epoch threshold, and that ``observe``
+    teaches it nothing.  A stationary agent also implements ``bids(view,
+    values)``: the bids for an array of values under one such view, equal bit
+    for bit to ``bid`` on each value.  Light-mode runs settle the rounds
+    whose participants are all stationary in blocks with it.  Both flags are
+    read once the agent is bound.
     """
 
     kind = "agent"
     sophisticated = False
+    stationary = False
 
     def __init__(self):
         self.buyer_id: Optional[int] = None
@@ -299,6 +345,9 @@ class Agent:
     def bid(self, view: AgentView, value: float) -> float:
         raise NotImplementedError
 
+    def bids(self, view: AgentView, values: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def observe(
         self,
         view: AgentView,
@@ -315,11 +364,20 @@ class GoodStrategyAgent(Agent):
 
     kind = "good-strategy"
     sophisticated = True
+    stationary = True
 
     def bid(self, view: AgentView, value: float) -> float:
         if view.states[self.buyer_id] == BuyerState.BAD:
             return 0.0
         return good_strategy_bid(view, value)
+
+    def bids(self, view: AgentView, values: np.ndarray) -> np.ndarray:
+        cfg = view.config
+        if view.states[self.buyer_id] == BuyerState.BAD:
+            return np.zeros(len(values))
+        if view.uncleared >= cfg.uncleared_threshold:
+            return np.full(len(values), cfg.good_reserve)
+        return np.where(values >= cfg.good_cutoff, cfg.good_reserve, 0.0)
 
 
 class LookaheadAgent(GoodStrategyAgent):
@@ -335,7 +393,7 @@ class LookaheadAgent(GoodStrategyAgent):
 
     def __init__(self, k: Optional[int] = None):
         super().__init__()
-        self.k = _optional_count(k, "lookahead depth k", 0)
+        self.k = _count(k, "lookahead depth k", 0, optional=True)
 
     def _setup(self) -> None:
         threshold = self.params.lookahead_threshold
@@ -397,6 +455,23 @@ class MyopicAgent(Agent):
             return self._empirical_bid(r, value)
         return r if value >= r else 0.0
 
+    @property
+    def stationary(self) -> bool:
+        # an empirical buyer shades toward the rival bids it has observed
+        return self.good_mode != "empirical"
+
+    def bids(self, view: AgentView, values: np.ndarray) -> np.ndarray:
+        cfg = view.config
+        if view.states[self.buyer_id] == BuyerState.BAD:
+            r = cfg.bad_reserve
+            if self.bad_mode == "value":
+                return np.where(values >= r, values, 0.0)
+            return np.where(values > r, r, 0.0)
+        if self.good_mode == "zero":
+            return np.zeros(len(values))
+        r = cfg.good_reserve
+        return np.where(values >= r, r, 0.0)
+
     def _empirical_bid(self, reserve: float, value: float) -> float:
         """The candidate bid maximizing ``(value - b) * P(b > rival)``.
 
@@ -443,10 +518,16 @@ class Exp3Agent(Agent):
         levels: int = 6,
     ):
         super().__init__()
+        if gamma is not None and (
+            isinstance(gamma, bool)
+            or not isinstance(gamma, numbers.Real)
+            or not 0.0 < gamma <= 1.0
+        ):
+            raise AgentError(f"gamma must be a real number in (0, 1], got {gamma!r}")
         self.family = family
         self.gamma = gamma
         self.grid_step = grid_step
-        self.levels = levels
+        self.levels = _count(levels, "levels", 0)
 
     def _setup(self) -> None:
         if self.family is None:
@@ -488,8 +569,8 @@ class EtcAgent(Agent):
     ):
         super().__init__()
         self.family = family
-        self.explore_len = _optional_count(explore_len, "explore_len", 1)
-        self.levels = levels
+        self.explore_len = _count(explore_len, "explore_len", 1, optional=True)
+        self.levels = _count(levels, "levels", 0)
         self.committed_index: Optional[int] = None
 
     def _setup(self) -> None:
@@ -535,6 +616,7 @@ class ExpertAgent(Agent):
     """Deterministically plays a single fixed expert from a family."""
 
     kind = "expert"
+    stationary = True
 
     def __init__(self, family: ExpertFamily, index: int):
         super().__init__()
@@ -545,6 +627,9 @@ class ExpertAgent(Agent):
 
     def bid(self, view: AgentView, value: float) -> float:
         return self.family.bid(self.index, view, self.buyer_id, value)
+
+    def bids(self, view: AgentView, values: np.ndarray) -> np.ndarray:
+        return self.family.bids(self.index, view, self.buyer_id, values)
 
 
 AGENT_KINDS = {

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .distributions import (
     ValueDistribution,
     tail_quantile,
@@ -260,6 +262,13 @@ class Mechanism:
     leaves the mechanism exactly as that many ``run_round({})`` plus
     ``advance()`` calls would.  Such rounds read no bid and no tie draw.
 
+    ``run_block(bids, ties)`` settles the bids of the coming rounds, given as
+    one array, in numpy.  It stops before the first round holding an event
+    (an invalid bid, a transition, the threshold crossing, the end of the
+    phase or the reset), which is left to ``run_round``, and leaves the
+    mechanism as the cycles of the rounds it settled would.  It keeps no
+    outcome; ``block_room()`` bounds the rounds it can settle.
+
     ``states`` is the mutable per-buyer list; ``view()``, ``participants()``
     and each outcome's ``states_before`` read a snapshot of it that
     ``_rebuild_rosters`` refreshes, so code that edits ``states`` directly
@@ -435,6 +444,77 @@ class Mechanism:
         self._rounds_left -= k - 1
         self.advance()
         return k
+
+    def block_room(self) -> int:
+        """Rounds that can run from the current one before the round that
+        ends the phase or fires the pending reset."""
+        room = self._rounds_left - 1
+        reset = self.params.reset_round
+        if reset is not None and not self._reset_done:
+            room = min(room, reset - self.t - 1)
+        return room
+
+    def run_block(
+        self, bids: np.ndarray, ties: np.ndarray
+    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """Settle the leading event-free rows of a block of rounds at once.
+
+        Row ``r`` of the float array ``bids`` holds the bids of
+        ``participants()``, in that order, in round ``t + r``, and
+        ``ties[r]`` is that round's tie draw.  The block stops before the
+        first row with an event: a bid that is not a finite number >= 0, the
+        threshold crossing, a bid below the reserve once the threshold is
+        reached, a winner reaching the rest quota, or a row past
+        ``block_room()``.  Returns the ``k`` rows settled, each one's winner
+        (-1 if uncleared) and payment.  The state afterwards is that of ``k``
+        ``run_round`` plus ``advance()`` calls; revenue is added in round
+        order.
+        """
+        ids = self.participants()
+        k = min(len(bids), self.block_room())
+        if k < 1 or not ids:
+            return 0, np.empty(0, dtype=int), np.empty(0)
+        bids, ties = bids[:k], ties[:k]
+        cfg = self._config
+        good = self._phase == GOOD_PHASE
+        reserve = cfg.good_reserve if good else cfg.bad_reserve
+        best = bids.max(axis=1)
+        cleared = best >= reserve
+        top = bids == best[:, None]
+        # tied[int(tie * len(tied))] over the tied ids, in participant order
+        pick = (ties * top.sum(axis=1)).astype(int)
+        col = (top.cumsum(axis=1) > pick[:, None]).argmax(axis=1)
+        # the round of an invalid bid is left to run_round, which rejects it
+        event = ~((bids >= 0.0) & (bids < math.inf)).all(axis=1)
+        if good:
+            won = cleared[:, None] & (col[:, None] == np.arange(len(ids)))
+            quota = [self._rest_threshold - self.allocations[i] for i in ids]
+            event |= (won & (won.cumsum(axis=0) >= quota)).any(axis=1)
+            threshold = cfg.uncleared_threshold
+            if self.uncleared >= threshold:
+                event |= (bids < reserve).any(axis=1)
+            else:
+                event |= np.cumsum(~cleared) >= threshold - self.uncleared
+        if event.any():
+            k = int(event.argmax())
+        cleared = cleared[:k]
+        payments = np.where(cleared, best[:k], 0.0)
+        winners = np.where(cleared, np.array(ids)[col[:k]], -1)
+        # revenue in round order, as run_round adds it (np.sum adds pairwise)
+        revenue = self._good_revenue if good else self._bad_revenue
+        for payment in best[:k][cleared].tolist():
+            revenue += payment
+        if good:
+            for i, count in zip(ids, won[:k].sum(axis=0).tolist()):
+                self.allocations[i] += count
+            self.uncleared += k - int(np.count_nonzero(cleared))
+            self._good_revenue = revenue
+        else:
+            self._bad_revenue = revenue
+        # no row reaches the end of the phase or the reset
+        self.t += k
+        self._rounds_left -= k
+        return k, winners, payments
 
     def advance(self) -> None:
         """Book-keep the end of a round: phase switches, epoch ends, the reset."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import deque
 
 import numpy as np
@@ -8,11 +9,13 @@ from epochfpa.agents import (
     BAD_THRESHOLD,
     GOOD_TEMPLATE,
     ZERO_BID,
+    Agent,
     AgentError,
     EtcAgent,
     Exp3Agent,
     Exp3Learner,
     Expert,
+    ExpertAgent,
     ExpertFamily,
     LookaheadAgent,
     MyopicAgent,
@@ -22,7 +25,7 @@ from epochfpa.agents import (
     evaluate_expert,
     good_strategy_bid,
 )
-from epochfpa.distributions import Uniform
+from epochfpa.distributions import FiniteSupport, Uniform
 from epochfpa.mechanism import (
     AgentView,
     BuyerState,
@@ -431,3 +434,94 @@ def test_build_agent_from_specs():
         build_agent({"good_mode": "zero"})
     with pytest.raises(AgentError):
         build_agent({"kind": "myopic", "bogus_option": 1})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "exp3", "levels": v} for v in ("6", 1.5, True, -3, None)]
+    + [{"kind": "etc", "levels": v} for v in ("6", 1.5, True, -3)]
+    + [{"kind": "exp3", "gamma": v} for v in ("0.5", 0.0, 1.5, math.nan, True)],
+)
+def test_learner_options_are_checked_when_built(spec):
+    with pytest.raises(AgentError, match="levels must be an integer|gamma must be a real"):
+        build_agent(spec)
+
+
+def test_learner_options_accept_their_ranges():
+    assert build_agent({"kind": "exp3", "levels": 0, "gamma": 1}).gamma == 1
+    assert build_agent({"kind": "etc", "levels": np.int64(2)}).levels == 2
+
+
+# -- stationary agents -------------------------------------------------------------------
+
+STATIONARY_SPECS = [
+    {"kind": "good-strategy"},
+    {"kind": "lookahead"},
+    {"kind": "myopic"},
+    {"kind": "myopic", "bad_mode": "value"},
+    {"kind": "myopic", "good_mode": "zero"},
+    {"kind": "myopic", "good_mode": "zero", "bad_mode": "value"},
+]
+
+
+@pytest.mark.parametrize(
+    "spec, stationary",
+    [(spec, True) for spec in STATIONARY_SPECS]
+    + [
+        ({"kind": "myopic", "good_mode": "empirical"}, False),
+        ({"kind": "myopic", "good_mode": "empirical", "bad_mode": "value"}, False),
+        ({"kind": "exp3", "levels": 1}, False),
+        ({"kind": "etc", "levels": 1}, False),
+    ],
+)
+def test_each_agent_declares_whether_it_is_stationary(spec, stationary):
+    params, _ = make_view()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # etc without a reset
+        agent = bind(build_agent(spec), params)
+    assert agent.stationary is stationary
+    assert Agent.stationary is False
+    assert ExpertAgent(default_expert_family(Uniform(0.0, 1.0)), 0).stationary is True
+
+
+def _edge_values(view, grid, rng):
+    """Values at, just below and just above every point a bid rule compares
+    with, plus random ones inside and outside the grid."""
+    cfg = view.config
+    points = [grid.lo, grid.hi, cfg.good_reserve, cfg.good_cutoff, cfg.bad_reserve]
+    points += [cfg.bad_cutoff, *grid.levels(6), grid.lo + 3 * grid.step]
+    values = [0.0]
+    for p in points:
+        values += [math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)]
+    span = grid.hi - grid.lo
+    values += (grid.lo - 0.1 * span + 1.2 * span * rng.random(200)).tolist()
+    return np.array(values)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Uniform(0.0, 1.0), FiniteSupport(((1.0, 0.5), (2.0, 0.5)))],
+    ids=["uniform", "two-point"],
+)
+def test_stationary_bids_equal_bid_bit_for_bit(dist):
+    family = default_expert_family(dist)
+    rng = np.random.default_rng(7)
+    for state in (BuyerState.GOOD, BuyerState.BAD):
+        params, view = make_view(n=3, states=[state, BuyerState.GOOD, BuyerState.BAD], dist=dist)
+        values = _edge_values(view, family.grid, rng)
+        threshold = view.config.uncleared_threshold
+        for uncleared in (0, threshold - 1, threshold, threshold + 5):
+            view = view._replace(uncleared=uncleared)
+            agents = [build_agent(spec) for spec in STATIONARY_SPECS]
+            agents += [ExpertAgent(family, j) for j in range(len(family))]
+            for agent in agents:
+                bind(agent, params, dist=dist)
+                got = agent.bids(view, values)
+                want = np.array([agent.bid(view, v) for v in values.tolist()])
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), agent
+
+
+def test_snap_all_equals_snap():
+    grid = ValueGrid(0.25, 2.0, 1.0 / 64.0)
+    values = np.concatenate([np.linspace(-1.0, 3.0, 4001), [0.25, 2.0, 0.25 + 1 / 64]])
+    assert grid.snap_all(values).tolist() == [grid.snap(v) for v in values.tolist()]

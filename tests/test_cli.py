@@ -202,10 +202,17 @@ def test_uniform_infinite_bound_exits_two(capsys, recwarn):
         ({"id": False, "kind": "myopic"}, "roster entry 0 id must be an integer, got False"),
         ({"id": 0.0, "kind": "myopic"}, "roster entry 0 id must be an integer, got 0.0"),
         ({"id": "0", "kind": "myopic"}, "roster entry 0 id must be an integer, got '0'"),
+        ({"kind": "exp3", "levels": "6"}, "levels must be an integer of at least 0, got '6'"),
+        ({"kind": "exp3", "levels": 1.5}, "levels must be an integer of at least 0, got 1.5"),
+        ({"kind": "exp3", "levels": True}, "levels must be an integer of at least 0, got True"),
+        ({"kind": "exp3", "levels": -3}, "levels must be an integer of at least 0, got -3"),
+        ({"kind": "etc", "levels": "6"}, "levels must be an integer of at least 0, got '6'"),
+        ({"kind": "exp3", "gamma": "0.5"}, "gamma must be a real number in (0, 1], got '0.5'"),
     ],
     ids=[
         "not-an-object", "string-k", "bool-k", "fractional-explore-len", "zero-explore-len",
-        "bool-id", "float-id", "string-id",
+        "bool-id", "float-id", "string-id", "string-levels", "fractional-levels", "bool-levels",
+        "negative-levels", "string-etc-levels", "string-gamma",
     ],
 )
 def test_malformed_roster_entry_exits_two(tmp_path, capsys, agent, message):

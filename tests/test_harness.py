@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,10 +13,13 @@ from epochfpa.agents import (
     Agent,
     ZERO_BID,
     Expert,
+    ExpertAgent,
     ExpertFamily,
+    GoodStrategyAgent,
     ValueGrid,
+    default_expert_family,
 )
-from epochfpa.distributions import Uniform
+from epochfpa.distributions import FiniteSupport, Uniform
 from epochfpa.harness import (
     ConfigError,
     RunConfig,
@@ -34,7 +38,7 @@ from epochfpa.harness import (
     write_epoch_csv,
     write_trajectory,
 )
-from epochfpa.mechanism import BuyerState, MechanismParams
+from epochfpa.mechanism import BuyerState, Mechanism, MechanismError, MechanismParams
 
 EPS = 0.3
 RHO = EPS * (1 - EPS) ** 4 / 12
@@ -545,6 +549,25 @@ def test_bound_report_measures_and_checks():
     assert skeleton.measured_mean is None and skeleton.checks == []
 
 
+def test_bound_report_flags_a_vacuous_floor():
+    # six myopic buyers at the theorem-1 horizon: the floor is below the slack
+    naive = make_config(n=6, horizon=47_532, agents=[{"kind": "myopic"}] * 6)
+    report = bound_report(naive, measure=False)
+    assert report.vacuous and report.lower_bound - report.slack <= 0
+    assert f"floor={report.lower_bound - report.slack:.6f} (vacuous)" in report.lines()
+    sophisticated = make_config(n=6, horizon=47_532, agents=[{"kind": "lookahead"}] * 6)
+    report = bound_report(sophisticated, measure=False)
+    assert not report.vacuous and report.lower_bound - report.slack > 0
+    assert not any("vacuous" in line for line in report.lines())
+    # a short measured run: the floor check passes, and says it could not fail
+    short = make_config(n=2, horizon=700, agents=[{"kind": "lookahead"}, {"kind": "myopic"}])
+    report = bound_report(short)
+    assert report.vacuous and report.passed
+    floor = [line for line in report.lines() if "lower bound - slack - 3se" in line]
+    assert len(floor) == 1 and "[vacuous: lower bound - slack <= 0]" in floor[0]
+    assert not any("vacuous" in line for line in report.lines() if "upper bound" in line)
+
+
 # -- hindsight regret -----------------------------------------------------------------
 
 
@@ -819,3 +842,138 @@ def test_ndjson_schema_fields():
         "uncleared",
         "allocations",
     }
+
+
+# -- light-mode blocks ---------------------------------------------------------------
+
+STATIONARY_KINDS = (
+    {"kind": "good-strategy"},
+    {"kind": "lookahead"},
+    {"kind": "myopic"},
+    {"kind": "myopic", "bad_mode": "value"},
+    {"kind": "myopic", "good_mode": "zero"},
+    {"kind": "myopic", "good_mode": "zero", "bad_mode": "value"},
+)
+BLOCK_PRIORS = (
+    Uniform(0.0, 1.0),
+    FiniteSupport(((1.0, 0.5), (2.0, 0.5))),  # ties between value bids
+    FiniteSupport(((0.0, 0.25), (0.5, 0.25), (1.0, 0.5))),
+)
+
+
+def assert_same_accounts(light, full):
+    assert light.epochs == full.epochs
+    assert light.agent_utilities.tobytes() == full.agent_utilities.tobytes()
+    assert light.agent_wins.tolist() == full.agent_wins.tolist()
+    assert [u.tobytes() for u in light.epoch_agent_utilities] == [
+        u.tobytes() for u in full.epoch_agent_utilities
+    ]
+    assert light.state_rounds.tolist() == full.state_rounds.tolist()
+    assert light.final_states == full.final_states
+
+
+def expert_substitutes(family, slots):
+    return {i: (lambda j=j: ExpertAgent(family, j)) for i, j in slots.items()}
+
+
+@st.composite
+def stationary_runs(draw):
+    n = draw(st.integers(1, 6), label="n")
+    eps = draw(st.sampled_from((0.2, 0.3, 0.4)), label="epsilon")
+    delta = draw(st.sampled_from((0.3, 0.5, 0.7)), label="delta")
+    cap = min(eps * (1 - eps) ** 4, eps * (1 - eps) * (1 - delta) / (1 + eps)) / 12
+    rho = draw(st.floats(0.2, 0.99), label="rho share") * cap
+    horizon = draw(st.integers(1, 2500), label="horizon")
+    reset = draw(st.one_of(st.none(), st.integers(0, horizon)), label="reset_round")
+    dist = draw(st.sampled_from(BLOCK_PRIORS), label="prior")
+    config = RunConfig(
+        params=MechanismParams(
+            n=n, horizon=horizon, epsilon=eps, delta=delta, rho=rho, reset_round=reset
+        ),
+        distribution=dist,
+        agents=draw(st.lists(st.sampled_from(STATIONARY_KINDS), min_size=n, max_size=n)),
+        seed=draw(st.integers(0, 2**16), label="seed"),
+    )
+    family = default_expert_family(dist)
+    slots = draw(
+        st.dictionaries(st.integers(0, n - 1), st.integers(0, len(family) - 1)),
+        label="expert slots",
+    )
+    return config, expert_substitutes(family, slots)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(stationary_runs())
+def test_light_mode_blocks_match_the_per_round_path(run):
+    """Light mode settles stationary rosters in blocks and full mode runs
+    every round: the accounts agree bit for bit."""
+    config, substitutes = run
+    light = run_simulation(config, record="light", substitutes=substitutes)
+    full = run_simulation(config, record="full", substitutes=substitutes)
+    assert_same_accounts(light, full)
+
+
+@pytest.mark.parametrize("dist", BLOCK_PRIORS[:2], ids=["uniform", "two-point"])
+def test_light_mode_blocks_match_for_every_default_expert(dist):
+    family = default_expert_family(dist)
+    agents = [{"kind": "lookahead"}, {"kind": "myopic"}, {"kind": "myopic", "good_mode": "zero"}]
+    config = make_config(n=3, horizon=3000, agents=agents, dist=dist, reset_round=1200)
+    for j in range(len(family)):
+        substitutes = expert_substitutes(family, {2: j})
+        assert_same_accounts(
+            run_simulation(config, record="light", substitutes=substitutes),
+            run_simulation(config, record="full", substitutes=substitutes),
+        )
+
+
+def test_light_mode_settles_most_stationary_rounds_in_blocks(monkeypatch):
+    settled = []
+    run_block = Mechanism.run_block
+
+    def counted(self, bids, ties):
+        k, winners, payments = run_block(self, bids, ties)
+        settled.append((self.participants(), k))
+        return k, winners, payments
+
+    monkeypatch.setattr(Mechanism, "run_block", counted)
+    agents = [{"kind": "lookahead"}] * 3 + [{"kind": "myopic"}] * 3
+    run_simulation(make_config(n=6, horizon=5000, agents=agents), record="full")
+    assert settled == []
+    run_simulation(make_config(n=6, horizon=5000, agents=agents), record="light")
+    assert sum(k for _, k in settled) > 2500
+    # an exp3 buyer is not stationary: only phases it is not part of run in blocks
+    settled.clear()
+    agents = [{"kind": "exp3"}] + [{"kind": "lookahead"}]
+    run_simulation(make_config(n=2, horizon=2000, agents=agents), record="light")
+    assert settled and all(ids == (1,) for ids, _ in settled)
+
+
+class InvalidBidAt(GoodStrategyAgent):
+    """The good strategy, but bidding ``bad`` in round ``at``."""
+
+    def __init__(self, at, bad):
+        super().__init__()
+        self.at, self.bad = at, bad
+
+    def bid(self, view, value):
+        return self.bad if view.t == self.at else super().bid(view, value)
+
+    def bids(self, view, values):
+        out = super().bids(view, values)
+        if 0 <= self.at - view.t < len(out):
+            out[self.at - view.t] = self.bad
+        return out
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+@pytest.mark.parametrize("at", [3, 40, 333])
+def test_invalid_block_bid_raises_as_on_the_per_round_path(at, bad):
+    config = make_config(n=2, horizon=700)
+    messages = []
+    for record in ("light", "full"):
+        with pytest.raises(MechanismError) as caught:
+            run_simulation(config, record=record, substitutes={1: lambda: InvalidBidAt(at, bad)})
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert re.match(rf"round {at} \(good phase, epoch \d+\): ", messages[0])
+    assert messages[0].endswith(f"buyer 1 submitted an invalid bid {bad!r}")

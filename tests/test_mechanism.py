@@ -634,3 +634,114 @@ def test_raw_bid_streams_keep_the_round_invariants(data):
             for p in payments.get((e.config.index, phase), []):
                 total += p
             assert revenue == total
+
+
+# -- blocks -------------------------------------------------------------------------
+
+BLOCK_BID_KINDS = ("zero", "reserve", "below", "above", "tie")
+
+
+def _books(mech):
+    """Everything ``_snapshot`` holds plus the running epoch accounts."""
+    return _snapshot(mech) + (
+        mech._good_revenue,
+        mech._bad_revenue,
+        mech._punishments,
+        mech._rests,
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_run_block_settles_exactly_up_to_the_first_event(data):
+    """``run_block`` on random float bid blocks against ``run_round`` plus
+    ``advance`` row by row: it settles every row before the first one that
+    moves a buyer, crosses the threshold, ends the phase or fires the reset,
+    and stops there, with the same winners, payments and books."""
+    n = data.draw(st.integers(1, 4), label="n")
+    epsilon = data.draw(st.sampled_from([0.3, 0.5, 0.6]), label="epsilon")
+    delta = data.draw(st.sampled_from([0.7, 0.8, 0.9]), label="delta")
+    if data.draw(st.booleans(), label="capped rho"):
+        cap = MechanismParams(n=n, horizon=0, epsilon=epsilon, delta=delta, rho=1e-6).rho_cap
+        rho, kw = cap * data.draw(st.sampled_from([0.2, 0.9]), label="rho share"), {}
+    else:  # a longer bad block, for schedule arithmetic only
+        rho, kw = data.draw(st.sampled_from([0.05, 0.2]), label="rho"), {"enforce_rho_cap": False}
+    horizon = data.draw(st.integers(1, 1200), label="horizon")
+    reset = data.draw(st.one_of(st.none(), st.integers(0, horizon)), label="reset_round")
+    start_bad = data.draw(st.sets(st.integers(0, n - 1)), label="start_bad")
+    kinds = data.draw(
+        st.lists(
+            st.lists(st.sampled_from(BLOCK_BID_KINDS), min_size=1, max_size=2, unique=True),
+            min_size=n,
+            max_size=n,
+        ),
+        label="kinds",
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = MechanismParams(
+        n=n, horizon=horizon, epsilon=epsilon, delta=delta, rho=rho, reset_round=reset, **kw
+    )
+    block, ref = Mechanism(params, Uniform(0.0, 1.0)), Mechanism(params, Uniform(0.0, 1.0))
+    for mech in (block, ref):
+        for i in start_bad:
+            mech.states[i] = BuyerState.BAD
+        mech._rebuild_rosters()
+
+    while ref.t < horizon:
+        ids = ref.participants()
+        if not ids:
+            for mech in (block, ref):
+                mech.run_round({})
+                mech.advance()
+            continue
+        rows = int(rng.integers(1, 60))
+        rows = min(rows, horizon - ref.t)
+        cfg = ref.config
+        reserve = cfg.good_reserve if ref.phase == GOOD_PHASE else cfg.bad_reserve
+        bids = np.empty((rows, len(ids)))
+        for r in range(rows):
+            shared = _raw_bid(rng, str(rng.choice(["reserve", "below", "above"])), reserve, 0.0)
+            bids[r] = [_raw_bid(rng, str(rng.choice(kinds[i])), reserve, shared) for i in ids]
+        ties = rng.random(rows)
+
+        k, winners, payments = block.run_block(bids, ties)
+        # the reference runs the rows one by one, up to and including the
+        # first with an event
+        books, outcomes, event = [], [], None
+        for r in range(rows):
+            books.append(_books(ref))
+            phase, epoch = ref.phase, ref.epoch_index
+            threshold = ref.config.uncleared_threshold
+            out = ref.run_round(dict(zip(ids, bids[r].tolist())), float(ties[r]))
+            ref.advance()
+            outcomes.append(out)
+            crossed = phase == GOOD_PHASE and out.uncleared_before < threshold <= out.uncleared
+            if out.transitions or crossed or (ref.phase, ref.epoch_index) != (phase, epoch):
+                event = r
+                break
+        assert k == (rows if event is None else event)
+        assert winners.tolist() == [-1 if o.winner is None else o.winner for o in outcomes[:k]]
+        assert payments.tolist() == [o.payment for o in outcomes[:k]]
+        assert _books(block) == (_books(ref) if event is None else books[event])
+        if event is not None:
+            block.run_round(dict(zip(ids, bids[event].tolist())), float(ties[event]))
+            block.advance()
+            assert _books(block) == _books(ref)
+    for mech in (block, ref):
+        mech.finish()
+    assert _books(block) == _books(ref)
+
+
+def test_run_block_stops_at_a_rest_and_at_an_invalid_bid():
+    mech = fresh(n=2)
+    drain_bad_phase(mech)
+    h, reserve = mech.params.rest_threshold, mech.config.good_reserve
+    # buyer 0 wins every round: the round of its h-th win is left to run_round
+    bids = np.array([[reserve, 0.0]] * (h + 5))
+    k, winners, payments = mech.run_block(bids, np.zeros(len(bids)))
+    assert k == h - 1 and winners.tolist() == [0] * k and payments.tolist() == [reserve] * k
+    assert mech.allocations == [h - 1, 0] and mech.states[0] == BuyerState.GOOD
+    for bad in (-0.5, math.nan, math.inf):
+        block = np.array([[0.0, reserve], [0.0, reserve], [0.0, bad]])
+        assert mech.run_block(block, np.zeros(3))[0] == 2
+    assert mech.allocations == [h - 1, 6]
