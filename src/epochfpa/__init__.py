@@ -45,7 +45,6 @@ from .agents import (
     LookaheadAgent,
     MyopicAgent,
     default_expert_family,
-    good_strategy_bid,
 )
 from .harness import (
     BoundReport,

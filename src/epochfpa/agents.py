@@ -30,7 +30,6 @@ from .mechanism import AgentView, BuyerState, MechanismParams
 
 __all__ = [
     "AgentError",
-    "good_strategy_bid",
     "Agent",
     "GoodStrategyAgent",
     "LookaheadAgent",
@@ -54,19 +53,6 @@ __all__ = [
 
 class AgentError(ValueError):
     """Invalid agent configuration or learner usage."""
-
-
-def good_strategy_bid(view: AgentView, value: float) -> float:
-    """The never-punished good strategy.
-
-    Below the uncleared threshold, bid the good reserve exactly when the
-    valuation clears the good cutoff and zero otherwise; at or above the
-    threshold, bid the reserve regardless of the valuation.
-    """
-    cfg = view.config
-    if view.uncleared >= cfg.uncleared_threshold:
-        return cfg.good_reserve
-    return cfg.good_reserve if value >= cfg.good_cutoff else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +130,6 @@ class ExpertFamily:
     def bid(self, index: int, view: AgentView, buyer: int, value: float) -> float:
         return evaluate_expert(self.experts[index], view, buyer, value, self.grid)
 
-    def bids(self, index: int, view: AgentView, buyer: int, values: np.ndarray) -> np.ndarray:
-        return _expert_bids(self.experts[index], view, buyer, values, self.grid)
-
 
 def evaluate_expert(
     expert: Expert, view: AgentView, buyer: int, value: float, grid: ValueGrid
@@ -154,16 +137,6 @@ def evaluate_expert(
     """Deterministic bid of one expert for the buyer's current projection."""
     cfg = view.config
     in_bad = view.states[buyer] == BuyerState.BAD
-    if expert.style == ZERO_BID:
-        return 0.0
-    if expert.style == BAD_THRESHOLD:
-        if not in_bad:
-            return 0.0
-        canonical = expert.level is None and expert.cutoff is None
-        level = cfg.bad_reserve if expert.level is None else expert.level
-        cutoff = cfg.bad_cutoff if expert.cutoff is None else expert.cutoff
-        v = value if canonical else grid.snap(value)
-        return level if v >= cutoff else 0.0
     if expert.style == GOOD_TEMPLATE:
         if in_bad:
             return 0.0
@@ -172,6 +145,16 @@ def evaluate_expert(
         if view.uncleared >= cfg.uncleared_threshold:
             return level
         return level if v >= cfg.good_cutoff else 0.0
+    if expert.style == BAD_THRESHOLD:
+        if not in_bad:
+            return 0.0
+        canonical = expert.level is None and expert.cutoff is None
+        level = cfg.bad_reserve if expert.level is None else expert.level
+        cutoff = cfg.bad_cutoff if expert.cutoff is None else expert.cutoff
+        v = value if canonical else grid.snap(value)
+        return level if v >= cutoff else 0.0
+    if expert.style == ZERO_BID:
+        return 0.0
     raise AgentError(f"unknown expert style {expert.style!r}")
 
 
@@ -181,16 +164,6 @@ def _expert_bids(
     """``evaluate_expert`` of every value in ``values``, equal to it bit for bit."""
     cfg = view.config
     in_bad = view.states[buyer] == BuyerState.BAD
-    if expert.style == ZERO_BID:
-        return np.zeros(len(values))
-    if expert.style == BAD_THRESHOLD:
-        if not in_bad:
-            return np.zeros(len(values))
-        canonical = expert.level is None and expert.cutoff is None
-        level = cfg.bad_reserve if expert.level is None else expert.level
-        cutoff = cfg.bad_cutoff if expert.cutoff is None else expert.cutoff
-        v = values if canonical else grid.snap_all(values)
-        return np.where(v >= cutoff, level, 0.0)
     if expert.style == GOOD_TEMPLATE:
         if in_bad:
             return np.zeros(len(values))
@@ -199,6 +172,16 @@ def _expert_bids(
             return np.full(len(values), level)
         v = values if expert.level is None else grid.snap_all(values)
         return np.where(v >= cfg.good_cutoff, level, 0.0)
+    if expert.style == BAD_THRESHOLD:
+        if not in_bad:
+            return np.zeros(len(values))
+        canonical = expert.level is None and expert.cutoff is None
+        level = cfg.bad_reserve if expert.level is None else expert.level
+        cutoff = cfg.bad_cutoff if expert.cutoff is None else expert.cutoff
+        v = values if canonical else grid.snap_all(values)
+        return np.where(v >= cutoff, level, 0.0)
+    if expert.style == ZERO_BID:
+        return np.zeros(len(values))
     raise AgentError(f"unknown expert style {expert.style!r}")
 
 
@@ -303,6 +286,13 @@ def _count(x, name: str, minimum: int, optional: bool = False):
     return x
 
 
+def _family(family):
+    """``family`` if it is an ``ExpertFamily`` or ``None`` (the default family)."""
+    if family is not None and not isinstance(family, ExpertFamily):
+        raise AgentError(f"family must be an ExpertFamily, got {family!r}")
+    return family
+
+
 class Agent:
     """Base buyer: bound to a buyer slot, bids on views, observes own outcomes.
 
@@ -359,25 +349,38 @@ class Agent:
         pass
 
 
-class GoodStrategyAgent(Agent):
-    """Plays the good strategy verbatim; never enters the bad state."""
+class ExpertAgent(Agent):
+    """Deterministically plays a single fixed expert from a family."""
+
+    kind = "expert"
+    stationary = True
+
+    def __init__(self, family: ExpertFamily, index: int):
+        super().__init__()
+        if not 0 <= index < len(family):
+            raise AgentError(f"expert index {index} outside the family")
+        self.expert = family.experts[index]
+        self.grid = family.grid
+
+    def bid(self, view: AgentView, value: float) -> float:
+        return evaluate_expert(self.expert, view, self.buyer_id, value, self.grid)
+
+    def bids(self, view: AgentView, values: np.ndarray) -> np.ndarray:
+        return _expert_bids(self.expert, view, self.buyer_id, values, self.grid)
+
+
+# the canonical good-template expert never reads the family's grid
+_GOOD_STRATEGY = ExpertFamily((Expert(GOOD_TEMPLATE),), ValueGrid(0.0, 1.0, 1.0))
+
+
+class GoodStrategyAgent(ExpertAgent):
+    """The good strategy, played as the canonical good-template expert."""
 
     kind = "good-strategy"
     sophisticated = True
-    stationary = True
 
-    def bid(self, view: AgentView, value: float) -> float:
-        if view.states[self.buyer_id] == BuyerState.BAD:
-            return 0.0
-        return good_strategy_bid(view, value)
-
-    def bids(self, view: AgentView, values: np.ndarray) -> np.ndarray:
-        cfg = view.config
-        if view.states[self.buyer_id] == BuyerState.BAD:
-            return np.zeros(len(values))
-        if view.uncleared >= cfg.uncleared_threshold:
-            return np.full(len(values), cfg.good_reserve)
-        return np.where(values >= cfg.good_cutoff, cfg.good_reserve, 0.0)
+    def __init__(self):
+        super().__init__(_GOOD_STRATEGY, 0)
 
 
 class LookaheadAgent(GoodStrategyAgent):
@@ -524,7 +527,7 @@ class Exp3Agent(Agent):
             or not 0.0 < gamma <= 1.0
         ):
             raise AgentError(f"gamma must be a real number in (0, 1], got {gamma!r}")
-        self.family = family
+        self.family = _family(family)
         self.gamma = gamma
         self.grid_step = grid_step
         self.levels = _count(levels, "levels", 0)
@@ -568,7 +571,7 @@ class EtcAgent(Agent):
         levels: int = 6,
     ):
         super().__init__()
-        self.family = family
+        self.family = _family(family)
         self.explore_len = _count(explore_len, "explore_len", 1, optional=True)
         self.levels = _count(levels, "levels", 0)
         self.committed_index: Optional[int] = None
@@ -612,26 +615,6 @@ class EtcAgent(Agent):
             self._scores[view.t // self.explore_len] += utility
 
 
-class ExpertAgent(Agent):
-    """Deterministically plays a single fixed expert from a family."""
-
-    kind = "expert"
-    stationary = True
-
-    def __init__(self, family: ExpertFamily, index: int):
-        super().__init__()
-        if not 0 <= index < len(family):
-            raise AgentError(f"expert index {index} outside the family")
-        self.family = family
-        self.index = index
-
-    def bid(self, view: AgentView, value: float) -> float:
-        return self.family.bid(self.index, view, self.buyer_id, value)
-
-    def bids(self, view: AgentView, values: np.ndarray) -> np.ndarray:
-        return self.family.bids(self.index, view, self.buyer_id, values)
-
-
 AGENT_KINDS = {
     "good-strategy": GoodStrategyAgent,
     "lookahead": LookaheadAgent,
@@ -649,6 +632,8 @@ def build_agent(spec: dict) -> Agent:
         kind = spec.pop("kind")
     except KeyError:
         raise AgentError("agent spec must carry a 'kind'") from None
+    if not isinstance(kind, str):
+        raise AgentError(f"agent kind must be a string, got {kind!r}")
     try:
         cls = AGENT_KINDS[kind]
     except KeyError:

@@ -138,7 +138,6 @@ class EpochConfig:
     good_reserve: float
     bad_reserve: float
     good_cutoff: float
-    good_tail_mean: float
     bad_cutoff: float
     bad_quantile: float
     bad_tail_mean: float
@@ -168,7 +167,6 @@ def derive_epoch_config(
     length = params.epoch_length(m_good)
     bad_rounds = math.ceil(params.rho * length)
     good_rounds = length - bad_rounds
-    good_tail = upper_tail_mean(dist, m_good)
     bad_q = tail_quantile(dist, m_bad)
     bad_p = win_quantile(dist, m_bad)
     bad_reserve = bad_p - (params.epsilon / params.n) * bad_q
@@ -181,10 +179,9 @@ def derive_epoch_config(
         length=length,
         bad_rounds=bad_rounds,
         good_rounds=good_rounds,
-        good_reserve=(1.0 - params.epsilon) * good_tail,
+        good_reserve=(1.0 - params.epsilon) * upper_tail_mean(dist, m_good),
         bad_reserve=bad_reserve,
         good_cutoff=tail_quantile(dist, m_good),
-        good_tail_mean=good_tail,
         bad_cutoff=bad_p,
         bad_quantile=bad_q,
         bad_tail_mean=upper_tail_mean(dist, m_bad),

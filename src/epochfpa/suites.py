@@ -48,15 +48,6 @@ __all__ = [
     "SUITES",
     "run_suite",
     "brute_force_myerson",
-    "suite_myerson_oracle",
-    "suite_lemma_b1",
-    "suite_lemma_b2",
-    "suite_lemma_b3",
-    "suite_lemma_b4",
-    "suite_theorem_1",
-    "suite_regret",
-    "suite_policy_regret",
-    "suite_upper_bound",
 ]
 
 EPSILON = 0.3

@@ -17,13 +17,13 @@ from epochfpa.agents import (
     Expert,
     ExpertAgent,
     ExpertFamily,
+    GoodStrategyAgent,
     LookaheadAgent,
     MyopicAgent,
     ValueGrid,
     build_agent,
     default_expert_family,
     evaluate_expert,
-    good_strategy_bid,
 )
 from epochfpa.distributions import FiniteSupport, Uniform
 from epochfpa.mechanism import (
@@ -64,17 +64,19 @@ def bind(agent, params, buyer=0, seed=123, dist=None):
 
 
 def test_good_strategy_bids_reserve_above_cutoff():
-    _, view = make_view()
+    params, view = make_view()
+    agent = bind(GoodStrategyAgent(), params)
     cfg = view.config
-    assert good_strategy_bid(view, 0.9) == cfg.good_reserve
-    assert good_strategy_bid(view, cfg.good_cutoff) == cfg.good_reserve
-    assert good_strategy_bid(view, 0.3) == 0.0
+    assert agent.bid(view, 0.9) == cfg.good_reserve
+    assert agent.bid(view, cfg.good_cutoff) == cfg.good_reserve
+    assert agent.bid(view, 0.3) == 0.0
 
 
 def test_good_strategy_bids_reserve_after_threshold():
-    _, view = make_view(uncleared=10_000)
+    params, view = make_view(uncleared=10_000)
+    agent = bind(GoodStrategyAgent(), params)
     assert view.uncleared >= view.config.uncleared_threshold
-    assert good_strategy_bid(view, 0.0) == view.config.good_reserve
+    assert agent.bid(view, 0.0) == view.config.good_reserve
 
 
 def test_lookahead_defaults_to_sophisticated_depth():
@@ -224,16 +226,6 @@ def test_bad_threshold_expert_rule():
     assert evaluate_expert(expert, view, 0, cfg.bad_cutoff - 0.1, grid) == 0.0
     # not in the bad state: always zero
     assert evaluate_expert(expert, view, 1, 0.99, grid) == 0.0
-
-
-def test_good_template_expert_matches_good_strategy():
-    _, view = make_view(uncleared=10_000)
-    grid = ValueGrid(0.0, 1.0, 1 / 64)
-    expert = Expert(GOOD_TEMPLATE)
-    assert evaluate_expert(expert, view, 0, 0.0, grid) == view.config.good_reserve
-    _, view = make_view()
-    for v in (0.0, 0.2, 0.5, 0.77, 1.0):
-        assert evaluate_expert(expert, view, 0, v, grid) == good_strategy_bid(view, v)
 
 
 def test_leveled_experts_snap_values_to_grid():

@@ -208,11 +208,16 @@ def test_uniform_infinite_bound_exits_two(capsys, recwarn):
         ({"kind": "exp3", "levels": -3}, "levels must be an integer of at least 0, got -3"),
         ({"kind": "etc", "levels": "6"}, "levels must be an integer of at least 0, got '6'"),
         ({"kind": "exp3", "gamma": "0.5"}, "gamma must be a real number in (0, 1], got '0.5'"),
+        ({"kind": ["exp3"]}, "agent kind must be a string, got ['exp3']"),
+        ({"kind": {"a": 1}}, "agent kind must be a string, got {'a': 1}"),
+        ({"kind": "exp3", "family": "abc"}, "family must be an ExpertFamily, got 'abc'"),
+        ({"kind": "etc", "family": 3}, "family must be an ExpertFamily, got 3"),
     ],
     ids=[
         "not-an-object", "string-k", "bool-k", "fractional-explore-len", "zero-explore-len",
         "bool-id", "float-id", "string-id", "string-levels", "fractional-levels", "bool-levels",
-        "negative-levels", "string-etc-levels", "string-gamma",
+        "negative-levels", "string-etc-levels", "string-gamma", "list-kind", "object-kind",
+        "string-family", "int-family",
     ],
 )
 def test_malformed_roster_entry_exits_two(tmp_path, capsys, agent, message):

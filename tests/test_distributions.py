@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epochfpa.distributions import (
     DistributionError,
@@ -164,6 +166,27 @@ def test_myerson_matches_enumeration_oracle():
             assert detail.reserve == reserve
             assert detail.revenue == pytest.approx(revenue, abs=1e-12)
             assert detail.win_prob == pytest.approx(win, abs=1e-12)
+
+
+@st.composite
+def finite_supports(draw):
+    """2 to 4 strictly increasing positive points with positive weights."""
+    size = draw(st.integers(2, 4))
+    gaps = draw(st.lists(st.floats(0.2, 1.5), min_size=size, max_size=size))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
+    values = np.cumsum(gaps).tolist()
+    total = math.fsum(weights)
+    return FiniteSupport(tuple((v, w / total) for v, w in zip(values, weights)))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(finite_supports(), st.sampled_from([1, 2, 3]))
+def test_myerson_detail_matches_enumeration_on_random_supports(dist, n):
+    # the myerson-oracle suite's tolerance
+    _, revenue, win = brute_force_myerson(dist, n)
+    detail = myerson_detail(dist, n)
+    assert abs(detail.revenue - revenue) <= 1e-12
+    assert abs(detail.win_prob - win) <= 1e-12
 
 
 def test_enumeration_budget_guard(two_point):
