@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -130,6 +130,10 @@ class ExpertFamily:
     def bid(self, index: int, view: AgentView, buyer: int, value: float) -> float:
         return evaluate_expert(self.experts[index], view, buyer, value, self.grid)
 
+    def bids(self, index: int, view: AgentView, buyer: int, values: np.ndarray) -> np.ndarray:
+        """``bid`` of every value in ``values`` under one view, equal to it bit for bit."""
+        return _expert_bids(self.experts[index], view, buyer, values, self.grid)
+
 
 def evaluate_expert(
     expert: Expert, view: AgentView, buyer: int, value: float, grid: ValueGrid
@@ -219,6 +223,9 @@ class Exp3Learner:
     before the importance-weighted update, so a zero-utility round leaves the
     weights untouched and the importance-weighted reward never exceeds
     ``N / gamma``.
+
+    ``update`` is the only writer of ``weights``; it drops the cached
+    selection distribution whenever it changes them.
     """
 
     def __init__(
@@ -238,6 +245,7 @@ class Exp3Learner:
         self.rng = rng if rng is not None else np.random.default_rng()
         self.weights = np.ones(n_arms)
         self._pending: Optional[tuple[int, float]] = None
+        self._draw: Optional[tuple[list[float], list[float]]] = None
 
     def probabilities(self) -> np.ndarray:
         w = self.weights / self.weights.sum()
@@ -246,10 +254,13 @@ class Exp3Learner:
     def select_arm(self) -> tuple[int, float]:
         if self._pending is not None:
             raise AgentError("previous selection was never scored")
-        p = self.probabilities()
-        idx = int(np.searchsorted(np.cumsum(p), self.rng.random(), side="right"))
-        idx = min(idx, self.n_arms - 1)
-        self._pending = (idx, float(p[idx]))
+        if self._draw is None:
+            p = self.probabilities()
+            self._draw = (p.tolist(), np.cumsum(p).tolist())
+        probs, cumulative = self._draw
+        # the index np.searchsorted(cumulative, r, side="right") gives
+        idx = min(bisect_right(cumulative, self.rng.random()), self.n_arms - 1)
+        self._pending = (idx, probs[idx])
         return self._pending
 
     def update(self, utility: float) -> None:
@@ -258,9 +269,13 @@ class Exp3Learner:
         idx, prob = self._pending
         self._pending = None
         reward = min(max(utility, 0.0), self.reward_scale) / self.reward_scale
+        if reward == 0.0:
+            # exp(0) = 1 and the largest weight is already 1.0: nothing moves
+            return
         estimate = reward / prob
         self.weights[idx] *= math.exp(self.gamma * estimate / self.n_arms)
         self.weights /= self.weights.max()
+        self._draw = None
 
     @staticmethod
     def tuned_gamma(n_arms: int, horizon: int) -> float:

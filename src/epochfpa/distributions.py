@@ -396,7 +396,8 @@ def myerson_detail(dist: ValueDistribution, n: int) -> MyersonAuction:
         best_r, best_rev = None, -1.0
         for r in dist.values:
             rev = _spa_revenue_finite(dist, n, float(r))
-            if rev > best_rev:
+            # a revenue within rounding of the best is a tie, kept by the lower reserve
+            if rev > best_rev and not math.isclose(rev, best_rev, rel_tol=1e-12):
                 best_r, best_rev = float(r), rev
         theta = (1.0 - dist.cdf_below(best_r) ** n) / n
         return MyersonAuction(n, best_r, best_rev, theta, "enumeration")

@@ -576,17 +576,11 @@ def bound_report(config: RunConfig, measure: bool = True) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _rebuild_view(outcome: RoundOutcome, configs: dict[int, object]) -> AgentView:
-    states = outcome.states_before
-    return AgentView(
-        t=outcome.t,
-        phase=outcome.phase,
-        config=configs[outcome.epoch],
-        uncleared=outcome.uncleared_before,
-        states=states,
-        num_good=sum(1 for s in states if s == BuyerState.GOOD),
-        num_bad=sum(1 for s in states if s == BuyerState.BAD),
-    )
+def _buyer(agent, n: int) -> int:
+    """``agent`` as a buyer slot of an ``n``-buyer run; anything else is refused."""
+    if isinstance(agent, bool) or not isinstance(agent, (int, np.integer)) or not 0 <= agent < n:
+        raise ConfigError(f"buyer index {agent!r} is outside 0..{n - 1} (n={n})")
+    return int(agent)
 
 
 def external_regret_profile(
@@ -594,34 +588,63 @@ def external_regret_profile(
 ) -> np.ndarray:
     """Hindsight total utility of each expert holding everyone else fixed.
 
-    Each realized round is rescored with the agent's bid replaced by the
-    expert's bid, the other bids and the mechanism state frozen.  A bid equal
-    to the realized one reproduces the realized outcome exactly; a changed bid
-    that ties the top rival is scored as a loss (a conservative convention).
+    Each round the agent bid in is rescored with its bid replaced by the
+    expert's, the other bids and the mechanism state frozen.  A stretch of
+    bidding rounds sharing the epoch, phase, own bad state and whether the
+    uncleared threshold was reached is bid by one ``ExpertFamily.bids`` call
+    per expert, since the expert's bid then depends on the value alone.  A
+    bid equal to the realized one reproduces the realized outcome; another
+    wins, for value minus bid, only if it reaches the reserve and beats the
+    top rival bid, so a tie with that rival is scored as a loss (a
+    conservative convention).  Scores are summed in round order.
     """
     if traj.rounds is None:
         raise ConfigError("hindsight regret needs a trajectory recorded in full mode")
     if len(family) == 0:
         raise ConfigError("expert family must be non-empty")
+    agent = _buyer(agent, traj.values.shape[1])
     configs = {e.config.index: e.config for e in traj.epochs}
-    totals = np.zeros(len(family))
+    column = traj.values[:, agent]
+    # of each round the agent bid in: round, own bid, top rival bid, realized utility, reserve
+    rounds, own, rival, realized, reserve = [], [], [], [], []
+    stretches = []  # (index of the first such round, view)
+    key = None
     for outcome in traj.rounds:
         if agent not in outcome.bids:
             continue
-        view = _rebuild_view(outcome, configs)
-        value = float(traj.values[outcome.t][agent])
-        reserve = (
-            view.config.good_reserve if outcome.phase == GOOD_PHASE else view.config.bad_reserve
+        config = configs[outcome.epoch]
+        good = outcome.phase == GOOD_PHASE
+        round_key = (
+            outcome.epoch,
+            good,
+            outcome.states_before[agent] == BuyerState.BAD,
+            outcome.uncleared_before >= config.uncleared_threshold,
         )
-        own = outcome.bids[agent]
-        rival = max((b for i, b in outcome.bids.items() if i != agent), default=None)
-        realized = (value - outcome.payment) if outcome.winner == agent else 0.0
-        for j in range(len(family)):
-            b = family.bid(j, view, agent, value)
-            if b == own:
-                totals[j] += realized
-            elif b >= reserve and (rival is None or b > rival):
-                totals[j] += value - b
+        if round_key != key:
+            key, states = round_key, outcome.states_before
+            view = AgentView(
+                outcome.t, outcome.phase, config, outcome.uncleared_before, states,
+                states.count(BuyerState.GOOD), states.count(BuyerState.BAD),
+            )
+            stretches.append((len(rounds), view))
+        rounds.append(outcome.t)
+        own.append(outcome.bids[agent])
+        rival.append(max((b for i, b in outcome.bids.items() if i != agent), default=-math.inf))
+        won = outcome.winner == agent
+        realized.append(float(column[outcome.t]) - outcome.payment if won else 0.0)
+        reserve.append(config.good_reserve if good else config.bad_reserve)
+    if not rounds:
+        return np.zeros(len(family))
+    vals = column[rounds]
+    own, rival, realized, reserve = np.array([own, rival, realized, reserve], dtype=float)
+    ends = [lo for lo, _ in stretches[1:]] + [len(rounds)]
+    totals = np.empty(len(family))
+    for j in range(len(family)):
+        b = np.concatenate(
+            [family.bids(j, view, agent, vals[lo:hi]) for (lo, view), hi in zip(stretches, ends)]
+        )
+        wins = (b >= reserve) & (b > rival)
+        totals[j] = np.cumsum(np.where(b == own, realized, np.where(wins, vals - b, 0.0)))[-1]
     return totals
 
 
@@ -653,6 +676,7 @@ def estimate_policy_regret(
     if len(family) == 0:
         raise ConfigError("expert family must be non-empty")
     params = config.params
+    agent = _buyer(agent, params.n)
     if base is None:
         base = run_simulation(config, replication, record="light")
     elif (base.seed, base.replication) != (config.seed, replication):

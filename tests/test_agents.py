@@ -339,6 +339,50 @@ def test_exp3_importance_weight_bounded_by_floor():
         assert learner.probabilities().sum() == pytest.approx(1.0, abs=1e-12)
 
 
+class NumpyDrawExp3:
+    """The learner as it drew before its draw was cached: the distribution
+    rebuilt in numpy every round and every update applied, kept as the
+    reference."""
+
+    def __init__(self, n_arms, gamma, reward_scale, rng):
+        self.n_arms, self.gamma, self.reward_scale, self.rng = n_arms, gamma, reward_scale, rng
+        self.weights = np.ones(n_arms)
+        self.pending = None
+
+    def select_arm(self):
+        w = self.weights / self.weights.sum()
+        p = (1.0 - self.gamma) * w + self.gamma / self.n_arms
+        idx = int(np.searchsorted(np.cumsum(p), self.rng.random(), side="right"))
+        idx = min(idx, self.n_arms - 1)
+        self.pending = (idx, float(p[idx]))
+        return self.pending
+
+    def update(self, utility):
+        idx, prob = self.pending
+        reward = min(max(utility, 0.0), self.reward_scale) / self.reward_scale
+        self.weights[idx] *= math.exp(self.gamma * (reward / prob) / self.n_arms)
+        self.weights /= self.weights.max()
+
+
+def test_exp3_cached_draw_matches_the_numpy_draw():
+    stream = substream(9, "utilities")
+    kinds = stream.integers(0, 4, 3000)
+    sizes = stream.uniform(0.0, 2.0, 3000)
+    # zeros, negatives, values above the reward scale of 2, and positives
+    utilities = np.select([kinds == 0, kinds == 1, kinds == 2], [0.0, -sizes, 2.0 + sizes], sizes)
+    learner = Exp3Learner(5, 0.3, 2.0, substream(9, "learner"))
+    reference = NumpyDrawExp3(5, 0.3, 2.0, substream(9, "learner"))
+    arms = set()
+    for utility in utilities.tolist():
+        pick = learner.select_arm()
+        assert pick == reference.select_arm()
+        arms.add(pick[0])
+        learner.update(utility)
+        reference.update(utility)
+        assert learner.weights.tobytes() == reference.weights.tobytes()
+    assert arms == set(range(5)) and len(set(learner.weights.tolist())) == 5
+
+
 def test_exp3_agent_runs_against_family():
     params, view = make_view()
     agent = bind(Exp3Agent(levels=2), params)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epochfpa.distributions import (
@@ -181,10 +181,13 @@ def finite_supports(draw):
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(finite_supports(), st.sampled_from([1, 2, 3]))
+# both reserves earn 0.75, and rounding put the higher one ahead by 1e-16
+@example(FiniteSupport(((0.75, 1 / 3), (1.125, 2 / 3))), 1)
 def test_myerson_detail_matches_enumeration_on_random_supports(dist, n):
     # the myerson-oracle suite's tolerance
-    _, revenue, win = brute_force_myerson(dist, n)
+    reserve, revenue, win = brute_force_myerson(dist, n)
     detail = myerson_detail(dist, n)
+    assert detail.reserve == reserve
     assert abs(detail.revenue - revenue) <= 1e-12
     assert abs(detail.win_prob - win) <= 1e-12
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epochfpa.agents import (
@@ -38,7 +38,7 @@ from epochfpa.harness import (
     write_epoch_csv,
     write_trajectory,
 )
-from epochfpa.mechanism import BuyerState, Mechanism, MechanismError, MechanismParams
+from epochfpa.mechanism import AgentView, BuyerState, Mechanism, MechanismError, MechanismParams
 
 EPS = 0.3
 RHO = EPS * (1 - EPS) ** 4 / 12
@@ -977,3 +977,118 @@ def test_invalid_block_bid_raises_as_on_the_per_round_path(at, bad):
     assert messages[0] == messages[1]
     assert re.match(rf"round {at} \(good phase, epoch \d+\): ", messages[0])
     assert messages[0].endswith(f"buyer 1 submitted an invalid bid {bad!r}")
+
+
+# -- hindsight rescoring in stretches ----------------------------------------------
+
+
+def reference_profile(traj, agent, family):
+    # the per-round loop external_regret_profile used to run, kept as its reference
+    configs = {e.config.index: e.config for e in traj.epochs}
+    totals = np.zeros(len(family))
+    for outcome in traj.rounds:
+        if agent not in outcome.bids:
+            continue
+        states = outcome.states_before
+        view = AgentView(
+            t=outcome.t,
+            phase=outcome.phase,
+            config=configs[outcome.epoch],
+            uncleared=outcome.uncleared_before,
+            states=states,
+            num_good=sum(1 for s in states if s == BuyerState.GOOD),
+            num_bad=sum(1 for s in states if s == BuyerState.BAD),
+        )
+        value = float(traj.values[outcome.t][agent])
+        reserve = view.config.good_reserve if outcome.phase == "good" else view.config.bad_reserve
+        own = outcome.bids[agent]
+        rival = max((b for i, b in outcome.bids.items() if i != agent), default=None)
+        realized = (value - outcome.payment) if outcome.winner == agent else 0.0
+        for j in range(len(family)):
+            b = family.bid(j, view, agent, value)
+            if b == own:
+                totals[j] += realized
+            elif b >= reserve and (rival is None or b > rival):
+                totals[j] += value - b
+    return totals
+
+
+PROFILE_EXAMPLES = (
+    # one buyer: no round has a rival bid
+    (make_config(n=1, horizon=600, agents=[{"kind": "exp3", "levels": 2}]), {}),
+    # T shorter than the opening bad phase, which nobody is in: nobody bids
+    (make_config(n=3, horizon=2, agents=[{"kind": "myopic"}] * 3), {}),
+    # a lone int bidder leaves good rounds uncleared until the threshold
+    # crossing, which it bids in and is punished at; a reset follows
+    (make_config(n=1, horizon=500, seed=1, reset_round=300), {0: IntBidder}),
+)
+
+
+@st.composite
+def profile_runs(draw):
+    n = draw(st.integers(1, 5), label="n")
+    horizon = draw(st.integers(0, 1000), label="horizon")
+    reset = draw(st.one_of(st.none(), st.integers(0, horizon)), label="reset_round")
+    config = make_config(
+        n=n,
+        horizon=horizon,
+        agents=draw(st.lists(st.sampled_from(ROSTER_KINDS), min_size=n, max_size=n)),
+        seed=draw(st.integers(0, 2**16), label="seed"),
+        dist=draw(st.sampled_from(BLOCK_PRIORS[:2]), label="prior"),
+        reset_round=reset,
+    )
+    substitutes = draw(
+        st.dictionaries(st.integers(0, n - 1), st.sampled_from((IntBidder, Float64Bidder))),
+        label="substitutes",
+    )
+    return config, substitutes
+
+
+@pytest.mark.filterwarnings("ignore:mechanism reset at round")  # ETC explores past it
+@pytest.mark.filterwarnings("ignore:no mechanism reset")  # ETC explores unforgiven
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(profile_runs())
+@example(PROFILE_EXAMPLES[0])
+@example(PROFILE_EXAMPLES[1])
+@example(PROFILE_EXAMPLES[2])
+def test_external_regret_profile_matches_the_per_round_loop(run):
+    config, substitutes = run
+    traj = run_simulation(config, substitutes=substitutes)
+    family = default_expert_family(config.distribution, levels=2)
+    for agent in range(config.params.n):
+        profile = external_regret_profile(traj, agent, family)
+        assert np.array_equal(profile, reference_profile(traj, agent, family))
+
+
+def test_profile_examples_cover_the_edge_cases():
+    alone, idle, crossing = (run_simulation(c, substitutes=s) for c, s in PROFILE_EXAMPLES)
+    family = default_expert_family(Uniform(0.0, 1.0), levels=2)
+    assert any(o.bids for o in alone.rounds)
+    assert not any(o.bids for o in idle.rounds)
+    for agent in range(3):
+        assert np.array_equal(external_regret_profile(idle, agent, family), np.zeros(len(family)))
+    thresholds = {e.config.index: e.config.uncleared_threshold for e in crossing.epochs}
+    assert any(
+        o.phase == "good" and 0 in o.bids
+        and o.uncleared_before < thresholds[o.epoch] <= o.uncleared
+        for o in crossing.rounds
+    )
+    assert any(type(o.bids.get(0)) is int for o in crossing.rounds)
+
+
+@pytest.mark.parametrize("agent", [-1, 2, 5, True, 0.0])
+def test_external_regret_rejects_a_buyer_outside_the_roster(agent):
+    traj = run_simulation(make_config(n=2, horizon=200))
+    for estimate in (external_regret_profile, estimate_external_regret):
+        with pytest.raises(ConfigError, match=rf"buyer index {agent!r} is outside 0\.\.1 \(n=2\)"):
+            estimate(traj, agent, GOOD_ONLY_FAMILY)
+
+
+@pytest.mark.parametrize("agent", [-1, 2, 5, True, 0.0])
+def test_policy_regret_rejects_a_buyer_outside_the_roster(agent):
+    agents = [{"kind": "good-strategy"}, {"kind": "myopic", "good_mode": "zero"}]
+    cfg = make_config(n=2, horizon=200, agents=agents)
+    base = run_simulation(cfg, record="light")
+    for kwargs in ({}, {"base": base}):
+        with pytest.raises(ConfigError, match=rf"buyer index {agent!r} is outside 0\.\.1 \(n=2\)"):
+            estimate_policy_regret(cfg, agent, GOOD_ONLY_FAMILY, **kwargs)
