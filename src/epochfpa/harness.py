@@ -229,8 +229,10 @@ def run_simulation(
     A light-mode run settles the rounds whose participants all declare
     themselves ``stationary`` in blocks: their ``bids`` give the bids of the
     coming rounds, and ``Mechanism.run_block`` settles them up to the next
-    event, which runs round by round like every round of a full-mode run.
-    Stationary agents are not shown the rounds of a block.  Both modes give
+    event, which runs round by round like every round of a full-mode run.  A
+    round whose only event is a rest ends its block inside it, and the next
+    block starts from the round after it.  Stationary agents are not shown
+    the rounds of a block.  Both modes give
     the same epochs, utilities and states, bit for bit.
 
     ``values`` supplies the (T, n) valuation block instead of drawing it.  It
@@ -289,7 +291,7 @@ def run_simulation(
                     utilities, wins, epoch_utils,
                 )
                 t += settled
-                if settled == k:
+                if settled == k or mech.participants() != participants:
                     continue
                 # round t holds an event: it runs as a round of its own
         view = mech.view()
@@ -354,23 +356,31 @@ def _settle_block(
     every participant's ``bids``, settle them with ``Mechanism.run_block``
     and credit the winners; returns the rounds settled."""
     view = mech.view()
-    block = np.empty((len(values), len(participants)))
+    ids = np.array(participants)
+    values = values[:, ids]
+    block = np.empty(values.shape)
     for j, i in enumerate(participants):
-        block[:, j] = agents[i].bids(view, values[:, i])
+        block[:, j] = agents[i].bids(view, values[:, j])
     settled, winners, payments = mech.run_block(block, ties)
+    if not settled:
+        return 0
     epoch = view.config.index
     while len(epoch_utils) <= epoch:
         epoch_utils.append([0.0] * len(utilities))
     epoch_row = epoch_utils[epoch]
-    # in round order, as the round loop adds them
-    for vrow, winner, payment in zip(
-        values[:settled].tolist(), winners.tolist(), payments.tolist()
+    won = winners[:, None] == ids
+    # row 0 holds each participant's running totals, of the run and of the
+    # epoch: one cumsum down the rows then adds its gains in round order, as
+    # the round loop does (a round it did not win adds 0.0)
+    sums = np.empty((settled + 1, 2, len(ids)))
+    sums[0] = [[utilities[i] for i in participants], [epoch_row[i] for i in participants]]
+    sums[1:] = np.where(won, values[:settled] - payments[:, None], 0.0)[:, None]
+    totals, epoch_totals = sums.cumsum(axis=0)[-1].tolist()
+    for i, total, epoch_total, count in zip(
+        participants, totals, epoch_totals, won.sum(axis=0).tolist()
     ):
-        if winner >= 0:
-            gain = vrow[winner] - payment
-            utilities[winner] += gain
-            wins[winner] += 1
-            epoch_row[winner] += gain
+        utilities[i], epoch_row[i] = total, epoch_total
+        wins[i] += count
     return settled
 
 

@@ -17,6 +17,7 @@ a winner; it is fixed purely for determinism.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Optional
@@ -87,6 +88,8 @@ class MechanismParams:
             raise MechanismError("horizon must be nonnegative")
         for name in ("epsilon", "delta", "rho"):
             x = getattr(self, name)
+            if not isinstance(x, numbers.Real):
+                raise MechanismError(f"{name} must be a number, got {x!r}")
             if not 0.0 < x < 1.0:
                 raise MechanismError(f"{name} must lie strictly inside (0, 1)")
         if self.enforce_rho_cap and self.rho > self.rho_cap + 1e-15:
@@ -260,11 +263,13 @@ class Mechanism:
     ``advance()`` calls would.  Such rounds read no bid and no tie draw.
 
     ``run_block(bids, ties)`` settles the bids of the coming rounds, given as
-    one array, in numpy.  It stops before the first round holding an event
-    (an invalid bid, a transition, the threshold crossing, the end of the
-    phase or the reset), which is left to ``run_round``, and leaves the
-    mechanism as the cycles of the rounds it settled would.  It keeps no
-    outcome; ``block_room()`` bounds the rounds it can settle.
+    one array, in numpy.  A round whose only event is a rest ends the block
+    and is settled with it, the winner rested from the next round on.  The
+    block stops before the first round holding any other event (an invalid
+    bid, a punishment, the threshold crossing, the end of the phase or the
+    reset), which is left to ``run_round``.  It leaves the mechanism as the
+    cycles of the rounds it settled would, keeps no outcome, and
+    ``block_room()`` bounds the rounds it can settle.
 
     ``states`` is the mutable per-buyer list; ``view()``, ``participants()``
     and each outcome's ``states_before`` read a snapshot of it that
@@ -461,11 +466,12 @@ class Mechanism:
         ``ties[r]`` is that round's tie draw.  The block stops before the
         first row with an event: a bid that is not a finite number >= 0, the
         threshold crossing, a bid below the reserve once the threshold is
-        reached, a winner reaching the rest quota, or a row past
-        ``block_room()``.  Returns the ``k`` rows settled, each one's winner
-        (-1 if uncleared) and payment.  The state afterwards is that of ``k``
-        ``run_round`` plus ``advance()`` calls; revenue is added in round
-        order.
+        reached, or a row past ``block_room()``.  A row whose winner reaches
+        the rest quota, with none of these, is settled as the last row, and
+        its winner is rested.  Returns the ``k`` rows settled, each one's
+        winner (-1 if uncleared) and payment.  The state afterwards is that
+        of ``k`` ``run_round`` plus ``advance()`` calls; revenue is added in
+        round order.
         """
         ids = self.participants()
         k = min(len(bids), self.block_room())
@@ -475,34 +481,43 @@ class Mechanism:
         cfg = self._config
         good = self._phase == GOOD_PHASE
         reserve = cfg.good_reserve if good else cfg.bad_reserve
-        best = bids.max(axis=1)
+        best, col = bids.max(axis=1), bids.argmax(axis=1)  # the first top bid
+        low = bids.min()
+        # a NaN reaches both; the round of an invalid bid is left to run_round
+        valid = low >= 0.0 and best.max() < math.inf
+        stop = k if valid else int((~((bids >= 0.0) & (bids < math.inf)).all(axis=1)).argmax())
+        if len(ids) > 1:
+            top = bids == best[:, None]
+            if not valid or top.sum() > k:  # some row has a tie
+                # tied[int(tie * len(tied))] over the tied ids, in participant order
+                pick = (ties * top.sum(axis=1)).astype(int)
+                col = (top.cumsum(axis=1) > pick[:, None]).argmax(axis=1)
         cleared = best >= reserve
-        top = bids == best[:, None]
-        # tied[int(tie * len(tied))] over the tied ids, in participant order
-        pick = (ties * top.sum(axis=1)).astype(int)
-        col = (top.cumsum(axis=1) > pick[:, None]).argmax(axis=1)
-        # the round of an invalid bid is left to run_round, which rejects it
-        event = ~((bids >= 0.0) & (bids < math.inf)).all(axis=1)
+        rest = k  # the first row that rests its winner
         if good:
-            won = cleared[:, None] & (col[:, None] == np.arange(len(ids)))
-            quota = [self._rest_threshold - self.allocations[i] for i in ids]
-            event |= (won & (won.cumsum(axis=0) >= quota)).any(axis=1)
-            threshold = cfg.uncleared_threshold
-            if self.uncleared >= threshold:
-                event |= (bids < reserve).any(axis=1)
-            else:
-                event |= np.cumsum(~cleared) >= threshold - self.uncleared
-        if event.any():
-            k = int(event.argmax())
-        cleared = cleared[:k]
+            need = cfg.uncleared_threshold - self.uncleared
+            if need > 0 and k - np.count_nonzero(cleared) >= need:
+                stop = min(stop, int(np.flatnonzero(~cleared)[need - 1]))
+            elif need <= 0 and not low >= reserve:
+                below = (bids[:stop] < reserve).any(axis=1)
+                stop = int(below.argmax()) if below.any() else stop
+            wins = np.bincount(col[cleared], minlength=len(ids)).tolist()
+            for j, i in enumerate(ids):
+                quota = self._rest_threshold - self.allocations[i]
+                if wins[j] >= quota:
+                    rest = min(rest, int(np.flatnonzero(cleared & (col == j))[quota - 1]))
+        k = rest + 1 if rest < stop else stop
+        cleared, col = cleared[:k], col[:k]
         payments = np.where(cleared, best[:k], 0.0)
-        winners = np.where(cleared, np.array(ids)[col[:k]], -1)
+        winners = np.where(cleared, np.array(ids)[col], -1)
         # revenue in round order, as run_round adds it (np.sum adds pairwise)
         revenue = self._good_revenue if good else self._bad_revenue
-        for payment in best[:k][cleared].tolist():
+        for payment in payments.tolist():
             revenue += payment
         if good:
-            for i, count in zip(ids, won[:k].sum(axis=0).tolist()):
+            if k < len(bids):
+                wins = np.bincount(col[cleared], minlength=len(ids)).tolist()
+            for i, count in zip(ids, wins):
                 self.allocations[i] += count
             self.uncleared += k - int(np.count_nonzero(cleared))
             self._good_revenue = revenue
@@ -511,6 +526,11 @@ class Mechanism:
         # no row reaches the end of the phase or the reset
         self.t += k
         self._rounds_left -= k
+        if rest < k:
+            self.states[ids[col[rest]]] = BuyerState.REST
+            self._rests += 1
+            # the rest takes effect from the next round on
+            self._rebuild_rosters(self.t)
         return k, winners, payments
 
     def advance(self) -> None:
@@ -540,9 +560,9 @@ class Mechanism:
     def finish(self) -> None:
         """Count ``state_rounds`` up to the current round and record the final
         partial epoch, if any rounds of it were executed."""
-        self._rebuild_rosters()
         if self.t > self._epoch_start:
             self._close_epoch(completed=False)
+        self._rebuild_rosters()
 
     # -- internals ------------------------------------------------------------
 
@@ -634,7 +654,8 @@ class Mechanism:
                 rests=self._rests,
             )
         )
+        # the snapshot still holds the epoch's states, so the next
+        # _rebuild_rosters counts the epoch's last rounds under them
         for i in range(self.params.n):
             if self.states[i] == BuyerState.REST:
                 self.states[i] = BuyerState.GOOD
-        self._rebuild_rosters()

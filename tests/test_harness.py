@@ -931,8 +931,10 @@ def test_light_mode_settles_most_stationary_rounds_in_blocks(monkeypatch):
     run_block = Mechanism.run_block
 
     def counted(self, bids, ties):
+        # a block that ends on a rest changes the participants: read them first
+        ids = self.participants()
         k, winners, payments = run_block(self, bids, ties)
-        settled.append((self.participants(), k))
+        settled.append((ids, k))
         return k, winners, payments
 
     monkeypatch.setattr(Mechanism, "run_block", counted)

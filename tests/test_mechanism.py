@@ -657,7 +657,8 @@ def test_run_block_settles_exactly_up_to_the_first_event(data):
     """``run_block`` on random float bid blocks against ``run_round`` plus
     ``advance`` row by row: it settles every row before the first one that
     moves a buyer, crosses the threshold, ends the phase or fires the reset,
-    and stops there, with the same winners, payments and books."""
+    and stops there, with the same winners, payments and books.  A row whose
+    only move is a rest is settled too, as the block's last."""
     n = data.draw(st.integers(1, 4), label="n")
     epsilon = data.draw(st.sampled_from([0.3, 0.5, 0.6]), label="epsilon")
     delta = data.draw(st.sampled_from([0.7, 0.8, 0.9]), label="delta")
@@ -706,8 +707,8 @@ def test_run_block_settles_exactly_up_to_the_first_event(data):
 
         k, winners, payments = block.run_block(bids, ties)
         # the reference runs the rows one by one, up to and including the
-        # first with an event
-        books, outcomes, event = [], [], None
+        # first with an event or a rest
+        books, outcomes, event, settled = [], [], None, rows
         for r in range(rows):
             books.append(_books(ref))
             phase, epoch = ref.phase, ref.epoch_index
@@ -716,10 +717,16 @@ def test_run_block_settles_exactly_up_to_the_first_event(data):
             ref.advance()
             outcomes.append(out)
             crossed = phase == GOOD_PHASE and out.uncleared_before < threshold <= out.uncleared
-            if out.transitions or crossed or (ref.phase, ref.epoch_index) != (phase, epoch):
+            if crossed or (ref.phase, ref.epoch_index) != (phase, epoch):
                 event = r
-                break
-        assert k == (rows if event is None else event)
+            elif out.transitions == ((out.winner, BuyerState.GOOD, BuyerState.REST),):
+                settled = r + 1
+            elif not out.transitions:
+                continue
+            else:
+                event = r
+            break
+        assert k == (settled if event is None else event)
         assert winners.tolist() == [-1 if o.winner is None else o.winner for o in outcomes[:k]]
         assert payments.tolist() == [o.payment for o in outcomes[:k]]
         assert _books(block) == (_books(ref) if event is None else books[event])
@@ -732,16 +739,36 @@ def test_run_block_settles_exactly_up_to_the_first_event(data):
     assert _books(block) == _books(ref)
 
 
-def test_run_block_stops_at_a_rest_and_at_an_invalid_bid():
+def test_run_block_ends_at_a_rest_and_stops_at_an_invalid_bid():
     mech = fresh(n=2)
     drain_bad_phase(mech)
     h, reserve = mech.params.rest_threshold, mech.config.good_reserve
-    # buyer 0 wins every round: the round of its h-th win is left to run_round
+    # buyer 0 wins every round: the round of its h-th win rests it and ends the block
     bids = np.array([[reserve, 0.0]] * (h + 5))
+    t = mech.t
     k, winners, payments = mech.run_block(bids, np.zeros(len(bids)))
-    assert k == h - 1 and winners.tolist() == [0] * k and payments.tolist() == [reserve] * k
-    assert mech.allocations == [h - 1, 0] and mech.states[0] == BuyerState.GOOD
+    assert k == h and winners.tolist() == [0] * k and payments.tolist() == [reserve] * k
+    assert mech.allocations == [h, 0] and mech.states[0] == BuyerState.REST
+    assert mech.participants() == (1,) and mech._rests == 1
+    # the rest holds from the round after the h-th win on
+    assert mech.state_rounds[0] == [t + h, 0, 0] and mech.t == t + h
     for bad in (-0.5, math.nan, math.inf):
-        block = np.array([[0.0, reserve], [0.0, reserve], [0.0, bad]])
+        block = np.array([[reserve], [reserve], [bad]])
         assert mech.run_block(block, np.zeros(3))[0] == 2
-    assert mech.allocations == [h - 1, 6]
+    assert mech.allocations == [h, 6]
+
+
+def test_run_block_leaves_a_rest_with_a_punishment_to_run_round():
+    mech = fresh(n=2)
+    drain_bad_phase(mech)
+    h, reserve = mech.params.rest_threshold, mech.config.good_reserve
+    mech.uncleared = mech.config.uncleared_threshold
+    mech.allocations[0] = h - 1
+    # buyer 0 wins its h-th allocation while buyer 1 bids below the reserve
+    assert mech.run_block(np.array([[reserve, 0.0]] * 3), np.zeros(3))[0] == 0
+    assert mech.allocations == [h - 1, 0] and mech.participants() == (0, 1)
+    out = mech.run_round({0: reserve, 1: 0.0})
+    assert out.transitions == (
+        (1, BuyerState.GOOD, BuyerState.BAD),
+        (0, BuyerState.GOOD, BuyerState.REST),
+    )
