@@ -232,8 +232,8 @@ def run_simulation(
     event, which runs round by round like every round of a full-mode run.  A
     round whose only event is a rest ends its block inside it, and the next
     block starts from the round after it.  Stationary agents are not shown
-    the rounds of a block.  Both modes give
-    the same epochs, utilities and states, bit for bit.
+    the rounds of a block.  Both modes give the same epochs, utilities and
+    states, bit for bit.
 
     ``values`` supplies the (T, n) valuation block instead of drawing it.  It
     must be the block this (config, replication) draws, e.g. the ``values``

@@ -148,6 +148,18 @@ def test_non_integer_run_config_fields_exit_two(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("epsilon", "x"), ("delta", None), ("rho", [0.006])],
+    ids=["string-epsilon", "null-delta", "list-rho"],
+)
+def test_non_number_mechanism_rates_exit_two(tmp_path, capsys, key, value):
+    path = one_buyer_config(tmp_path, **{key: value})
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be a number, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("step", [0, -0.25, float("nan")], ids=["zero", "negative", "nan"])
 def test_exp3_bad_grid_step_exits_two(tmp_path, capsys, step):
     path = one_buyer_config(tmp_path, agents=[{"kind": "exp3", "grid_step": step}])

@@ -19,7 +19,7 @@ from epochfpa.agents import (
     ValueGrid,
     default_expert_family,
 )
-from epochfpa.distributions import FiniteSupport, Uniform
+from epochfpa.distributions import FiniteSupport, InverseCdf, Uniform
 from epochfpa.harness import (
     ConfigError,
     RunConfig,
@@ -860,6 +860,8 @@ BLOCK_PRIORS = (
     FiniteSupport(((0.0, 0.25), (0.5, 0.25), (1.0, 0.5))),
 )
 
+MIXED_PRIORS = BLOCK_PRIORS + (InverseCdf(_sqrt_icdf, label="sqrt"),)
+
 
 def assert_same_accounts(light, full):
     assert light.epochs == full.epochs
@@ -910,6 +912,53 @@ def test_light_mode_blocks_match_the_per_round_path(run):
     config, substitutes = run
     light = run_simulation(config, record="light", substitutes=substitutes)
     full = run_simulation(config, record="full", substitutes=substitutes)
+    assert_same_accounts(light, full)
+
+
+LEARNER_KINDS = (
+    {"kind": "exp3", "levels": 2},
+    {"kind": "etc", "levels": 1},
+    {"kind": "myopic", "good_mode": "empirical"},
+)
+
+
+@st.composite
+def mixed_runs(draw):
+    """A roster of stationary buyers and at least one learner, so that only
+    the phases or stretches the learners sit out run in blocks."""
+    n = draw(st.integers(2, 5), label="n")
+    eps = draw(st.sampled_from((0.2, 0.3, 0.4)), label="epsilon")
+    delta = draw(st.sampled_from((0.3, 0.5, 0.7)), label="delta")
+    cap = min(eps * (1 - eps) ** 4, eps * (1 - eps) * (1 - delta) / (1 + eps)) / 12
+    horizon = draw(st.integers(1, 2500), label="horizon")
+    learners = draw(st.lists(st.sampled_from(LEARNER_KINDS), min_size=1, max_size=n - 1))
+    others = n - len(learners)
+    steady = draw(st.lists(st.sampled_from(STATIONARY_KINDS), min_size=others, max_size=others))
+    return RunConfig(
+        params=MechanismParams(
+            n=n,
+            horizon=horizon,
+            epsilon=eps,
+            delta=delta,
+            rho=draw(st.floats(0.2, 0.99), label="rho share") * cap,
+            reset_round=draw(st.one_of(st.none(), st.integers(0, horizon)), label="reset_round"),
+        ),
+        distribution=draw(st.sampled_from(MIXED_PRIORS), label="prior"),
+        agents=draw(st.permutations(learners + steady), label="roster"),
+        seed=draw(st.integers(0, 2**16), label="seed"),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:mechanism reset at round")  # ETC explores past it
+@pytest.mark.filterwarnings("ignore:no mechanism reset")  # ETC explores unforgiven
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(mixed_runs())
+def test_light_mode_blocks_match_beside_learners(config):
+    """Blocks of the stationary buyers, rests inside them included, leave
+    the same accounts as full mode when exp3, etc or empirical myopic buyers
+    share the roster."""
+    light = run_simulation(config, record="light")
+    full = run_simulation(config, record="full")
     assert_same_accounts(light, full)
 
 

@@ -58,6 +58,10 @@ def test_params_validation():
         MechanismParams(n=2, horizon=10, epsilon=0.3, delta=0.3, rho=0.5)
     with pytest.raises(MechanismError):
         make_params(horizon=-1)
+    with pytest.raises(MechanismError, match="epsilon must be a number, got 'x'"):
+        MechanismParams(n=2, horizon=10, epsilon="x", delta=0.3, rho=0.005)
+    with pytest.raises(MechanismError, match="rho must be a number, got None"):
+        make_params(rho=None)
 
 
 def test_rest_threshold_values():
@@ -756,6 +760,16 @@ def test_run_block_ends_at_a_rest_and_stops_at_an_invalid_bid():
         block = np.array([[reserve], [reserve], [bad]])
         assert mech.run_block(block, np.zeros(3))[0] == 2
     assert mech.allocations == [h, 6]
+
+
+def test_run_block_breaks_ties_before_an_invalid_bid():
+    mech = fresh(n=2)
+    drain_bad_phase(mech)
+    reserve = mech.config.good_reserve
+    # a NaN row has no top bid, which must not hide the tie of the row before it
+    bids = np.array([[reserve, reserve], [math.nan, reserve]])
+    k, winners, _ = mech.run_block(bids, np.array([0.9, 0.0]))
+    assert k == 1 and winners.tolist() == [1]
 
 
 def test_run_block_leaves_a_rest_with_a_punishment_to_run_round():
