@@ -350,7 +350,6 @@ class MyersonAuction:
     reserve: float
     revenue: float
     win_prob: float
-    method: str
 
 
 def _second_highest_tail(F: float, n: int) -> float:
@@ -390,7 +389,7 @@ def myerson_detail(dist: ValueDistribution, n: int) -> MyersonAuction:
     reserve optimized numerically.  ``n = 0`` is the empty auction.
     """
     if n == 0:
-        return MyersonAuction(0, 0.0, 0.0, 0.0, "empty")
+        return MyersonAuction(0, 0.0, 0.0, 0.0)
     n = _check_count(n)
     if isinstance(dist, FiniteSupport):
         best_r, best_rev = None, -1.0
@@ -400,7 +399,7 @@ def myerson_detail(dist: ValueDistribution, n: int) -> MyersonAuction:
             if rev > best_rev and not math.isclose(rev, best_rev, rel_tol=1e-12):
                 best_r, best_rev = float(r), rev
         theta = (1.0 - dist.cdf_below(best_r) ** n) / n
-        return MyersonAuction(n, best_r, best_rev, theta, "enumeration")
+        return MyersonAuction(n, best_r, best_rev, theta)
     reserve = _maximize(
         lambda r: _spa_revenue_continuous(dist, n, r),
         dist.support_min,
@@ -409,7 +408,7 @@ def myerson_detail(dist: ValueDistribution, n: int) -> MyersonAuction:
     )
     revenue = _spa_revenue_continuous(dist, n, reserve)
     theta = (1.0 - dist.cdf(reserve) ** n) / n
-    return MyersonAuction(n, reserve, revenue, theta, "integration")
+    return MyersonAuction(n, reserve, revenue, theta)
 
 
 def myerson_revenue(dist: ValueDistribution, n: int) -> float:

@@ -275,26 +275,26 @@ def run_simulation(
     blocks = rounds is None
     unsteady = frozenset(i for i, agent in enumerate(agents) if not agent.stationary)
 
-    t = 0
-    while t < horizon:
+    while mech.t < horizon:
         participants = mech.participants()
         if not participants:
             # the phase stays empty until it ends or the reset fires, and no
             # agent, value or tie is read meanwhile: one mechanism step
-            t += mech.run_idle(horizon - t, rounds)
+            mech.run_idle(rounds)
             continue
         if blocks and unsteady.isdisjoint(participants):
+            t = mech.t
             k = min(horizon - t, mech.block_room(), _BLOCK_ROUNDS)
             if k >= _MIN_BLOCK_ROUNDS:
                 settled = _settle_block(
                     mech, agents, participants, values[t : t + k], tie_draws[t : t + k],
                     utilities, wins, epoch_utils,
                 )
-                t += settled
                 if settled == k or mech.participants() != participants:
                     continue
-                # round t holds an event: it runs as a round of its own
+                # the next round holds an event: it runs as a round of its own
         view = mech.view()
+        t = view.t
         vrow = values[t].tolist()
         try:
             bids = {i: bidders[i](view, vrow[i]) for i in participants}
@@ -318,8 +318,6 @@ def run_simulation(
                 observe(view, vrow[i], gain if i == winner else 0.0, bids, winner)
         if rounds is not None:
             rounds.append(outcome)
-        mech.advance()
-        t += 1
 
     final_states = tuple(mech.states)
     mech.finish()
@@ -490,18 +488,12 @@ def revenue_upper_bound(dist: ValueDistribution, n_soph: int, n_naive: int) -> f
     return tail + opt
 
 
-def revenue_slack(
-    params: MechanismParams,
-    dist: ValueDistribution,
-    rounds: int,
-    extra_epochs: int = 0,
-) -> float:
-    """Finite-horizon slack: one discounted epoch per buyer that can turn bad,
-    plus one per epoch containing flagged learner behavior."""
+def revenue_slack(params: MechanismParams, dist: ValueDistribution, rounds: int) -> float:
+    """Finite-horizon slack: one discounted epoch per buyer that can turn bad."""
     if rounds <= 0:
         return 0.0
     max_good_reserve = (1.0 - params.epsilon) * upper_tail_mean(dist, params.n)
-    return (params.n + extra_epochs) * params.max_epoch_length * max_good_reserve / rounds
+    return params.n * params.max_epoch_length * max_good_reserve / rounds
 
 
 def classify_roster(config: RunConfig) -> tuple[int, int]:

@@ -82,6 +82,14 @@ class MechanismParams:
     enforce_rho_cap: bool = True
 
     def __post_init__(self):
+        for name in ("n", "horizon", "reset_round"):
+            x = getattr(self, name)
+            if x is None and name == "reset_round":
+                continue
+            # a bool is an int, but True is no count
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise MechanismError(f"{name} must be an integer, got {x!r}")
+            object.__setattr__(self, name, int(x))
         if self.n < 1:
             raise MechanismError("need at least one buyer")
         if self.horizon < 0:
@@ -250,26 +258,24 @@ class EpochRecord:
 class Mechanism:
     """Mutable state machine running the epoch schedule round by round.
 
-    The caller drives it: collect bids from ``participants()``, call
-    ``run_round``, then ``advance``.  ``run_round`` is the one round body for
-    both phases.  Tie-breaking consumes exactly one uniform draw per round,
-    supplied by the caller, so replays under common random numbers stay
-    aligned.
+    The caller drives it: collect bids from ``participants()`` and pass them
+    to ``run_round``, the one round body for both phases, which settles the
+    round and moves on to the next.  Tie-breaking consumes exactly one
+    uniform draw per round, supplied by the caller, so replays under common
+    random numbers stay aligned.
 
-    When ``participants()`` is empty, ``run_idle(limit)`` may stand in for
-    that cycle: it runs up to ``limit`` participant-less rounds at once, to
-    the end of the phase or to the pending reset, whichever comes first, and
-    leaves the mechanism exactly as that many ``run_round({})`` plus
-    ``advance()`` calls would.  Such rounds read no bid and no tie draw.
-
-    ``run_block(bids, ties)`` settles the bids of the coming rounds, given as
-    one array, in numpy.  A round whose only event is a rest ends the block
-    and is settled with it, the winner rested from the next round on.  The
-    block stops before the first round holding any other event (an invalid
-    bid, a punishment, the threshold crossing, the end of the phase or the
-    reset), which is left to ``run_round``.  It leaves the mechanism as the
-    cycles of the rounds it settled would, keeps no outcome, and
-    ``block_room()`` bounds the rounds it can settle.
+    When ``participants()`` is empty, ``run_idle()`` runs the rounds up to
+    the end of the phase, the pending reset or the horizon at once; they read
+    no bid and no tie draw.  ``run_block(bids, ties)`` settles the bids of
+    the coming rounds, given as one array, in numpy.  A round whose only
+    event is a rest ends the block and is settled with it, the winner rested
+    from the next round on.  The block stops before the first round holding
+    any other event (an invalid bid, a punishment, the threshold crossing,
+    the end of the phase or the reset), which is left to ``run_round``.  It
+    keeps no outcome, and ``block_room()`` bounds the rounds it can settle.
+    Both leave the mechanism exactly as the ``run_round`` calls of their
+    rounds would.  All three end with ``advance(rounds)``, the only code that
+    moves ``t`` and books a phase end, an epoch end or the reset.
 
     ``states`` is the mutable per-buyer list; ``view()``, ``participants()``
     and each outcome's ``states_before`` read a snapshot of it that
@@ -378,7 +384,7 @@ class Mechanism:
         elif winner is not None:
             self._bad_revenue += payment
         # positional, in field order: keywords would double the cost
-        return RoundOutcome(
+        outcome = RoundOutcome(
             self.t,
             self._phase,
             cfg.index,
@@ -393,22 +399,23 @@ class Mechanism:
             tuple(self.allocations),
             states_before,
         )
+        self.advance()
+        return outcome
 
-    def run_idle(self, limit: int, outcomes: Optional[list[RoundOutcome]] = None) -> int:
-        """Run up to ``limit`` rounds of a phase that has no participants.
+    def run_idle(self, outcomes: Optional[list[RoundOutcome]] = None) -> int:
+        """Run the rounds of a phase that has no participants.
 
-        Stops at the end of the phase or at the pending reset, whichever
-        comes first, and returns the number of rounds run: 0 if the phase
-        has participants or ``limit < 1``, otherwise at least 1.  The state
-        afterwards, and the outcomes appended to ``outcomes`` if given, are
-        those of as many ``run_round({})`` plus ``advance()`` calls.
+        Stops at the end of the phase, at the pending reset or at the
+        horizon, whichever comes first, and returns the number of rounds
+        run: 0 if the phase has participants or the horizon is reached,
+        otherwise at least 1.  The state afterwards, and the outcomes
+        appended to ``outcomes`` if given, are those of as many
+        ``run_round({})`` calls.
         """
-        if limit < 1 or self.participants():
+        if self.t >= self.params.horizon or self.participants():
             return 0
-        k = min(limit, max(1, self._rounds_left))
-        reset = self.params.reset_round
-        if reset is not None and not self._reset_done:
-            k = min(k, max(1, reset - self.t))
+        # up to and including the round that ends the phase or fires the reset
+        k = min(self.params.horizon - self.t, max(1, self.block_room() + 1))
         t0, before = self.t, self.uncleared
         good = self._phase == GOOD_PHASE
         step = 1 if good else 0  # an empty good auction is uncleared
@@ -440,11 +447,7 @@ class Mechanism:
                 self._threshold_round = t0 + crossing
                 self._good_at_threshold = self._good_ids
         self._idle_rounds += k
-        # k stops short of every phase end and of the reset, so the first
-        # k - 1 advances only count rounds; the last one is a real advance
-        self.t += k - 1
-        self._rounds_left -= k - 1
-        self.advance()
+        self.advance(k)
         return k
 
     def block_room(self) -> int:
@@ -465,26 +468,26 @@ class Mechanism:
         ``participants()``, in that order, in round ``t + r``, and
         ``ties[r]`` is that round's tie draw.  The block stops before the
         first row with an event: a bid that is not a finite number >= 0, the
-        threshold crossing, a bid below the reserve once the threshold is
-        reached, or a row past ``block_room()``.  A row whose winner reaches
+        threshold crossing, or a row past ``block_room()``.  Once the
+        threshold is reached it settles nothing.  A row whose winner reaches
         the rest quota, with none of these, is settled as the last row, and
         its winner is rested.  Returns the ``k`` rows settled, each one's
         winner (-1 if uncleared) and payment.  The state afterwards is that
-        of ``k`` ``run_round`` plus ``advance()`` calls; revenue is added in
-        round order.
+        of ``k`` ``run_round`` calls; revenue is added in round order.
         """
         ids = self.participants()
         k = min(len(bids), self.block_room())
-        if k < 1 or not ids:
-            return 0, np.empty(0, dtype=int), np.empty(0)
-        bids, ties = bids[:k], ties[:k]
         cfg = self._config
         good = self._phase == GOOD_PHASE
+        # no run has a good bidder past the threshold, since the crossing
+        # round is uncleared and so punishes every bidder in it
+        if k < 1 or not ids or good and self.uncleared >= cfg.uncleared_threshold:
+            return 0, np.empty(0, dtype=int), np.empty(0)
+        bids, ties = bids[:k], ties[:k]
         reserve = cfg.good_reserve if good else cfg.bad_reserve
         best, col = bids.max(axis=1), bids.argmax(axis=1)  # the first top bid
-        low = bids.min()
         # a NaN reaches both; the round of an invalid bid is left to run_round
-        valid = low >= 0.0 and best.max() < math.inf
+        valid = bids.min() >= 0.0 and best.max() < math.inf
         stop = k if valid else int((~((bids >= 0.0) & (bids < math.inf)).all(axis=1)).argmax())
         if len(ids) > 1:
             top = bids == best[:, None]
@@ -496,11 +499,8 @@ class Mechanism:
         rest = k  # the first row that rests its winner
         if good:
             need = cfg.uncleared_threshold - self.uncleared
-            if need > 0 and k - np.count_nonzero(cleared) >= need:
+            if k - np.count_nonzero(cleared) >= need:
                 stop = min(stop, int(np.flatnonzero(~cleared)[need - 1]))
-            elif need <= 0 and not low >= reserve:
-                below = (bids[:stop] < reserve).any(axis=1)
-                stop = int(below.argmax()) if below.any() else stop
             wins = np.bincount(col[cleared], minlength=len(ids)).tolist()
             for j, i in enumerate(ids):
                 quota = self._rest_threshold - self.allocations[i]
@@ -523,19 +523,21 @@ class Mechanism:
             self._good_revenue = revenue
         else:
             self._bad_revenue = revenue
-        # no row reaches the end of the phase or the reset
-        self.t += k
-        self._rounds_left -= k
         if rest < k:
             self.states[ids[col[rest]]] = BuyerState.REST
             self._rests += 1
             # the rest takes effect from the next round on
-            self._rebuild_rosters(self.t)
+            self._rebuild_rosters(self.t + k)
+        # no row reaches the end of the phase or the reset
+        self.advance(k)
         return k, winners, payments
 
-    def advance(self) -> None:
-        """Book-keep the end of a round: phase switches, epoch ends, the reset."""
-        self.t += 1
+    def advance(self, rounds: int = 1) -> None:
+        """Move on past ``rounds`` settled rounds and book what ends with the
+        last of them: a phase switch, an epoch end or the reset.  Only
+        ``run_round``, ``run_idle`` and ``run_block`` call it, and none of
+        their rounds but the last can end the phase or fire the reset."""
+        self.t += rounds
         params = self.params
         if (
             params.reset_round is not None
@@ -547,7 +549,7 @@ class Mechanism:
             self.states = [BuyerState.GOOD] * params.n
             self._start_epoch()
             return
-        self._rounds_left -= 1
+        self._rounds_left -= rounds
         if self._rounds_left > 0:
             return
         if self._phase == BAD_PHASE:

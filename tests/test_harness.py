@@ -503,7 +503,6 @@ def test_revenue_slack_formula():
     dist = Uniform(0.0, 1.0)
     expect = 6 * params.max_epoch_length * (0.7 * 11 / 12) / 1000
     assert revenue_slack(params, dist, 1000) == pytest.approx(expect)
-    assert revenue_slack(params, dist, 1000, extra_epochs=6) == pytest.approx(2 * expect)
 
 
 def test_classify_roster():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -43,7 +44,6 @@ def good_round(mech, bids, tie=0.0):
 def drain_bad_phase(mech):
     while mech.phase == BAD_PHASE:
         bad_round(mech, {i: 0.0 for i in mech.participants()})
-        mech.advance()
 
 
 # -- parameters ----------------------------------------------------------------
@@ -58,6 +58,20 @@ def test_params_validation():
         MechanismParams(n=2, horizon=10, epsilon=0.3, delta=0.3, rho=0.5)
     with pytest.raises(MechanismError):
         make_params(horizon=-1)
+    # counts are integers: bools and floats such as 10.0 are refused
+    for field, value in (
+        ("horizon", "x"),
+        ("horizon", None),
+        ("horizon", 10.0),
+        ("reset_round", "5"),
+        ("n", 2.5),
+        ("n", True),
+    ):
+        with pytest.raises(MechanismError, match=f"^{field} must be an integer"):
+            make_params(**{field: value})
+    params = make_params(n=np.int64(4), horizon=np.int32(10), reset_round=np.int64(5))
+    assert (params.n, params.horizon, params.reset_round) == (4, 10, 5)
+    assert all(type(x) is int for x in (params.n, params.horizon, params.reset_round))
     with pytest.raises(MechanismError, match="epsilon must be a number, got 'x'"):
         MechanismParams(n=2, horizon=10, epsilon="x", delta=0.3, rho=0.005)
     with pytest.raises(MechanismError, match="rho must be a number, got None"):
@@ -272,7 +286,6 @@ def test_empty_good_roster_rounds_are_uncleared_noops():
     drain_bad_phase_bids = {i: 0.0 for i in mech.participants()}
     while mech.phase == BAD_PHASE:
         bad_round(mech, drain_bad_phase_bids)
-        mech.advance()
     out = good_round(mech, {})
     assert not out.cleared and out.uncleared == 1
 
@@ -286,7 +299,6 @@ def test_phase_switch_after_bad_rounds():
     for _ in range(cfg.bad_rounds):
         assert mech.phase == BAD_PHASE
         bad_round(mech, {})
-        mech.advance()
     assert mech.phase == GOOD_PHASE
 
 
@@ -300,7 +312,6 @@ def test_epoch_end_returns_rested_and_keeps_bad():
     while mech.epoch_index == 0:
         bids = {i: 0.0 for i in mech.participants()}
         mech.run_round(bids)
-        mech.advance()
     assert mech.states[0] == BuyerState.GOOD
     assert mech.states[1] == BuyerState.BAD
     # buyers 2 and 3 bid zero all epoch, so the threshold rule caught them
@@ -317,7 +328,6 @@ def test_reset_round_restores_everyone_once():
     mech._rebuild_rosters()
     for _ in range(3):
         mech.run_round({i: 0.0 for i in mech.participants()})
-        mech.advance()
     assert mech.states[1] == BuyerState.GOOD
     assert mech.epoch_records[0].reset and not mech.epoch_records[0].completed
     assert mech.epoch_index == 1
@@ -326,7 +336,6 @@ def test_reset_round_restores_everyone_once():
 def test_finish_records_partial_epoch():
     mech = fresh(n=2)
     bad_round(mech, {})
-    mech.advance()
     mech.finish()
     assert len(mech.epoch_records) == 1
     assert not mech.epoch_records[0].completed
@@ -340,9 +349,7 @@ def test_instance_attribute_budget():
     assert len(vars(mech)) <= 28
     while mech.epoch_index < 1:
         mech.run_round({i: 0.0 for i in mech.participants()})
-        mech.advance()
     mech.run_round({i: 0.0 for i in mech.participants()})
-    mech.advance()
     assert len(vars(mech)) <= 28
 
 
@@ -355,7 +362,6 @@ def test_allocations_never_exceed_quota():
     while mech.states[0] == BuyerState.GOOD and mech.phase == GOOD_PHASE:
         bids = {i: (r_g if i == 0 else 0.0) for i in mech.participants()}
         good_round(mech, bids)
-        mech.advance()
     assert mech.allocations[0] == h
 
 
@@ -392,7 +398,7 @@ def _bid(rng, mode, reserve):
 
 class _Scenario:
     """Two mechanisms on one bid stream: ``idle`` fast-forwards empty phases
-    with ``run_idle``, ``ref`` runs them as ``run_round({})`` + ``advance()``."""
+    with ``run_idle``, ``ref`` runs them as ``run_round({})`` calls."""
 
     def __init__(self, params, modes, start_bad, force_t, rest_mask, seed):
         self.modes, self.force_t, self.rest_mask = modes, force_t, rest_mask
@@ -426,7 +432,6 @@ class _Scenario:
         out = []
         for mech in (self.idle, self.ref):
             out.append(mech.run_round(bids, tie))
-            mech.advance()
         return out
 
 
@@ -445,7 +450,6 @@ def _idle_stretches(params, modes, start_bad, force_t, rest_mask, seed):
             start = mech.t if start is None else start
             for m in (sc.idle, sc.ref):
                 m.run_round({})
-                m.advance()
     if start is not None:
         stretches.append((start, params.horizon))
     return stretches
@@ -488,31 +492,33 @@ def test_run_idle_matches_per_round_reference(data):
     params = MechanismParams(
         n=n, horizon=horizon, epsilon=epsilon, delta=delta, rho=rho, reset_round=reset_round, **kw
     )
-    limit_cap = data.draw(st.one_of(st.none(), st.integers(1, 40)), label="limit_cap")
-    limit_rng = np.random.default_rng(seed + 1)
+    # and end the run inside an idle stretch of it: the shorter run is a
+    # prefix of the longer one, and its horizon cuts that stretch
+    stretches = _idle_stretches(params, *scenario)
+    if stretches and data.draw(st.booleans(), label="cut"):
+        start, end = stretches[data.draw(st.integers(0, len(stretches) - 1), label="cut stretch")]
+        horizon = data.draw(st.integers(start + 1, end), label="cut horizon")
+        params = dataclasses.replace(params, horizon=horizon)
 
     sc = _Scenario(params, *scenario)
     idle_out, ref_out = [], []
     idle_rounds = 0
     while sc.idle.t < horizon:
         sc.force_empty_good_set()
-        left = horizon - sc.idle.t
         if sc.idle.participants():
-            assert sc.idle.run_idle(left, idle_out) == 0
+            assert sc.idle.run_idle(idle_out) == 0
             a, b = sc.busy_round()
             idle_out.append(a)
             ref_out.append(b)
         else:
-            assert sc.idle.run_idle(0, idle_out) == 0
-            limit = left if limit_cap is None else min(left, int(limit_rng.integers(1, limit_cap + 1)))
-            k = sc.idle.run_idle(limit, idle_out)
-            assert 1 <= k <= limit
+            k = sc.idle.run_idle(idle_out)
+            assert 1 <= k <= horizon - sc.ref.t
             for _ in range(k):
                 assert not sc.ref.participants()
                 ref_out.append(sc.ref.run_round({}))
-                sc.ref.advance()
             idle_rounds += k
         assert _snapshot(sc.idle) == _snapshot(sc.ref)
+    assert sc.idle.t == horizon and sc.idle.run_idle(idle_out) == 0
     for mech in (sc.idle, sc.ref):
         mech.finish()
     assert _snapshot(sc.idle) == _snapshot(sc.ref)
@@ -526,14 +532,18 @@ def test_run_idle_stops_at_the_reset_and_phase_end():
     mech = fresh(n=2, reset_round=5, rho=0.2, enforce_rho_cap=False)
     bad_rounds = mech.config.bad_rounds
     assert bad_rounds > 10 and mech.participants() == ()
-    assert mech.run_idle(0) == 0
-    assert mech.run_idle(100) == 5  # up to the reset
+    assert mech.run_idle() == 5  # up to the reset
     assert mech.epoch_records[-1].reset and mech.epoch_records[-1].idle_rounds == 5
     assert (mech.t, mech.epoch_index, mech.phase) == (5, 1, BAD_PHASE)
-    assert mech.run_idle(3) == 3  # the limit ends it mid-stretch
-    assert mech.run_idle(10**6) == bad_rounds - 3  # up to the phase end
+    assert mech.run_idle() == bad_rounds  # up to the phase end
     assert mech.phase == GOOD_PHASE and mech.t == 5 + bad_rounds
-    assert mech.run_idle(100) == 0  # both buyers are good and bid now
+    assert mech.run_idle() == 0  # both buyers are good and bid now
+    # the horizon ends a stretch mid-phase, and nothing runs past it
+    short = fresh(n=2, horizon=8, reset_round=5, rho=0.2, enforce_rho_cap=False)
+    assert short.run_idle() == 5
+    assert short.run_idle() == 3 and (short.t, short.phase) == (8, BAD_PHASE)
+    assert short.run_idle() == 0 and short.t == 8
+    assert fresh(n=2, horizon=0).run_idle() == 0
 
 
 # -- raw bid streams --------------------------------------------------------------
@@ -558,9 +568,10 @@ def _raw_bid(rng, kind, reserve, shared):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.data())
 def test_raw_bid_streams_keep_the_round_invariants(data):
-    """Bids no agent produces, fed straight to ``participants`` / ``run_round`` /
-    ``advance``: every round settles, moves and counts by the rules, and each
-    epoch's revenue is its payments summed in order."""
+    """Bids no agent produces, fed straight to ``participants`` / ``run_round``:
+    every round settles, moves and counts by the rules, each epoch closes at
+    its length or at the reset, and each epoch's revenue is its payments
+    summed in order."""
     n = data.draw(st.integers(1, 4), label="n")
     epsilon = data.draw(st.sampled_from([0.3, 0.5, 0.6]), label="epsilon")
     delta = data.draw(st.sampled_from([0.7, 0.8, 0.9]), label="delta")
@@ -590,6 +601,7 @@ def test_raw_bid_streams_keep_the_round_invariants(data):
         mech.states[i] = BuyerState.BAD
     mech._rebuild_rosters()
     payments = {}  # (epoch, phase) -> payments in round order
+    epoch_start = 0
 
     for _ in range(horizon):
         ids, phase, cfg = mech.participants(), mech.phase, mech.config
@@ -613,22 +625,30 @@ def test_raw_bid_streams_keep_the_round_invariants(data):
             assert out.payment == 0.0
         moved = list(out.transitions)
         if not good:
-            assert moved == [] and mech.uncleared == uncleared
+            assert moved == [] and out.uncleared == uncleared
         else:
-            assert mech.uncleared == uncleared + (0 if out.cleared else 1)
-            punish = mech.uncleared >= cfg.uncleared_threshold
+            assert out.uncleared == uncleared + (0 if out.cleared else 1)
+            punish = out.uncleared >= cfg.uncleared_threshold
             assert [i for i, _, to in moved if to == BuyerState.BAD] == [
                 i for i in ids if punish and bids[i] < reserve
             ]
-            rested = out.cleared and mech.allocations[out.winner] >= params.rest_threshold
+            rested = out.cleared and out.allocations[out.winner] >= params.rest_threshold
             assert [i for i, _, to in moved if to == BuyerState.REST] == (
                 [out.winner] if rested else []
             )
             assert all(frm == BuyerState.GOOD for _, frm, _ in moved)
         for i, _, to in moved:
             states[i] = to
+        # the epoch closes at its length or at the reset, which fires after
+        # the round at which t reaches reset_round (round 0 for a reset at 0)
+        fired = reset is not None and out.t + 1 == max(reset, 1)
+        closed = fired or out.t + 1 - epoch_start == cfg.length
+        assert mech.epoch_index == out.epoch + closed
+        if closed:
+            epoch_start = out.t + 1
+            # rested buyers return to good, and everyone at the reset
+            states = [BuyerState.GOOD if fired or s == BuyerState.REST else s for s in states]
         assert mech.states == states
-        mech.advance()
 
     mech.finish()
     assert sum(e.end - e.start for e in mech.epoch_records) == horizon
@@ -658,8 +678,8 @@ def _books(mech):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.data())
 def test_run_block_settles_exactly_up_to_the_first_event(data):
-    """``run_block`` on random float bid blocks against ``run_round`` plus
-    ``advance`` row by row: it settles every row before the first one that
+    """``run_block`` on random float bid blocks against ``run_round`` row by
+    row: it settles every row before the first one that
     moves a buyer, crosses the threshold, ends the phase or fires the reset,
     and stops there, with the same winners, payments and books.  A row whose
     only move is a rest is settled too, as the block's last."""
@@ -697,7 +717,6 @@ def test_run_block_settles_exactly_up_to_the_first_event(data):
         if not ids:
             for mech in (block, ref):
                 mech.run_round({})
-                mech.advance()
             continue
         rows = int(rng.integers(1, 60))
         rows = min(rows, horizon - ref.t)
@@ -718,7 +737,6 @@ def test_run_block_settles_exactly_up_to_the_first_event(data):
             phase, epoch = ref.phase, ref.epoch_index
             threshold = ref.config.uncleared_threshold
             out = ref.run_round(dict(zip(ids, bids[r].tolist())), float(ties[r]))
-            ref.advance()
             outcomes.append(out)
             crossed = phase == GOOD_PHASE and out.uncleared_before < threshold <= out.uncleared
             if crossed or (ref.phase, ref.epoch_index) != (phase, epoch):
@@ -736,7 +754,6 @@ def test_run_block_settles_exactly_up_to_the_first_event(data):
         assert _books(block) == (_books(ref) if event is None else books[event])
         if event is not None:
             block.run_round(dict(zip(ids, bids[event].tolist())), float(ties[event]))
-            block.advance()
             assert _books(block) == _books(ref)
     for mech in (block, ref):
         mech.finish()

@@ -1,7 +1,9 @@
-"""The names the benchmark's per-layer spans wrap still exist in the package.
+"""The names the benchmark's per-layer spans wrap still exist in the package,
+and every boundary a workload must exercise still fires.
 
 ``perfbench/spans.py`` wraps functions and agent methods by name; a rename in
-the package would otherwise surface only when the benchmark runs.
+the package, or a call that no longer goes through the wrapped name, would
+otherwise surface only when the benchmark runs.
 """
 
 import importlib
@@ -12,17 +14,18 @@ import pytest
 
 from epochfpa.mechanism import Mechanism
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load(name):
+    """A ``perfbench`` module, loaded by path under a name of its own."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-spans = load_spans()
+spans, run, workloads = load("spans"), load("run"), load("workloads")
 
 
 @pytest.mark.parametrize("home, name", sorted(spans.FUNCTION_SPANS))
@@ -40,3 +43,13 @@ def test_every_wrapped_agent_class_has_a_kind_bid_and_observe(name):
 def test_the_wrapped_mechanism_methods_exist():
     for name in ("view", "participants", "advance", "run_round"):
         assert callable(getattr(Mechanism, name, None))
+
+
+@pytest.mark.parametrize("name", sorted(run.EXERCISED))
+def test_every_exercised_boundary_fires_in_a_tiny_unit(name, tmp_path):
+    cls = workloads.WORKLOADS[name]
+    workload = cls(cls.default_seed, tmp_path, tiny=True)
+    tracer = spans.Tracer()
+    with spans.Installed(tracer):
+        workload.run()
+    assert [key for key in run.EXERCISED[name] if tracer.calls(key) == 0] == []
