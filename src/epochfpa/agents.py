@@ -458,6 +458,13 @@ class MyopicAgent(Agent):
         # window kept sorted so a win rate is one binary search
         self._rival_bids = deque(maxlen=512)
         self._sorted_rivals: list[float] = []
+        # the candidate bids of the last reserve seen, and that reserve
+        self._grid_reserve: Optional[float] = None
+        self._grid: list[float] = []
+
+    def _setup(self) -> None:
+        step = (self.dist.support_max - self.dist.support_min) / 64.0
+        self._step = step if step > 0 else 1.0
 
     def bid(self, view: AgentView, value: float) -> float:
         cfg = view.config
@@ -493,28 +500,44 @@ class MyopicAgent(Agent):
     def _empirical_bid(self, reserve: float, value: float) -> float:
         """The candidate bid maximizing ``(value - b) * P(b > rival)``.
 
-        The win rate of ``b`` is the share of the window strictly below it;
-        the first of several maximizers wins.
+        The candidates are ``np.arange(reserve, value + 1e-12, step)``, a
+        prefix of the grid cached for the reserve.  The win rate of ``b`` is
+        the share of the window strictly below it; the first of several
+        maximizers wins.  Of a run of candidates with the same win count the
+        first has the largest surplus, so only the first of each run is
+        evaluated.
         """
         if value < reserve:
             return 0.0
-        step = (self.dist.support_max - self.dist.support_min) / 64.0
-        candidates = np.arange(reserve, value + 1e-12, step if step > 0 else 1.0).tolist()
-        rivals = self._sorted_rivals
-        size = len(rivals)
+        step, stop = self._step, value + 1e-12
+        size = math.ceil((stop - reserve) / step)  # as np.arange counts them
+        if reserve is not self._grid_reserve or size > len(self._grid):
+            limit = max(stop, self.dist.support_max + 1e-12)
+            self._grid = np.arange(reserve, limit, step).tolist()
+            self._grid_reserve = reserve
+        grid, rivals = self._grid, self._sorted_rivals
+        window = len(rivals)
         best, best_surplus = reserve, -math.inf
-        for b in candidates:
-            surplus = (value - b) * (bisect_left(rivals, b) / size)
+        i = count = 0
+        while i < size:
+            b = grid[i]
+            count = bisect_left(rivals, b, count)
+            surplus = (value - b) * (count / window)
             if surplus > best_surplus:
                 best, best_surplus = b, surplus
+            if count == window:
+                break
+            # the next candidate that beats one more rival bid
+            i = bisect_right(grid, rivals[count], i + 1, size)
         return float(best)
 
     def observe(self, view, value, utility, bids, winner) -> None:
         if self.good_mode != "empirical" or view.phase != "good":
             return
-        rival = max(
-            (b for i, b in bids.items() if i != self.buyer_id), default=None
-        )
+        if winner is not None and winner != self.buyer_id:
+            rival = bids[winner]  # the top bid, so the top rival bid
+        else:
+            rival = max((b for i, b in bids.items() if i != self.buyer_id), default=None)
         if rival is not None:
             window, rivals = self._rival_bids, self._sorted_rivals
             if len(window) == window.maxlen:

@@ -77,7 +77,9 @@ def _cmd_simulate(args) -> int:
     out = Path(target)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for rep, traj in enumerate(run_replications(config, record="full")):
+    # no enumerate: its result tuple would hold the last trajectory too
+    for traj in run_replications(config, record="full"):
+        rep = traj.replication
         write_trajectory(traj, out / f"trajectory_rep{rep:03d}.ndjson")
         write_epoch_csv(traj, out / f"epochs_rep{rep:03d}.csv")
         summary = summarize(traj)
@@ -85,6 +87,8 @@ def _cmd_simulate(args) -> int:
         (out / f"summary_rep{rep:03d}.json").write_text(
             json.dumps(dataclasses.asdict(summary), indent=2, sort_keys=True) + "\n"
         )
+        # the loop variable would hold it while the next replication runs
+        del traj
     rates = [s.revenue_per_round for s in rows]
     mean, se = mean_se(rates)
     with open(out / "runs.csv", "w", newline="") as fh:

@@ -12,9 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_left
+from itertools import chain
+from marshal import dumps
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -175,6 +178,45 @@ class RunConfig:
         return agents
 
 
+class Segment(NamedTuple):
+    """A stretch of recorded rounds sharing phase, epoch and buyer states."""
+
+    start: int
+    phase: str
+    epoch: int
+    participants: tuple[int, ...]
+    states: tuple[BuyerState, ...]
+    uncleared: int  # before the segment's first round
+
+
+@dataclass
+class RoundColumns:
+    """The rounds of a full-mode run, one list entry per round.
+
+    ``bids[t]`` is round ``t``'s bids keyed by its participants in their
+    order (an empty dict in an idle round), ``winners[t]`` its winner or
+    ``None``, ``payments[t]`` the price, ``uncleared[t]`` and
+    ``allocations[t]`` the counts after it.  Phase, epoch, participants and
+    the states before a round are stored once per segment, ``segments[s]``
+    running up to the next one's start, and the rounds that moved a buyer
+    map to their moves in ``transitions``.
+    """
+
+    bids: list[dict] = field(default_factory=list)
+    winners: list[Optional[int]] = field(default_factory=list)
+    payments: list[float] = field(default_factory=list)
+    uncleared: list[int] = field(default_factory=list)
+    allocations: list[tuple[int, ...]] = field(default_factory=list)
+    segments: list[Segment] = field(default_factory=list)
+    transitions: dict[int, tuple] = field(default_factory=dict)
+
+    def segment_ends(self) -> Iterator[tuple[Segment, int]]:
+        """Every segment with the round its successor starts at."""
+        segments = self.segments
+        ends = [s.start for s in segments[1:]] + [len(self.bids)]
+        return zip(segments, ends)
+
+
 @dataclass
 class Trajectory:
     """Complete log of one run, sufficient for seeded counterfactual replay."""
@@ -189,7 +231,30 @@ class Trajectory:
     agent_wins: np.ndarray
     state_rounds: np.ndarray
     epoch_agent_utilities: list[np.ndarray]
-    rounds: Optional[list[RoundOutcome]] = None
+    columns: Optional[RoundColumns] = None
+
+    @property
+    def rounds(self) -> Optional[list[RoundOutcome]]:
+        """Each round's outcome, built from ``columns`` on every access;
+        ``None`` for a light-mode run."""
+        c = self.columns
+        if c is None:
+            return None
+        out = []
+        for seg, end in c.segment_ends():
+            before = seg.uncleared
+            for t in range(seg.start, end):
+                winner, after = c.winners[t], c.uncleared[t]
+                out.append(
+                    RoundOutcome(
+                        t, seg.phase, seg.epoch, seg.participants,
+                        c.bids[t] if seg.participants else {},
+                        winner, c.payments[t], winner is not None,
+                        c.transitions.get(t, ()), before, after, c.allocations[t], seg.states,
+                    )
+                )
+                before = after
+        return out
 
     @property
     def good_rounds(self) -> int:
@@ -221,10 +286,11 @@ def run_simulation(
 ) -> Trajectory:
     """Execute one replication, deterministic given (config, replication).
 
-    ``record="full"`` keeps every round outcome (needed for hindsight-regret
-    replay and trajectory export); ``"light"`` keeps only per-epoch records
-    and aggregate accounting.  ``substitutes`` swaps in freshly built agents
-    for selected buyer slots; all other streams are unaffected.
+    ``record="full"`` keeps every round in ``Trajectory.columns`` (needed
+    for hindsight-regret replay and trajectory export); ``"light"`` keeps
+    only per-epoch records and aggregate accounting.  ``substitutes`` swaps
+    in freshly built agents for selected buyer slots; all other streams are
+    unaffected.
 
     A light-mode run settles the rounds whose participants all declare
     themselves ``stationary`` in blocks: their ``bids`` give the bids of the
@@ -271,8 +337,15 @@ def run_simulation(
     utilities = [0.0] * n
     wins = [0] * n
     epoch_utils: list[list[float]] = []
-    rounds: Optional[list[RoundOutcome]] = [] if record == "full" else None
-    blocks = rounds is None
+    columns = RoundColumns() if record == "full" else None
+    blocks = columns is None
+    if columns is not None:
+        segments, moves = columns.segments, columns.transitions
+        bid_column, winner_column = columns.bids, columns.winners
+        payment_column, uncleared_column = columns.payments, columns.uncleared
+        allocation_column = columns.allocations
+    # the states snapshot and phase of the current segment
+    segment_states = segment_phase = None
     unsteady = frozenset(i for i, agent in enumerate(agents) if not agent.stationary)
 
     while mech.t < horizon:
@@ -280,7 +353,26 @@ def run_simulation(
         if not participants:
             # the phase stays empty until it ends or the reset fires, and no
             # agent, value or tie is read meanwhile: one mechanism step
-            mech.run_idle(rounds)
+            if columns is None:
+                mech.run_idle()
+                continue
+            # a segment of its own, since the rounds before it had bidders
+            # or another phase
+            view = mech.view()
+            segment_states, segment_phase = view.states, view.phase
+            segments.append(
+                Segment(view.t, view.phase, view.config.index, (), view.states, view.uncleared)
+            )
+            allocations = tuple(mech.allocations)
+            k = mech.run_idle()
+            bid_column += [{}] * k
+            winner_column += [None] * k
+            payment_column += [0.0] * k
+            if view.phase == GOOD_PHASE:  # an empty good auction is uncleared
+                uncleared_column += range(view.uncleared + 1, view.uncleared + k + 1)
+            else:
+                uncleared_column += [view.uncleared] * k
+            allocation_column += [allocations] * k
             continue
         if blocks and unsteady.isdisjoint(participants):
             t = mech.t
@@ -316,8 +408,19 @@ def run_simulation(
             observe = observers[i]
             if observe is not None:
                 observe(view, vrow[i], gain if i == winner else 0.0, bids, winner)
-        if rounds is not None:
-            rounds.append(outcome)
+        if columns is not None:
+            if view.states is not segment_states or view.phase != segment_phase:
+                segment_states, segment_phase = view.states, view.phase
+                segments.append(
+                    Segment(t, view.phase, outcome.epoch, participants, view.states, view.uncleared)
+                )
+            bid_column.append(outcome.bids)
+            winner_column.append(winner)
+            payment_column.append(outcome.payment)
+            uncleared_column.append(outcome.uncleared)
+            allocation_column.append(outcome.allocations)
+            if outcome.transitions:
+                moves[t] = outcome.transitions
 
     final_states = tuple(mech.states)
     mech.finish()
@@ -335,7 +438,7 @@ def run_simulation(
         agent_wins=np.array(wins, dtype=int),
         state_rounds=np.array(mech.state_rounds, dtype=int),
         epoch_agent_utilities=[np.array(u, dtype=float) for u in epoch_utils],
-        rounds=rounds,
+        columns=columns,
     )
 
 
@@ -600,46 +703,66 @@ def external_regret_profile(
     top rival bid, so a tie with that rival is scored as a loss (a
     conservative convention).  Scores are summed in round order.
     """
-    if traj.rounds is None:
+    columns = traj.columns
+    if columns is None:
         raise ConfigError("hindsight regret needs a trajectory recorded in full mode")
     if len(family) == 0:
         raise ConfigError("expert family must be non-empty")
     agent = _buyer(agent, traj.values.shape[1])
     configs = {e.config.index: e.config for e in traj.epochs}
     column = traj.values[:, agent]
-    # of each round the agent bid in: round, own bid, top rival bid, realized utility, reserve
-    rounds, own, rival, realized, reserve = [], [], [], [], []
+    # of each round the agent bid in: value, own bid, top rival bid, realized utility, reserve
+    vals, own, rival, realized, reserve = [], [], [], [], []
     stretches = []  # (index of the first such round, view)
     key = None
-    for outcome in traj.rounds:
-        if agent not in outcome.bids:
+    gathered = 0
+    for seg, end in columns.segment_ends():
+        if agent not in seg.participants:
             continue
-        config = configs[outcome.epoch]
-        good = outcome.phase == GOOD_PHASE
-        round_key = (
-            outcome.epoch,
-            good,
-            outcome.states_before[agent] == BuyerState.BAD,
-            outcome.uncleared_before >= config.uncleared_threshold,
-        )
-        if round_key != key:
-            key, states = round_key, outcome.states_before
-            view = AgentView(
-                outcome.t, outcome.phase, config, outcome.uncleared_before, states,
-                states.count(BuyerState.GOOD), states.count(BuyerState.BAD),
-            )
-            stretches.append((len(rounds), view))
-        rounds.append(outcome.t)
-        own.append(outcome.bids[agent])
-        rival.append(max((b for i, b in outcome.bids.items() if i != agent), default=-math.inf))
-        won = outcome.winner == agent
-        realized.append(float(column[outcome.t]) - outcome.payment if won else 0.0)
-        reserve.append(config.good_reserve if good else config.bad_reserve)
-    if not rounds:
+        config = configs[seg.epoch]
+        good = seg.phase == GOOD_PHASE
+        bad = seg.states[agent] == BuyerState.BAD
+        # the uncleared count before each round, which never falls in a segment
+        before = [seg.uncleared] + columns.uncleared[seg.start : end - 1]
+        size = len(before)
+        split = bisect_left(before, config.uncleared_threshold)
+        for lo, hi, reached in ((0, split, False), (split, size, True)):
+            if lo < hi and (seg.epoch, good, bad, reached) != key:
+                key = (seg.epoch, good, bad, reached)
+                view = AgentView(
+                    seg.start + lo, seg.phase, config, before[lo], seg.states,
+                    seg.states.count(BuyerState.GOOD), seg.states.count(BuyerState.BAD),
+                )
+                stretches.append((gathered + lo, view))
+        gathered += size
+        # one row of bids per round, in participant order
+        width = len(seg.participants)
+        bid_rows = np.fromiter(
+            chain.from_iterable(map(dict.values, columns.bids[seg.start : end])),
+            float,
+            size * width,
+        ).reshape(size, width)
+        j = seg.participants.index(agent)
+        own.append(bid_rows[:, j])
+        if width > 1:
+            rival.append(np.delete(bid_rows, j, axis=1).max(axis=1))
+        else:
+            rival.append(np.full(size, -math.inf))
+        seg_vals = column[seg.start : end]
+        vals.append(seg_vals)
+        gain = np.zeros(size)
+        won = [r for r, w in enumerate(columns.winners[seg.start : end]) if w == agent]
+        if won:
+            paid = np.fromiter((columns.payments[seg.start + r] for r in won), float, len(won))
+            gain[won] = seg_vals[won] - paid
+        realized.append(gain)
+        reserve.append(np.full(size, config.good_reserve if good else config.bad_reserve))
+    if not vals:
         return np.zeros(len(family))
-    vals = column[rounds]
-    own, rival, realized, reserve = np.array([own, rival, realized, reserve], dtype=float)
-    ends = [lo for lo, _ in stretches[1:]] + [len(rounds)]
+    vals, own, rival, realized, reserve = (
+        np.concatenate(parts) for parts in (vals, own, rival, realized, reserve)
+    )
+    ends = [lo for lo, _ in stretches[1:]] + [gathered]
     totals = np.empty(len(family))
     for j in range(len(family)):
         b = np.concatenate(
@@ -719,66 +842,111 @@ def trajectory_ndjson(traj: Trajectory) -> str:
     ``phase``, ``t``, ``transitions`` (``[buyer, from, to]`` with state
     labels), ``uncleared`` (after the round) and ``winner``, in that order.
     Bid keys are buyer ids as decimal strings, sorted as strings, so ``"10"``
-    comes before ``"2"``.  Lines are formatted directly: an exact finite
-    ``float`` is written with ``float.__repr__`` as the encoder does, and any
-    other number (an ``int`` bid, ``np.float64``, a non-finite float) goes
-    through the encoder itself.
+    comes before ``"2"``.
+
+    Lines are formatted from ``traj.columns`` directly.  The texts a segment
+    shares are formatted once per segment, an idle round's line comes from
+    its segment's template, and the allocations are formatted again only
+    after a win.  Each distinct bid set and payment is formatted once, keyed
+    by its ``marshal`` bytes, which hold every id and the type and exact
+    bits of every number, so ``0``, ``0.0``, ``-0.0`` and ``np.float64(0.0)``
+    never share a key; one with a number marshal refuses, a subclass of
+    ``int`` or ``float`` other than numpy's, is formatted every time.  An
+    exact finite float is written with ``float.__repr__``, as the encoder
+    does, and any other number goes through the encoder itself.
     """
-    if traj.rounds is None:
+    columns = traj.columns
+    if columns is None:
         raise ConfigError("trajectory was not recorded in full mode")
     encode = _COMPACT_ENCODER.encode
-    part_texts: dict[tuple, str] = {}  # the mechanism reuses participants tuples
-    key_orders: dict[tuple, tuple] = {}  # bid keys -> ((key, '"key":'), ...) in string order
+    bids, winners, payments = columns.bids, columns.winners, columns.payments
+    uncleared, allocations, moves = columns.uncleared, columns.allocations, columns.transitions
+    bid_texts: dict[bytes, str] = {}
+    pay_texts: dict[bytes, str] = {}
+    orders: dict[tuple, tuple] = {}  # participants -> ((id, '"id":'), ...) in string order
     lines = []
-    # text of the last allocations: it stands until a win changes them
     last_allocations = alloc_text = None
-    for o in traj.rounds:
-        bids = o.bids
-        if bids:
-            keys = tuple(bids)
-            order = key_orders.get(keys)
-            if order is None:
-                order = key_orders[keys] = tuple(
-                    (k, f'"{k}":') for k in sorted(keys, key=str)
-                )
-            bid_text = ",".join(
-                [
-                    label + (repr(b) if type(b) is float and b - b == 0.0 else encode(b))
-                    for k, label in order
-                    for b in (bids[k],)
-                ]
+    for seg, end in columns.segment_ends():
+        start, participants = seg.start, seg.participants
+        a = allocations[start]
+        if a != last_allocations:
+            last_allocations, alloc_text = a, _ids_text(a)
+        if not participants:
+            head = (
+                f'{{"allocations":{alloc_text},"bids":{{}},"cleared":false,'
+                f'"epoch":{seg.epoch},"participants":[],"payment":0.0,"phase":"{seg.phase}","t":'
             )
-        else:
-            bid_text = ""
-        participants = o.participants
-        part_text = part_texts.get(participants)
-        if part_text is None:
-            part_text = part_texts[participants] = encode(participants)
-        if o.allocations != last_allocations:
-            last_allocations = o.allocations
-            alloc_text = encode(last_allocations)
-        transitions = o.transitions
-        move_text = ",".join(
-            f'[{i},"{frm.label}","{to.label}"]' for i, frm, to in transitions
-        ) if transitions else ""
-        payment = o.payment
-        if type(payment) is float and payment - payment == 0.0:
-            pay_text = repr(payment)
-        else:
-            pay_text = encode(payment)
-        winner = o.winner
-        lines.append(
-            f'{{"allocations":{alloc_text},"bids":{{{bid_text}}},'
-            f'"cleared":{"true" if o.cleared else "false"},"epoch":{o.epoch},'
-            f'"participants":{part_text},"payment":{pay_text},'
-            f'"phase":"{o.phase}","t":{o.t},"transitions":[{move_text}],'
-            f'"uncleared":{o.uncleared},"winner":{"null" if winner is None else winner}}}'
-        )
+            lines += [
+                f'{head}{t},"transitions":[],"uncleared":{u},"winner":null}}'
+                for t, u in zip(range(start, end), uncleared[start:end])
+            ]
+            continue
+        order = orders.get(participants)
+        if order is None:
+            order = orders[participants] = tuple(
+                (k, f'"{k}":') for k in sorted(participants, key=str)
+            )
+        middle = f',"epoch":{seg.epoch},"participants":{_ids_text(participants)},"payment":'
+        phase = f',"phase":"{seg.phase}","t":'
+        for t in range(start, end):
+            round_bids = bids[t]
+            key = _exact_key(round_bids)
+            bid_text = bid_texts.get(key)
+            if bid_text is None:
+                bid_text = ",".join(
+                    [label + _number_text(round_bids[k], encode) for k, label in order]
+                )
+                if key is not None:
+                    bid_texts[key] = bid_text
+            payment = payments[t]
+            key = _exact_key(payment)
+            pay_text = pay_texts.get(key)
+            if pay_text is None:
+                pay_text = _number_text(payment, encode)
+                if key is not None:
+                    pay_texts[key] = pay_text
+            winner = winners[t]
+            if winner is None:
+                cleared = '"cleared":false'
+                winner = "null"
+            else:
+                cleared = '"cleared":true'
+                a = allocations[t]
+                if a != last_allocations:
+                    last_allocations, alloc_text = a, _ids_text(a)
+            move = moves.get(t)
+            move_text = ",".join(
+                f'[{i},"{frm.label}","{to.label}"]' for i, frm, to in move
+            ) if move else ""
+            lines.append(
+                f'{{"allocations":{alloc_text},"bids":{{{bid_text}}},{cleared}{middle}'
+                f'{pay_text}{phase}{t},"transitions":[{move_text}],'
+                f'"uncleared":{uncleared[t]},"winner":{winner}}}'
+            )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# for the values a line does not format itself: id lists, and numbers other
-# than exact finite floats (ints, float subclasses, inf and nan)
+def _ids_text(ints: tuple[int, ...]) -> str:
+    """A tuple of plain ints, such as buyer ids or counts, as a JSON list."""
+    return f"[{','.join(map(str, ints))}]"
+
+
+def _exact_key(x) -> Optional[bytes]:
+    """The ``marshal`` bytes of ``x``, or ``None`` for a subclass of ``int``
+    or ``float`` other than numpy's, which marshal refuses."""
+    try:
+        return dumps(x, 2)
+    except ValueError:
+        return None
+
+
+def _number_text(x, encode) -> str:
+    """``x`` as the compact JSON encoder writes it."""
+    return repr(x) if type(x) is float and x - x == 0.0 else encode(x)
+
+
+# for the numbers a line does not format itself: all but exact finite floats
+# (ints, float subclasses, inf and nan)
 _COMPACT_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 

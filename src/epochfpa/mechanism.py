@@ -264,16 +264,18 @@ class Mechanism:
     uniform draw per round, supplied by the caller, so replays under common
     random numbers stay aligned.
 
-    When ``participants()`` is empty, ``run_idle()`` runs the rounds up to
-    the end of the phase, the pending reset or the horizon at once; they read
-    no bid and no tie draw.  ``run_block(bids, ties)`` settles the bids of
-    the coming rounds, given as one array, in numpy.  A round whose only
-    event is a rest ends the block and is settled with it, the winner rested
-    from the next round on.  The block stops before the first round holding
-    any other event (an invalid bid, a punishment, the threshold crossing,
-    the end of the phase or the reset), which is left to ``run_round``.  It
-    keeps no outcome, and ``block_room()`` bounds the rounds it can settle.
-    Both leave the mechanism exactly as the ``run_round`` calls of their
+    No round runs at or past ``params.horizon``: ``run_round`` raises
+    there.  When ``participants()`` is empty, ``run_idle()`` runs the rounds
+    up to the end of the phase, the pending reset or the horizon at once;
+    they read no bid and no tie draw.  ``run_block(bids, ties)`` settles the
+    bids of the coming rounds, given as one array, in numpy.  A round whose
+    only event is a rest ends the block and is settled with it, the winner
+    rested from the next round on.  The block stops before the first round
+    holding any other event (an invalid bid, a punishment, the threshold
+    crossing, the end of the phase or the reset), which is left to
+    ``run_round``, and before the horizon.  ``block_room()`` bounds the
+    rounds it can settle within the phase.  Neither keeps an outcome, and
+    both leave the mechanism exactly as the ``run_round`` calls of their
     rounds would.  All three end with ``advance(rounds)``, the only code that
     moves ``t`` and books a phase end, an epoch end or the reset.
 
@@ -337,8 +339,11 @@ class Mechanism:
         uncleared auction bumps the uncleared counter.  Once the counter has
         reached the epoch threshold, every good buyer bidding below the
         reserve is moved to the bad state; a winner reaching the allocation
-        quota is rested.
+        quota is rested.  A round at or past the horizon raises
+        ``MechanismError``.
         """
+        if self.t >= self.params.horizon:
+            raise MechanismError(f"round {self.t} is past the horizon T={self.params.horizon}")
         cfg = self._config
         states_before = self._states
         uncleared_before = self.uncleared
@@ -402,50 +407,25 @@ class Mechanism:
         self.advance()
         return outcome
 
-    def run_idle(self, outcomes: Optional[list[RoundOutcome]] = None) -> int:
+    def run_idle(self) -> int:
         """Run the rounds of a phase that has no participants.
 
         Stops at the end of the phase, at the pending reset or at the
         horizon, whichever comes first, and returns the number of rounds
         run: 0 if the phase has participants or the horizon is reached,
-        otherwise at least 1.  The state afterwards, and the outcomes
-        appended to ``outcomes`` if given, are those of as many
+        otherwise at least 1.  The state afterwards is that of as many
         ``run_round({})`` calls.
         """
         if self.t >= self.params.horizon or self.participants():
             return 0
         # up to and including the round that ends the phase or fires the reset
         k = min(self.params.horizon - self.t, max(1, self.block_room() + 1))
-        t0, before = self.t, self.uncleared
-        good = self._phase == GOOD_PHASE
-        step = 1 if good else 0  # an empty good auction is uncleared
-        if outcomes is not None:
-            allocations = tuple(self.allocations)
-            for j in range(k):
-                u = before + step * j
-                outcomes.append(
-                    RoundOutcome(
-                        t0 + j,
-                        self._phase,
-                        self._config.index,
-                        (),  # participants
-                        {},  # bids
-                        None,  # winner
-                        0.0,  # payment
-                        False,  # cleared
-                        (),  # transitions
-                        u,  # uncleared_before
-                        u + step,  # uncleared
-                        allocations,
-                        self._states,
-                    )
-                )
-        if good:
-            self.uncleared += k
-            crossing = self._config.uncleared_threshold - before - 1
+        if self._phase == GOOD_PHASE:  # an empty good auction is uncleared
+            crossing = self._config.uncleared_threshold - self.uncleared - 1
             if self._threshold_round is None and 0 <= crossing < k:
-                self._threshold_round = t0 + crossing
+                self._threshold_round = self.t + crossing
                 self._good_at_threshold = self._good_ids
+            self.uncleared += k
         self._idle_rounds += k
         self.advance(k)
         return k
@@ -468,15 +448,15 @@ class Mechanism:
         ``participants()``, in that order, in round ``t + r``, and
         ``ties[r]`` is that round's tie draw.  The block stops before the
         first row with an event: a bid that is not a finite number >= 0, the
-        threshold crossing, or a row past ``block_room()``.  Once the
-        threshold is reached it settles nothing.  A row whose winner reaches
-        the rest quota, with none of these, is settled as the last row, and
-        its winner is rested.  Returns the ``k`` rows settled, each one's
+        threshold crossing, or a row past ``block_room()`` or the horizon.
+        Once the threshold is reached it settles nothing.  A row whose winner
+        reaches the rest quota, with none of these, is settled as the last
+        row, and its winner is rested.  Returns the ``k`` rows settled, each one's
         winner (-1 if uncleared) and payment.  The state afterwards is that
         of ``k`` ``run_round`` calls; revenue is added in round order.
         """
         ids = self.participants()
-        k = min(len(bids), self.block_room())
+        k = min(len(bids), self.block_room(), self.params.horizon - self.t)
         cfg = self._config
         good = self._phase == GOOD_PHASE
         # no run has a good bidder past the threshold, since the crossing

@@ -182,14 +182,19 @@ def oracle_empirical_bid(dist, rivals, reserve, value):
 )
 def test_myopic_empirical_bid_matches_per_candidate_oracle(dist, seed):
     params, view = make_view(n=3, dist=dist)
+    # buyer 0 stays good while the good count, and with it the reserve, changes
+    _, view2 = make_view(n=3, states=[BuyerState.GOOD, BuyerState.GOOD, BuyerState.BAD], dist=dist)
+    assert view2.config.good_reserve != view.config.good_reserve
     agent = bind(MyopicAgent(good_mode="empirical"), params, dist=dist)
-    reserve = view.config.good_reserve
     lo, hi = dist.support_min, dist.support_max
-    # rival bids that equal candidate bids exactly, so the strict ">" matters
-    grid = np.arange(reserve, hi + 1e-12, (hi - lo) / 64.0).tolist()
     rng = np.random.default_rng(seed)
     window = deque(maxlen=512)
-    for _ in range(1300):
+    for k in range(1300):
+        if k and k % 300 == 0:  # switch reserves, and back again 300 rounds later
+            view, view2 = view2, view
+        reserve = view.config.good_reserve
+        # rival bids that equal candidate bids exactly, so the strict ">" matters
+        grid = np.arange(reserve, hi + 1e-12, (hi - lo) / 64.0).tolist()
         draw = rng.random()
         if draw < 0.4:
             rival = grid[rng.integers(len(grid))]
@@ -198,11 +203,13 @@ def test_myopic_empirical_bid_matches_per_candidate_oracle(dist, seed):
         else:
             rival = float(rng.uniform(lo, hi))
         other = float(rng.uniform(0.0, rival)) if rival > 0 else 0.0
-        agent.observe(view, 0.0, 0.0, {0: 0.0, 1: rival, 2: other}, 1)
+        winner = 1 if rival >= reserve else None
+        agent.observe(view, 0.0, 0.0, {0: 0.0, 1: rival, 2: other}, winner)
         window.append(rival)
         if len(window) < 20:
             continue
-        for value in (reserve, hi, float(rng.uniform(lo, hi)), grid[rng.integers(len(grid))]):
+        values = (reserve, dist.support_max, float(rng.uniform(lo, hi)), grid[rng.integers(len(grid))])
+        for value in values:
             assert agent.bid(view, value) == oracle_empirical_bid(dist, window, reserve, value)
     assert list(agent._rival_bids) == list(window)
 

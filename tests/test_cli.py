@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 
 import pytest
 from scipy.integrate import IntegrationWarning
@@ -61,6 +62,23 @@ def test_simulate_writes_outputs(tmp_path, config_file, capsys):
     assert hashlib.sha256(summary).hexdigest() == (
         "66c2e127c5bf8574f5968924d221fa234044c1d3f620d4af2faa2a38f6fe9a8b"
     )
+
+
+def test_simulate_holds_one_trajectory_at_a_time(tmp_path, config_file, monkeypatch):
+    from epochfpa import harness
+
+    alive = []  # a weak reference to every trajectory run so far
+    run_simulation = harness.run_simulation
+
+    def tracked(*args, **kwargs):
+        assert [ref for ref in alive if ref() is not None] == []
+        traj = run_simulation(*args, **kwargs)
+        alive.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(harness, "run_simulation", tracked)
+    assert main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "out")]) == 0
+    assert len(alive) == 2
 
 
 def test_simulate_seed_override_changes_output(tmp_path, config_file):

@@ -38,7 +38,14 @@ from epochfpa.harness import (
     write_epoch_csv,
     write_trajectory,
 )
-from epochfpa.mechanism import AgentView, BuyerState, Mechanism, MechanismError, MechanismParams
+from epochfpa.mechanism import (
+    AgentView,
+    BuyerState,
+    Mechanism,
+    MechanismError,
+    MechanismParams,
+    RoundOutcome,
+)
 
 EPS = 0.3
 RHO = EPS * (1 - EPS) ** 4 / 12
@@ -817,6 +824,64 @@ def test_ndjson_matches_reference_encoder_on_int_and_float64_bids():
     text = reference_ndjson(traj)
     assert '"payment":1,' in text and "np.float64" not in text
     assert_same_text(trajectory_ndjson(traj), text)
+
+
+class SignedZeroBidder(Agent):
+    # -0.0 and int 0 below the good reserve, the value itself above it
+    def bid(self, view, value):
+        if value < 0.3:
+            return -0.0
+        return 0 if value < 0.6 else value
+
+
+def mixed_number_rosters():
+    twelve = twelve_buyer_config()
+    four = make_config(n=4, horizon=700, agents=[{"kind": "myopic"}] * 4, reset_round=300)
+    return {
+        # ids 10 and 11 sort before 2, and every kind of number is bid
+        "twelve": (twelve, {2: IntBidder, 4: SignedZeroBidder, 10: Float64Bidder, 11: IntBidder}),
+        "four": (four, {0: IntBidder, 1: SignedZeroBidder, 3: Float64Bidder}),
+    }
+
+
+def exact(value):
+    # repr tells 0 from 0.0 from -0.0, and np.float64 from float, inside a dict too
+    return type(value), repr(value)
+
+
+@pytest.mark.parametrize("roster", ["twelve", "four"])
+def test_columns_give_the_outcomes_run_round_returned(roster, monkeypatch):
+    config, substitutes = mixed_number_rosters()[roster]
+    traj = run_simulation(config, substitutes=substitutes)
+    bids = [b for o in traj.rounds for b in o.bids.values()]
+    kinds = {exact(b)[1] for b in bids if b == 0} | {type(b).__name__ for b in bids}
+    assert {"0", "0.0", "-0.0", "int", "float", "float64"} <= kinds
+    assert_same_text(trajectory_ndjson(traj), reference_ndjson(traj))
+
+    # the same run with every round, idle ones too, through run_round
+    outcomes = []
+    run_round = Mechanism.run_round
+
+    def recording(self, bids, tie=0.0):
+        outcomes.append(run_round(self, bids, tie))
+        return outcomes[-1]
+
+    def one_idle_round(self):
+        if self.t >= self.params.horizon or self.participants():
+            return 0
+        self.run_round({})
+        return 1
+
+    monkeypatch.setattr(Mechanism, "run_round", recording)
+    monkeypatch.setattr(Mechanism, "run_idle", one_idle_round)
+    by_rounds = run_simulation(config, substitutes=substitutes)
+    assert any(not o.participants for o in outcomes)
+    for rounds in (traj.rounds, by_rounds.rounds):
+        assert len(rounds) == len(outcomes) == config.params.horizon
+        for got, want in zip(rounds, outcomes):
+            for name, a, b in zip(RoundOutcome._fields, got, want):
+                assert exact(a) == exact(b), (got.t, name)
+    assert trajectory_ndjson(by_rounds) == trajectory_ndjson(traj)
 
 
 def test_ndjson_of_zero_horizon_is_empty():

@@ -341,6 +341,30 @@ def test_finish_records_partial_epoch():
     assert not mech.epoch_records[0].completed
 
 
+def test_no_round_runs_past_the_horizon():
+    mech = fresh(n=2, horizon=1)
+    bids = {i: 0.0 for i in mech.participants()}
+    assert mech.run_round(bids).t == 0
+    with pytest.raises(MechanismError, match="round 1 is past the horizon T=1"):
+        mech.run_round({i: 0.0 for i in mech.participants()})
+    assert mech.t == 1 and mech.run_idle() == 0
+    ids = mech.participants()
+    settled, winners, payments = mech.run_block(np.zeros((8, len(ids))), np.zeros(8))
+    assert (settled, len(winners), len(payments), mech.t) == (0, 0, 0, 1)
+
+
+def test_run_block_stops_at_the_horizon():
+    mech = fresh(n=2, horizon=30, rho=0.5, enforce_rho_cap=False)
+    mech.states[1] = BuyerState.BAD
+    mech._rebuild_rosters()
+    assert mech.block_room() > 30  # the bad phase alone outlasts the run
+    ids = mech.participants()
+    settled, _, _ = mech.run_block(np.full((64, len(ids)), 0.9), np.zeros(64))
+    assert settled == mech.t == 30
+    with pytest.raises(MechanismError, match="past the horizon"):
+        mech.run_round({i: 0.9 for i in mech.participants()})
+
+
 def test_instance_attribute_budget():
     # On CPython 3.11.7, going from 28 to 30 instance attributes made a
     # mechanism-only round driver 8-10% slower (60 interleaved reps), so new
@@ -506,23 +530,23 @@ def test_run_idle_matches_per_round_reference(data):
     while sc.idle.t < horizon:
         sc.force_empty_good_set()
         if sc.idle.participants():
-            assert sc.idle.run_idle(idle_out) == 0
+            assert sc.idle.run_idle() == 0
             a, b = sc.busy_round()
             idle_out.append(a)
             ref_out.append(b)
         else:
-            k = sc.idle.run_idle(idle_out)
+            k = sc.idle.run_idle()
             assert 1 <= k <= horizon - sc.ref.t
             for _ in range(k):
                 assert not sc.ref.participants()
                 ref_out.append(sc.ref.run_round({}))
             idle_rounds += k
         assert _snapshot(sc.idle) == _snapshot(sc.ref)
-    assert sc.idle.t == horizon and sc.idle.run_idle(idle_out) == 0
+    assert sc.idle.t == horizon and sc.idle.run_idle() == 0
     for mech in (sc.idle, sc.ref):
         mech.finish()
     assert _snapshot(sc.idle) == _snapshot(sc.ref)
-    assert idle_out == ref_out
+    assert idle_out == [o for o in ref_out if o.participants]
     assert sum(e.idle_rounds for e in sc.idle.epoch_records) == idle_rounds
     assert idle_rounds == sum(1 for o in ref_out if not o.participants)
 

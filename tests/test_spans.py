@@ -53,3 +53,22 @@ def test_every_exercised_boundary_fires_in_a_tiny_unit(name, tmp_path):
     with spans.Installed(tracer):
         workload.run()
     assert [key for key in run.EXERCISED[name] if tracer.calls(key) == 0] == []
+
+
+def test_layer_metrics_read_a_tiny_base_run(tmp_path):
+    # the benchmark reads .phase and .cleared off run_round's outcomes, and
+    # policy-replay rebuilds views from the base run's Trajectory.rounds
+    cls = workloads.WORKLOADS["policy-replay"]
+    workload = cls(cls.default_seed, tmp_path, tiny=True)
+    tracer = spans.Tracer()
+    with spans.Installed(tracer):
+        out = workload.run()
+    assert tracer.counts["mechanism.bad_phase_rounds"] > 0
+    assert tracer.counts["mechanism.cleared_good_rounds"] > 0
+    assert len(out["base"].rounds) == workload.horizon
+    metrics = workload.layer_metrics(out)
+    assert set(metrics) == {
+        "harness.replay_shared_prefix_share",
+        *(f"harness.replay_shared_prefix_share.buyer{b}" for b in workload.replay_buyers),
+    }
+    assert all(0.0 <= share <= 1.0 for share in metrics.values())
