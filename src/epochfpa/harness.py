@@ -13,9 +13,9 @@ import csv
 import json
 import math
 from bisect import bisect_left
+from dataclasses import dataclass, field
 from itertools import chain
 from marshal import dumps
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -194,12 +194,12 @@ class RoundColumns:
     """The rounds of a full-mode run, one list entry per round.
 
     ``bids[t]`` is round ``t``'s bids keyed by its participants in their
-    order (an empty dict in an idle round), ``winners[t]`` its winner or
-    ``None``, ``payments[t]`` the price, ``uncleared[t]`` and
-    ``allocations[t]`` the counts after it.  Phase, epoch, participants and
-    the states before a round are stored once per segment, ``segments[s]``
-    running up to the next one's start, and the rounds that moved a buyer
-    map to their moves in ``transitions``.
+    order (the rounds of an idle stretch share one empty dict),
+    ``winners[t]`` its winner or ``None``, ``payments[t]`` the price,
+    ``uncleared[t]`` and ``allocations[t]`` the counts after it.  Phase,
+    epoch, participants and the states before a round are stored once per
+    segment, ``segments[s]`` running up to the next one's start, and the
+    rounds that moved a buyer map to their moves in ``transitions``.
     """
 
     bids: list[dict] = field(default_factory=list)

@@ -703,12 +703,13 @@ def test_mixed_roster_fuzz_invariants(cfg):
     params = cfg.params
     h = params.rest_threshold
     traj = run_simulation(cfg)
+    rounds = traj.rounds  # built on each access
     epoch_cfg = {e.config.index: e.config for e in traj.epochs}
     epoch_starts = {e.start for e in traj.epochs}
     revenue = {}  # (epoch, phase) -> payments summed in round order
     moves = []  # (epoch, new state) of every transition
     prev_states = None
-    for r in traj.rounds:
+    for r in rounds:
         c = epoch_cfg[r.epoch]
         assert set(r.bids) == set(r.participants)
         assert all(b >= 0.0 for b in r.bids.values())
@@ -729,12 +730,12 @@ def test_mixed_roster_fuzz_invariants(cfg):
         key = (r.epoch, r.phase)
         revenue[key] = revenue.get(key, 0.0) + r.payment
         moves += [(r.epoch, to) for _, _, to in r.transitions]
-    assert len(traj.rounds) == params.horizon
+    assert len(rounds) == params.horizon
     for i in range(params.n):
         for s in BuyerState:
-            held = sum(1 for r in traj.rounds if r.states_before[i] == s)
+            held = sum(1 for r in rounds if r.states_before[i] == s)
             assert traj.state_rounds[i][s] == held
-    good = [r for r in traj.rounds if r.phase == "good"]
+    good = [r for r in rounds if r.phase == "good"]
     assert traj.good_rounds == len(good)
     assert traj.uncleared_good_rounds == sum(1 for r in good if not r.cleared)
     for e in traj.epochs:
@@ -834,13 +835,22 @@ class SignedZeroBidder(Agent):
         return 0 if value < 0.6 else value
 
 
+class Count(int):
+    """An int subclass, which the writer cannot key by its marshal bytes."""
+
+
+class CountBidder(Agent):
+    def bid(self, view, value):
+        return Count(1) if value > 0.7 else Count(0)
+
+
 def mixed_number_rosters():
     twelve = twelve_buyer_config()
-    four = make_config(n=4, horizon=700, agents=[{"kind": "myopic"}] * 4, reset_round=300)
+    five = make_config(n=5, horizon=700, agents=[{"kind": "myopic"}] * 5, reset_round=300)
     return {
         # ids 10 and 11 sort before 2, and every kind of number is bid
         "twelve": (twelve, {2: IntBidder, 4: SignedZeroBidder, 10: Float64Bidder, 11: IntBidder}),
-        "four": (four, {0: IntBidder, 1: SignedZeroBidder, 3: Float64Bidder}),
+        "five": (five, {0: IntBidder, 1: SignedZeroBidder, 3: Float64Bidder, 4: CountBidder}),
     }
 
 
@@ -849,13 +859,14 @@ def exact(value):
     return type(value), repr(value)
 
 
-@pytest.mark.parametrize("roster", ["twelve", "four"])
+@pytest.mark.parametrize("roster", ["twelve", "five"])
 def test_columns_give_the_outcomes_run_round_returned(roster, monkeypatch):
     config, substitutes = mixed_number_rosters()[roster]
     traj = run_simulation(config, substitutes=substitutes)
     bids = [b for o in traj.rounds for b in o.bids.values()]
     kinds = {exact(b)[1] for b in bids if b == 0} | {type(b).__name__ for b in bids}
     assert {"0", "0.0", "-0.0", "int", "float", "float64"} <= kinds
+    assert ("Count" in kinds) == (roster == "five")
     assert_same_text(trajectory_ndjson(traj), reference_ndjson(traj))
 
     # the same run with every round, idle ones too, through run_round
