@@ -210,6 +210,22 @@ class RoundColumns:
     segments: list[Segment] = field(default_factory=list)
     transitions: dict[int, tuple] = field(default_factory=dict)
 
+    def add_idle(self, view: AgentView, allocations: tuple[int, ...], k: int) -> None:
+        """Record ``k`` rounds without participants from ``view``, the first
+        one's, as a segment of their own: the rounds before them had bidders
+        or another phase."""
+        self.segments.append(
+            Segment(view.t, view.phase, view.config.index, (), view.states, view.uncleared)
+        )
+        self.bids += [{}] * k
+        self.winners += [None] * k
+        self.payments += [0.0] * k
+        if view.phase == GOOD_PHASE:  # an empty good auction is uncleared
+            self.uncleared += range(view.uncleared + 1, view.uncleared + k + 1)
+        else:
+            self.uncleared += [view.uncleared] * k
+        self.allocations += [allocations] * k
+
     def segment_ends(self) -> Iterator[tuple[Segment, int]]:
         """Every segment with the round its successor starts at."""
         segments = self.segments
@@ -356,23 +372,9 @@ def run_simulation(
             if columns is None:
                 mech.run_idle()
                 continue
-            # a segment of its own, since the rounds before it had bidders
-            # or another phase
-            view = mech.view()
+            view, allocations = mech.view(), tuple(mech.allocations)
+            columns.add_idle(view, allocations, mech.run_idle())
             segment_states, segment_phase = view.states, view.phase
-            segments.append(
-                Segment(view.t, view.phase, view.config.index, (), view.states, view.uncleared)
-            )
-            allocations = tuple(mech.allocations)
-            k = mech.run_idle()
-            bid_column += [{}] * k
-            winner_column += [None] * k
-            payment_column += [0.0] * k
-            if view.phase == GOOD_PHASE:  # an empty good auction is uncleared
-                uncleared_column += range(view.uncleared + 1, view.uncleared + k + 1)
-            else:
-                uncleared_column += [view.uncleared] * k
-            allocation_column += [allocations] * k
             continue
         if blocks and unsteady.isdisjoint(participants):
             t = mech.t
@@ -858,12 +860,10 @@ def trajectory_ndjson(traj: Trajectory) -> str:
     columns = traj.columns
     if columns is None:
         raise ConfigError("trajectory was not recorded in full mode")
-    encode = _COMPACT_ENCODER.encode
     bids, winners, payments = columns.bids, columns.winners, columns.payments
     uncleared, allocations, moves = columns.uncleared, columns.allocations, columns.transitions
     bid_texts: dict[bytes, str] = {}
     pay_texts: dict[bytes, str] = {}
-    orders: dict[tuple, tuple] = {}  # participants -> ((id, '"id":'), ...) in string order
     lines = []
     last_allocations = alloc_text = None
     for seg, end in columns.segment_ends():
@@ -881,11 +881,7 @@ def trajectory_ndjson(traj: Trajectory) -> str:
                 for t, u in zip(range(start, end), uncleared[start:end])
             ]
             continue
-        order = orders.get(participants)
-        if order is None:
-            order = orders[participants] = tuple(
-                (k, f'"{k}":') for k in sorted(participants, key=str)
-            )
+        order = [(k, f'"{k}":') for k in sorted(participants, key=str)]
         middle = f',"epoch":{seg.epoch},"participants":{_ids_text(participants)},"payment":'
         phase = f',"phase":"{seg.phase}","t":'
         for t in range(start, end):
@@ -894,7 +890,7 @@ def trajectory_ndjson(traj: Trajectory) -> str:
             bid_text = bid_texts.get(key)
             if bid_text is None:
                 bid_text = ",".join(
-                    [label + _number_text(round_bids[k], encode) for k, label in order]
+                    [label + _number_text(round_bids[k]) for k, label in order]
                 )
                 if key is not None:
                     bid_texts[key] = bid_text
@@ -902,7 +898,7 @@ def trajectory_ndjson(traj: Trajectory) -> str:
             key = _exact_key(payment)
             pay_text = pay_texts.get(key)
             if pay_text is None:
-                pay_text = _number_text(payment, encode)
+                pay_text = _number_text(payment)
                 if key is not None:
                     pay_texts[key] = pay_text
             winner = winners[t]
@@ -940,9 +936,9 @@ def _exact_key(x) -> Optional[bytes]:
         return None
 
 
-def _number_text(x, encode) -> str:
+def _number_text(x) -> str:
     """``x`` as the compact JSON encoder writes it."""
-    return repr(x) if type(x) is float and x - x == 0.0 else encode(x)
+    return repr(x) if type(x) is float and x - x == 0.0 else _COMPACT_ENCODER.encode(x)
 
 
 # for the numbers a line does not format itself: all but exact finite floats
