@@ -697,9 +697,10 @@ def external_regret_profile(
 
     Each round the agent bid in is rescored with its bid replaced by the
     expert's, the other bids and the mechanism state frozen.  A stretch of
-    bidding rounds sharing the epoch, phase, own bad state and whether the
-    uncleared threshold was reached is bid by one ``ExpertFamily.bids`` call
-    per expert, since the expert's bid then depends on the value alone.  A
+    bidding rounds sharing the epoch, phase (which fixes the agent's own
+    state) and whether the uncleared threshold was reached is bid by one
+    ``ExpertFamily.bids`` call per expert, since the expert's bid then
+    depends on the value alone.  A
     bid equal to the realized one reproduces the realized outcome; another
     wins, for value minus bid, only if it reaches the reserve and beats the
     top rival bid, so a tie with that rival is scored as a loss (a
@@ -723,14 +724,13 @@ def external_regret_profile(
             continue
         config = configs[seg.epoch]
         good = seg.phase == GOOD_PHASE
-        bad = seg.states[agent] == BuyerState.BAD
         # the uncleared count before each round, which never falls in a segment
         before = [seg.uncleared] + columns.uncleared[seg.start : end - 1]
         size = len(before)
         split = bisect_left(before, config.uncleared_threshold)
         for lo, hi, reached in ((0, split, False), (split, size, True)):
-            if lo < hi and (seg.epoch, good, bad, reached) != key:
-                key = (seg.epoch, good, bad, reached)
+            if lo < hi and (seg.epoch, good, reached) != key:
+                key = (seg.epoch, good, reached)
                 view = AgentView(
                     seg.start + lo, seg.phase, config, before[lo], seg.states,
                     seg.states.count(BuyerState.GOOD), seg.states.count(BuyerState.BAD),

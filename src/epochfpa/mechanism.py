@@ -230,24 +230,26 @@ class RoundOutcome(NamedTuple):
     states_before: tuple[BuyerState, ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class EpochRecord:
-    """Per-epoch accounting emitted when an epoch closes (or is truncated)."""
+    """Per-epoch accounting, filled in as the epoch's rounds settle and
+    appended to ``Mechanism.epoch_records`` when it closes (or is truncated);
+    ``end`` is ``None`` while the epoch is open."""
 
     config: EpochConfig
     start: int
-    end: int
-    completed: bool
-    reset: bool
-    good_revenue: float
-    bad_revenue: float
-    good_start: tuple[int, ...]
-    bad_start: tuple[int, ...]
-    good_end: tuple[int, ...]
-    uncleared_final: int
-    allocations_final: tuple[int, ...]
-    threshold_round: Optional[int]
-    good_at_threshold: Optional[tuple[int, ...]]
+    end: Optional[int] = None
+    completed: bool = False
+    reset: bool = False
+    good_revenue: float = 0.0
+    bad_revenue: float = 0.0
+    good_start: tuple[int, ...] = ()
+    bad_start: tuple[int, ...] = ()
+    good_end: tuple[int, ...] = ()
+    uncleared_final: int = 0
+    allocations_final: tuple[int, ...] = ()
+    threshold_round: Optional[int] = None
+    good_at_threshold: Optional[tuple[int, ...]] = None
     # rounds of the epoch whose phase had no participants, and its GOOD->BAD
     # and GOOD->REST moves (none of the three is in the epoch CSV)
     idle_rounds: int = 0
@@ -285,6 +287,10 @@ class Mechanism:
     must call ``_rebuild_rosters`` afterwards.  ``state_rounds[i][s]`` counts
     the rounds buyer ``i`` spent in state ``s``; it is brought up to date
     whenever the snapshot is, and by ``finish()``.
+
+    The open epoch's ``EpochRecord`` is filled in as rounds settle and
+    appended to ``epoch_records`` when the epoch closes or ``finish()`` ends
+    the run.
     """
 
     def __init__(self, params: MechanismParams, dist: ValueDistribution):
@@ -306,7 +312,7 @@ class Mechanism:
 
     @property
     def config(self) -> EpochConfig:
-        return self._config
+        return self._epoch.config
 
     @property
     def phase(self) -> str:
@@ -323,7 +329,7 @@ class Mechanism:
         return AgentView(
             self.t,
             self._phase,
-            self._config,
+            self._epoch.config,
             self.uncleared,
             self._states,
             len(self._good_ids),
@@ -344,7 +350,7 @@ class Mechanism:
         """
         if self.t >= self.params.horizon:
             raise MechanismError(f"round {self.t} is past the horizon T={self.params.horizon}")
-        cfg = self._config
+        epoch, cfg = self._epoch, self._epoch.config
         states_before = self._states
         uncleared_before = self.uncleared
         good = self._phase == GOOD_PHASE
@@ -357,12 +363,12 @@ class Mechanism:
         if bids:
             winner, payment = self._settle(bids, ids, reserve, tie)
         else:
-            self._idle_rounds += 1
+            epoch.idle_rounds += 1
         transitions = ()
         if good:
             if winner is not None:
                 self.allocations[winner] += 1
-                self._good_revenue += payment
+                epoch.good_revenue += payment
             else:
                 self.uncleared += 1
             moves = []
@@ -371,23 +377,23 @@ class Mechanism:
                     if bids[i] < reserve:
                         self.states[i] = BuyerState.BAD
                         moves.append((i, BuyerState.GOOD, BuyerState.BAD))
-                        self._punishments += 1
+                        epoch.punishments += 1
             if winner is not None and self.allocations[winner] >= self._rest_threshold:
                 self.states[winner] = BuyerState.REST
                 moves.append((winner, BuyerState.GOOD, BuyerState.REST))
-                self._rests += 1
+                epoch.rests += 1
             if moves:
                 transitions = tuple(moves)
                 # the moves take effect from the next round on
                 self._rebuild_rosters(self.t + 1)
             if (
-                self._threshold_round is None
+                epoch.threshold_round is None
                 and uncleared_before < cfg.uncleared_threshold <= self.uncleared
             ):
-                self._threshold_round = self.t
-                self._good_at_threshold = self._good_ids
+                epoch.threshold_round = self.t
+                epoch.good_at_threshold = self._good_ids
         elif winner is not None:
-            self._bad_revenue += payment
+            epoch.bad_revenue += payment
         # positional, in field order: keywords would double the cost
         outcome = RoundOutcome(
             self.t,
@@ -421,12 +427,12 @@ class Mechanism:
         # up to and including the round that ends the phase or fires the reset
         k = min(self.params.horizon - self.t, max(1, self.block_room() + 1))
         if self._phase == GOOD_PHASE:  # an empty good auction is uncleared
-            crossing = self._config.uncleared_threshold - self.uncleared - 1
-            if self._threshold_round is None and 0 <= crossing < k:
-                self._threshold_round = self.t + crossing
-                self._good_at_threshold = self._good_ids
+            crossing = self._epoch.config.uncleared_threshold - self.uncleared - 1
+            if self._epoch.threshold_round is None and 0 <= crossing < k:
+                self._epoch.threshold_round = self.t + crossing
+                self._epoch.good_at_threshold = self._good_ids
             self.uncleared += k
-        self._idle_rounds += k
+        self._epoch.idle_rounds += k
         self.advance(k)
         return k
 
@@ -457,7 +463,7 @@ class Mechanism:
         """
         ids = self.participants()
         k = min(len(bids), self.block_room(), self.params.horizon - self.t)
-        cfg = self._config
+        epoch, cfg = self._epoch, self._epoch.config
         good = self._phase == GOOD_PHASE
         # no run has a good bidder past the threshold, since the crossing
         # round is uncleared and so punishes every bidder in it
@@ -491,7 +497,7 @@ class Mechanism:
         payments = np.where(cleared, best[:k], 0.0)
         winners = np.where(cleared, np.array(ids)[col], -1)
         # revenue in round order, as run_round adds it (np.sum adds pairwise)
-        revenue = self._good_revenue if good else self._bad_revenue
+        revenue = epoch.good_revenue if good else epoch.bad_revenue
         for payment in payments.tolist():
             revenue += payment
         if good:
@@ -500,12 +506,12 @@ class Mechanism:
             for i, count in zip(ids, wins):
                 self.allocations[i] += count
             self.uncleared += k - int(np.count_nonzero(cleared))
-            self._good_revenue = revenue
+            epoch.good_revenue = revenue
         else:
-            self._bad_revenue = revenue
+            epoch.bad_revenue = revenue
         if rest < k:
             self.states[ids[col[rest]]] = BuyerState.REST
-            self._rests += 1
+            epoch.rests += 1
             # the rest takes effect from the next round on
             self._rebuild_rosters(self.t + k)
         # no row reaches the end of the phase or the reset
@@ -534,15 +540,16 @@ class Mechanism:
             return
         if self._phase == BAD_PHASE:
             self._phase = GOOD_PHASE
-            self._rounds_left = self._config.good_rounds
+            self._rounds_left = self._epoch.config.good_rounds
         else:
             self._close_epoch(completed=True)
             self._start_epoch()
 
     def finish(self) -> None:
         """Count ``state_rounds`` up to the current round and record the final
-        partial epoch, if any rounds of it were executed."""
-        if self.t > self._epoch_start:
+        partial epoch, if any rounds of it were executed; a second call
+        records nothing more."""
+        if self._epoch.end is None and self.t > self._epoch.start:
             self._close_epoch(completed=False)
         self._rebuild_rosters()
 
@@ -567,10 +574,6 @@ class Mechanism:
             ):
                 raise MechanismError(f"buyer {i} submitted an invalid bid {b!r}")
 
-    @property
-    def _epoch_start(self) -> int:
-        return self.epoch_records[-1].end if self.epoch_records else 0
-
     def _rebuild_rosters(self, since: Optional[int] = None) -> None:
         """Snapshot ``states``, which hold from round ``since`` (by default
         the current one) on, and count the rounds the old snapshot held."""
@@ -594,48 +597,24 @@ class Mechanism:
         if any(s == BuyerState.REST for s in self.states):
             raise MechanismError("rest state must be cleared before an epoch starts")
         self._rebuild_rosters()
-        self._good_ids_at_start = self._good_ids
-        self._bad_ids_at_start = self._bad_ids
-        self._config = derive_epoch_config(
+        config = derive_epoch_config(
             self.params, self._good_ids, self._bad_ids, self.dist, index=self.epoch_index
         )
+        self._epoch = EpochRecord(config, self.t, good_start=self._good_ids, bad_start=self._bad_ids)
         self.uncleared = 0
         self.allocations = [0] * self.params.n
         self._phase = BAD_PHASE
-        self._rounds_left = self._config.bad_rounds
-        self._good_revenue = 0.0
-        self._bad_revenue = 0.0
-        self._threshold_round: Optional[int] = None
-        self._good_at_threshold: Optional[tuple[int, ...]] = None
-        self._idle_rounds = 0
-        self._punishments = 0
-        self._rests = 0
+        self._rounds_left = config.bad_rounds
 
     def _close_epoch(self, completed: bool, reset: bool = False) -> None:
-        good_end = tuple(
-            i for i in range(self.params.n) if self.states[i] != BuyerState.BAD
-        )
-        self.epoch_records.append(
-            EpochRecord(
-                config=self._config,
-                start=self._epoch_start,
-                end=self.t,
-                completed=completed,
-                reset=reset,
-                good_revenue=self._good_revenue,
-                bad_revenue=self._bad_revenue,
-                good_start=self._good_ids_at_start,
-                bad_start=self._bad_ids_at_start,
-                good_end=good_end,
-                uncleared_final=self.uncleared,
-                allocations_final=tuple(self.allocations),
-                threshold_round=self._threshold_round,
-                good_at_threshold=self._good_at_threshold,
-                idle_rounds=self._idle_rounds,
-                punishments=self._punishments,
-                rests=self._rests,
-            )
-        )
+        epoch = self._epoch
+        epoch.end = self.t
+        epoch.completed = completed
+        epoch.reset = reset
+        epoch.good_end = tuple(i for i, s in enumerate(self.states) if s != BuyerState.BAD)
+        epoch.uncleared_final = self.uncleared
+        epoch.allocations_final = tuple(self.allocations)
+        self.epoch_records.append(epoch)
         # the snapshot still holds the epoch's states, so the next
         # _rebuild_rosters counts the epoch's last rounds under them
         for i in range(self.params.n):

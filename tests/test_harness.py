@@ -998,7 +998,7 @@ LEARNER_KINDS = (
 
 
 @st.composite
-def mixed_runs(draw):
+def learner_runs(draw):
     """A roster of stationary buyers and at least one learner, so that only
     the phases or stretches the learners sit out run in blocks."""
     n = draw(st.integers(2, 5), label="n")
@@ -1027,7 +1027,7 @@ def mixed_runs(draw):
 @pytest.mark.filterwarnings("ignore:mechanism reset at round")  # ETC explores past it
 @pytest.mark.filterwarnings("ignore:no mechanism reset")  # ETC explores unforgiven
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(mixed_runs())
+@given(learner_runs())
 def test_light_mode_blocks_match_beside_learners(config):
     """Blocks of the stationary buyers, rests inside them included, leave
     the same accounts as full mode when exp3, etc or empirical myopic buyers

@@ -246,8 +246,8 @@ def test_threshold_crossing_round_punishes_same_round():
     out = good_round(mech, {0: 0.0, 1: 0.0})
     assert out.uncleared == cfg.uncleared_threshold
     assert set(mech.states[:2]) == {BuyerState.BAD}
-    assert mech._threshold_round == out.t
-    assert mech._good_at_threshold == ()
+    assert mech._epoch.threshold_round == out.t
+    assert mech._epoch.good_at_threshold == ()
 
 
 def test_winner_rests_at_quota():
@@ -341,6 +341,19 @@ def test_finish_records_partial_epoch():
     assert not mech.epoch_records[0].completed
 
 
+def test_finish_twice_records_the_partial_epoch_once():
+    mech = fresh(n=2)
+    drain_bad_phase(mech)
+    good_round(mech, {0: 0.0, 1: 0.0})
+    mech.finish()
+    records = [dataclasses.astuple(e) for e in mech.epoch_records]
+    state_rounds = [list(row) for row in mech.state_rounds]
+    assert len(records) == 1 and sum(state_rounds[0]) == mech.t
+    mech.finish()
+    assert [dataclasses.astuple(e) for e in mech.epoch_records] == records
+    assert mech.state_rounds == state_rounds
+
+
 def test_no_round_runs_past_the_horizon():
     mech = fresh(n=2, horizon=1)
     bids = {i: 0.0 for i in mech.participants()}
@@ -370,11 +383,11 @@ def test_instance_attribute_budget():
     # mechanism-only round driver 8-10% slower (60 interleaved reps), so new
     # bookkeeping is derived from what the mechanism already stores.
     mech = fresh(n=2, reset_round=5)
-    assert len(vars(mech)) <= 28
+    assert len(vars(mech)) <= 19
     while mech.epoch_index < 1:
         mech.run_round({i: 0.0 for i in mech.participants()})
     mech.run_round({i: 0.0 for i in mech.participants()})
-    assert len(vars(mech)) <= 28
+    assert len(vars(mech)) <= 19
 
 
 def test_allocations_never_exceed_quota():
@@ -403,9 +416,9 @@ def _snapshot(mech):
         mech.participants(),
         mech.config,
         mech._rounds_left,
-        mech._threshold_round,
-        mech._good_at_threshold,
-        mech._idle_rounds,
+        mech._epoch.threshold_round,
+        mech._epoch.good_at_threshold,
+        mech._epoch.idle_rounds,
         mech._reset_done,
         list(mech.epoch_records),
         [list(row) for row in mech.state_rounds],
@@ -692,10 +705,10 @@ BLOCK_BID_KINDS = ("zero", "reserve", "below", "above", "tie")
 def _books(mech):
     """Everything ``_snapshot`` holds plus the running epoch accounts."""
     return _snapshot(mech) + (
-        mech._good_revenue,
-        mech._bad_revenue,
-        mech._punishments,
-        mech._rests,
+        mech._epoch.good_revenue,
+        mech._epoch.bad_revenue,
+        mech._epoch.punishments,
+        mech._epoch.rests,
     )
 
 
@@ -794,7 +807,7 @@ def test_run_block_ends_at_a_rest_and_stops_at_an_invalid_bid():
     k, winners, payments = mech.run_block(bids, np.zeros(len(bids)))
     assert k == h and winners.tolist() == [0] * k and payments.tolist() == [reserve] * k
     assert mech.allocations == [h, 0] and mech.states[0] == BuyerState.REST
-    assert mech.participants() == (1,) and mech._rests == 1
+    assert mech.participants() == (1,) and mech._epoch.rests == 1
     # the rest holds from the round after the h-th win on
     assert mech.state_rounds[0] == [t + h, 0, 0] and mech.t == t + h
     for bad in (-0.5, math.nan, math.inf):
