@@ -700,11 +700,11 @@ def external_regret_profile(
     bidding rounds sharing the epoch, phase (which fixes the agent's own
     state) and whether the uncleared threshold was reached is bid by one
     ``ExpertFamily.bids`` call per expert, since the expert's bid then
-    depends on the value alone.  A
-    bid equal to the realized one reproduces the realized outcome; another
-    wins, for value minus bid, only if it reaches the reserve and beats the
-    top rival bid, so a tie with that rival is scored as a loss (a
-    conservative convention).  Scores are summed in round order.
+    depends on the value alone.  A bid equal to the realized one reproduces
+    the realized outcome; another wins, for value minus bid, only if it
+    reaches the reserve and beats the top rival bid, so a tie with that
+    rival is scored as a loss (a conservative convention).  Scores are
+    summed in round order.
     """
     columns = traj.columns
     if columns is None:
