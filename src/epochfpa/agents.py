@@ -41,7 +41,6 @@ __all__ = [
     "ValueGrid",
     "Expert",
     "ExpertFamily",
-    "evaluate_expert",
     "GOOD_TEMPLATE",
     "BAD_THRESHOLD",
     "ZERO_BID",
@@ -118,6 +117,26 @@ class Expert:
     level: Optional[float] = None
     cutoff: Optional[float] = None
 
+    def rule(self, view: AgentView, buyer: int) -> tuple[float, float, bool]:
+        """``(level, cutoff, snap)``: under ``view`` the buyer bids ``level``
+        if its value, snapped to the grid when ``snap``, reaches ``cutoff``,
+        and 0 otherwise.  A zero bid has ``cutoff = inf``."""
+        cfg = view.config
+        in_bad = view.states[buyer] == BuyerState.BAD
+        if self.style == GOOD_TEMPLATE and not in_bad:
+            if self.level is None:
+                return cfg.good_reserve, cfg.good_cutoff, False
+            return self.level, cfg.good_cutoff, True
+        if self.style == BAD_THRESHOLD and in_bad:
+            if self.level is None and self.cutoff is None:
+                return cfg.bad_reserve, cfg.bad_cutoff, False
+            level = cfg.bad_reserve if self.level is None else self.level
+            cutoff = cfg.bad_cutoff if self.cutoff is None else self.cutoff
+            return level, cutoff, True
+        if self.style not in (GOOD_TEMPLATE, BAD_THRESHOLD, ZERO_BID):
+            raise AgentError(f"unknown expert style {self.style!r}")
+        return 0.0, math.inf, False
+
 
 @dataclass(frozen=True)
 class ExpertFamily:
@@ -128,65 +147,14 @@ class ExpertFamily:
         return len(self.experts)
 
     def bid(self, index: int, view: AgentView, buyer: int, value: float) -> float:
-        return evaluate_expert(self.experts[index], view, buyer, value, self.grid)
+        """Deterministic bid of expert ``index`` for the buyer's current view."""
+        level, cutoff, snap = self.experts[index].rule(view, buyer)
+        return level if (self.grid.snap(value) if snap else value) >= cutoff else 0.0
 
     def bids(self, index: int, view: AgentView, buyer: int, values: np.ndarray) -> np.ndarray:
         """``bid`` of every value in ``values`` under one view, equal to it bit for bit."""
-        return _expert_bids(self.experts[index], view, buyer, values, self.grid)
-
-
-def evaluate_expert(
-    expert: Expert, view: AgentView, buyer: int, value: float, grid: ValueGrid
-) -> float:
-    """Deterministic bid of one expert for the buyer's current projection."""
-    cfg = view.config
-    in_bad = view.states[buyer] == BuyerState.BAD
-    if expert.style == GOOD_TEMPLATE:
-        if in_bad:
-            return 0.0
-        level = cfg.good_reserve if expert.level is None else expert.level
-        v = value if expert.level is None else grid.snap(value)
-        if view.uncleared >= cfg.uncleared_threshold:
-            return level
-        return level if v >= cfg.good_cutoff else 0.0
-    if expert.style == BAD_THRESHOLD:
-        if not in_bad:
-            return 0.0
-        canonical = expert.level is None and expert.cutoff is None
-        level = cfg.bad_reserve if expert.level is None else expert.level
-        cutoff = cfg.bad_cutoff if expert.cutoff is None else expert.cutoff
-        v = value if canonical else grid.snap(value)
-        return level if v >= cutoff else 0.0
-    if expert.style == ZERO_BID:
-        return 0.0
-    raise AgentError(f"unknown expert style {expert.style!r}")
-
-
-def _expert_bids(
-    expert: Expert, view: AgentView, buyer: int, values: np.ndarray, grid: ValueGrid
-) -> np.ndarray:
-    """``evaluate_expert`` of every value in ``values``, equal to it bit for bit."""
-    cfg = view.config
-    in_bad = view.states[buyer] == BuyerState.BAD
-    if expert.style == GOOD_TEMPLATE:
-        if in_bad:
-            return np.zeros(len(values))
-        level = cfg.good_reserve if expert.level is None else expert.level
-        if view.uncleared >= cfg.uncleared_threshold:
-            return np.full(len(values), level)
-        v = values if expert.level is None else grid.snap_all(values)
-        return np.where(v >= cfg.good_cutoff, level, 0.0)
-    if expert.style == BAD_THRESHOLD:
-        if not in_bad:
-            return np.zeros(len(values))
-        canonical = expert.level is None and expert.cutoff is None
-        level = cfg.bad_reserve if expert.level is None else expert.level
-        cutoff = cfg.bad_cutoff if expert.cutoff is None else expert.cutoff
-        v = values if canonical else grid.snap_all(values)
-        return np.where(v >= cutoff, level, 0.0)
-    if expert.style == ZERO_BID:
-        return np.zeros(len(values))
-    raise AgentError(f"unknown expert style {expert.style!r}")
+        level, cutoff, snap = self.experts[index].rule(view, buyer)
+        return np.where((self.grid.snap_all(values) if snap else values) >= cutoff, level, 0.0)
 
 
 def default_expert_family(
@@ -315,13 +283,12 @@ class Agent:
     buyer in the revenue guarantee; every other buyer counts as naive.
 
     ``stationary`` says that the bound agent's ``bid`` is a pure function of
-    the value and of the view's buyer states, phase, epoch config and whether
-    ``uncleared`` has reached the epoch threshold, and that ``observe``
-    teaches it nothing.  A stationary agent also implements ``bids(view,
-    values)``: the bids for an array of values under one such view, equal bit
-    for bit to ``bid`` on each value.  Light-mode runs settle the rounds
-    whose participants are all stationary in blocks with it.  Both flags are
-    read once the agent is bound.
+    the value and of the view's buyer states, phase and epoch config, and
+    that ``observe`` teaches it nothing.  A stationary agent also implements
+    ``bids(view, values)``: the bids for an array of values under one such
+    view, equal bit for bit to ``bid`` on each value.  Light-mode runs settle
+    the rounds whose participants are all stationary in blocks with it.  Both
+    flags are read once the agent is bound.
     """
 
     kind = "agent"
@@ -374,14 +341,14 @@ class ExpertAgent(Agent):
         super().__init__()
         if not 0 <= index < len(family):
             raise AgentError(f"expert index {index} outside the family")
-        self.expert = family.experts[index]
-        self.grid = family.grid
+        self.family = family
+        self.index = index
 
     def bid(self, view: AgentView, value: float) -> float:
-        return evaluate_expert(self.expert, view, self.buyer_id, value, self.grid)
+        return self.family.bid(self.index, view, self.buyer_id, value)
 
     def bids(self, view: AgentView, values: np.ndarray) -> np.ndarray:
-        return _expert_bids(self.expert, view, self.buyer_id, values, self.grid)
+        return self.family.bids(self.index, view, self.buyer_id, values)
 
 
 # the canonical good-template expert never reads the family's grid

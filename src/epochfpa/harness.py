@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 from marshal import dumps
@@ -118,13 +117,16 @@ class RunConfig:
                 rho=p["rho"],
                 reset_round=_integer(p.get("reset_round"), "reset_round", optional=True),
             )
+            out_dir = doc.get("out_dir")
+            if out_dir is not None and not isinstance(out_dir, str):
+                raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
             return cls(
                 params=params,
                 distribution=from_spec(doc["distribution"]),
                 agents=list(doc["agents"]),
                 seed=_integer(doc["seed"], "seed"),
                 replications=_integer(doc.get("replications", 1), "replications"),
-                out_dir=doc.get("out_dir"),
+                out_dir=out_dir,
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed run config: {exc}") from None
@@ -696,14 +698,14 @@ def external_regret_profile(
     """Hindsight total utility of each expert holding everyone else fixed.
 
     Each round the agent bid in is rescored with its bid replaced by the
-    expert's, the other bids and the mechanism state frozen.  A stretch of
-    bidding rounds sharing the epoch, phase (which fixes the agent's own
-    state) and whether the uncleared threshold was reached is bid by one
-    ``ExpertFamily.bids`` call per expert, since the expert's bid then
-    depends on the value alone.  A bid equal to the realized one reproduces
-    the realized outcome; another wins, for value minus bid, only if it
-    reaches the reserve and beats the top rival bid, so a tie with that
-    rival is scored as a loss (a conservative convention).  Scores are
+    expert's, the other bids and the mechanism state frozen.  The agent's
+    bidding rounds of one epoch are bid by one ``ExpertFamily.bids`` call
+    per expert: the agent bids in only one phase of an epoch, in one state
+    (good in the good phase, bad in the bad phase), so the expert's bid
+    there depends on the value alone.  A bid equal to the realized one
+    reproduces the realized outcome; another wins, for value minus bid, only
+    if it reaches the reserve and beats the top rival bid, so a tie with
+    that rival is scored as a loss (a conservative convention).  Scores are
     summed in round order.
     """
     columns = traj.columns
@@ -716,26 +718,22 @@ def external_regret_profile(
     column = traj.values[:, agent]
     # of each round the agent bid in: value, own bid, top rival bid, realized utility, reserve
     vals, own, rival, realized, reserve = [], [], [], [], []
-    stretches = []  # (index of the first such round, view)
-    key = None
+    stretches = []  # (index of the epoch's first such round, view)
+    epoch = None
     gathered = 0
     for seg, end in columns.segment_ends():
         if agent not in seg.participants:
             continue
         config = configs[seg.epoch]
         good = seg.phase == GOOD_PHASE
-        # the uncleared count before each round, which never falls in a segment
-        before = [seg.uncleared] + columns.uncleared[seg.start : end - 1]
-        size = len(before)
-        split = bisect_left(before, config.uncleared_threshold)
-        for lo, hi, reached in ((0, split, False), (split, size, True)):
-            if lo < hi and (seg.epoch, good, reached) != key:
-                key = (seg.epoch, good, reached)
-                view = AgentView(
-                    seg.start + lo, seg.phase, config, before[lo], seg.states,
-                    seg.states.count(BuyerState.GOOD), seg.states.count(BuyerState.BAD),
-                )
-                stretches.append((gathered + lo, view))
+        size = end - seg.start
+        if seg.epoch != epoch:
+            epoch = seg.epoch
+            view = AgentView(
+                seg.start, seg.phase, config, seg.uncleared, seg.states,
+                seg.states.count(BuyerState.GOOD), seg.states.count(BuyerState.BAD),
+            )
+            stretches.append((gathered, view))
         gathered += size
         # one row of bids per round, in participant order
         width = len(seg.participants)

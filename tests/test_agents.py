@@ -23,7 +23,6 @@ from epochfpa.agents import (
     ValueGrid,
     build_agent,
     default_expert_family,
-    evaluate_expert,
 )
 from epochfpa.distributions import FiniteSupport, Uniform
 from epochfpa.mechanism import (
@@ -70,13 +69,6 @@ def test_good_strategy_bids_reserve_above_cutoff():
     assert agent.bid(view, 0.9) == cfg.good_reserve
     assert agent.bid(view, cfg.good_cutoff) == cfg.good_reserve
     assert agent.bid(view, 0.3) == 0.0
-
-
-def test_good_strategy_bids_reserve_after_threshold():
-    params, view = make_view(uncleared=10_000)
-    agent = bind(GoodStrategyAgent(), params)
-    assert view.uncleared >= view.config.uncleared_threshold
-    assert agent.bid(view, 0.0) == view.config.good_reserve
 
 
 def test_lookahead_defaults_to_sophisticated_depth():
@@ -228,23 +220,46 @@ def test_bad_threshold_expert_rule():
     _, view = make_view(states=[BuyerState.BAD, BuyerState.GOOD], phase="bad")
     grid = ValueGrid(0.0, 1.0, 1 / 64)
     cfg = view.config
-    expert = Expert(BAD_THRESHOLD)
-    assert evaluate_expert(expert, view, 0, cfg.bad_cutoff + 0.1, grid) == cfg.bad_reserve
-    assert evaluate_expert(expert, view, 0, cfg.bad_cutoff - 0.1, grid) == 0.0
+    family = ExpertFamily((Expert(BAD_THRESHOLD),), grid)
+    assert family.bid(0, view, 0, cfg.bad_cutoff + 0.1) == cfg.bad_reserve
+    assert family.bid(0, view, 0, cfg.bad_cutoff - 0.1) == 0.0
     # not in the bad state: always zero
-    assert evaluate_expert(expert, view, 1, 0.99, grid) == 0.0
+    assert family.bid(0, view, 1, 0.99) == 0.0
 
 
 def test_leveled_experts_snap_values_to_grid():
     _, view = make_view()
     grid = ValueGrid(0.0, 1.0, 1 / 4)
-    leveled = Expert(GOOD_TEMPLATE, level=0.9)
+    leveled = ExpertFamily((Expert(GOOD_TEMPLATE, level=0.9),), grid)
     cutoff = view.config.good_cutoff  # 0.5 for two good buyers on uniform
     # 0.6 snaps down to 0.5 which still meets the cutoff
-    assert evaluate_expert(leveled, view, 0, 0.6, grid) == 0.9
+    assert leveled.bid(0, view, 0, 0.6) == 0.9
     # 0.45 snaps down to 0.25, below the cutoff
-    assert evaluate_expert(leveled, view, 0, 0.45, grid) == 0.0
+    assert leveled.bid(0, view, 0, 0.45) == 0.0
     assert cutoff == 0.5
+
+
+def test_expert_rule_table():
+    # buyer 0 is GOOD and buyer 1 BAD under one view; every style resolves
+    # to "bid level if the (snapped) value reaches cutoff"
+    _, view = make_view(states=[BuyerState.GOOD, BuyerState.BAD])
+    cfg = view.config
+    off = (0.0, math.inf, False)
+    table = [
+        (Expert(GOOD_TEMPLATE), (cfg.good_reserve, cfg.good_cutoff, False), off),
+        (Expert(GOOD_TEMPLATE, level=0.75), (0.75, cfg.good_cutoff, True), off),
+        (Expert(BAD_THRESHOLD), off, (cfg.bad_reserve, cfg.bad_cutoff, False)),
+        (Expert(BAD_THRESHOLD, level=0.5, cutoff=0.625), off, (0.5, 0.625, True)),
+        (Expert(BAD_THRESHOLD, level=0.5), off, (0.5, cfg.bad_cutoff, True)),
+        (Expert(BAD_THRESHOLD, cutoff=0.625), off, (cfg.bad_reserve, 0.625, True)),
+        (Expert(ZERO_BID), off, off),
+        (Expert(ZERO_BID, level=0.5, cutoff=0.5), off, off),
+    ]
+    for expert, good, bad in table:
+        assert expert.rule(view, 0) == good, expert
+        assert expert.rule(view, 1) == bad, expert
+    with pytest.raises(AgentError, match="unknown expert style"):
+        Expert("wat").rule(view, 0)
 
 
 def test_expert_bids_nonnegative_and_finite_everywhere():

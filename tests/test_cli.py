@@ -178,6 +178,15 @@ def test_non_number_mechanism_rates_exit_two(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out_dir", [5, ["out"]], ids=["int", "list"])
+def test_non_string_out_dir_exits_two(tmp_path, monkeypatch, capsys, out_dir):
+    monkeypatch.chdir(tmp_path)
+    path = one_buyer_config(tmp_path, out_dir=out_dir)
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert f"out_dir must be a string, got {out_dir!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("step", [0, -0.25, float("nan")], ids=["zero", "negative", "nan"])
 def test_exp3_bad_grid_step_exits_two(tmp_path, capsys, step):
     path = one_buyer_config(tmp_path, agents=[{"kind": "exp3", "grid_step": step}])

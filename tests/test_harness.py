@@ -185,6 +185,19 @@ def test_threshold_reached_or_everyone_rested_each_epoch():
         assert e.threshold_round is not None or all_rested
 
 
+def test_crossing_records_an_unrested_bidder():
+    # lemma-b3's tail event can be true: the zero bidder is still in the good
+    # phase at epoch 0's crossing, once the good-strategy buyers have rested
+    agents = [{"kind": "myopic", "good_mode": "zero"}] + [{"kind": "good-strategy"}] * 3
+    cfg = make_config(n=4, horizon=2500, agents=agents, seed=303)
+    for record in ("light", "full"):
+        epochs = run_simulation(cfg, record=record).epochs
+        assert epochs[0].good_at_threshold == (0,)
+        # later good phases are idle when they cross
+        later = {e.good_at_threshold for e in epochs[1:] if e.threshold_round is not None}
+        assert later == {()}
+
+
 def test_epoch_idle_rounds_count_participantless_rounds():
     # good-strategy buyers are rested at their quota and zero bidders punished,
     # so good blocks end idle; with nobody bad, every bad block is idle too

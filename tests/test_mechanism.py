@@ -247,7 +247,8 @@ def test_threshold_crossing_round_punishes_same_round():
     assert out.uncleared == cfg.uncleared_threshold
     assert set(mech.states[:2]) == {BuyerState.BAD}
     assert mech._epoch.threshold_round == out.t
-    assert mech._epoch.good_at_threshold == ()
+    # the crossing round's bidders, taken before its punishments
+    assert mech._epoch.good_at_threshold == (0, 1)
 
 
 def test_winner_rests_at_quota():
@@ -388,6 +389,14 @@ def test_instance_attribute_budget():
         mech.run_round({i: 0.0 for i in mech.participants()})
     mech.run_round({i: 0.0 for i in mech.participants()})
     assert len(vars(mech)) <= 19
+
+
+def test_public_name_budget():
+    # the module lists of the public API; deleting names is progress
+    from epochfpa import agents, distributions, harness, mechanism, suites
+
+    modules = (distributions, mechanism, agents, harness, suites)
+    assert sum(len(m.__all__) for m in modules) <= 70
 
 
 def test_allocations_never_exceed_quota():
