@@ -13,15 +13,12 @@ the uncleared-threshold punishment, then the rest move for the round's winner.
 A winner has necessarily bid at least the reserve, so the order cannot punish
 a winner; it is fixed purely for determinism.
 
-The punishment fires in the round that reaches the uncleared threshold.  That
-round is uncleared, so every good bidder in it bid below the reserve and is
-punished, and the good phase stays empty until the epoch ends: no buyer bids
-in a good round past the threshold.  ``EpochRecord.good_at_threshold`` holds
-that round's bidders, before its punishments.  The rule is kept because the
-golden tests and the benchmark reference pin it, and because the variant that
-punishes only in the rounds after the crossing left the ``lemma-b1``,
-``lemma-b3`` and ``theorem-1`` figures and the mixed-roster revenues
-unchanged where it was probed.
+The punishment fires in the round that reaches the uncleared threshold: that
+round is uncleared, so it punishes every good bidder in it, and nobody bids in
+a good round past the threshold.  ``EpochRecord.good_at_threshold`` holds its
+bidders, before the punishments.  The rule is kept because the golden tests
+and the benchmark reference pin it, and punishing only after the crossing left
+the ``lemma-b1``, ``lemma-b3`` and ``theorem-1`` figures unchanged.
 """
 
 from __future__ import annotations
@@ -401,7 +398,6 @@ class Mechanism:
                 and uncleared_before < cfg.uncleared_threshold <= self.uncleared
             ):
                 epoch.threshold_round = self.t
-                # the crossing round's bidders, before its punishments
                 epoch.good_at_threshold = ids
         elif winner is not None:
             epoch.bad_revenue += payment
