@@ -621,11 +621,7 @@ class EtcAgent(Agent):
 
 
 AGENT_KINDS = {
-    "good-strategy": GoodStrategyAgent,
-    "lookahead": LookaheadAgent,
-    "myopic": MyopicAgent,
-    "exp3": Exp3Agent,
-    "etc": EtcAgent,
+    cls.kind: cls for cls in (GoodStrategyAgent, LookaheadAgent, MyopicAgent, Exp3Agent, EtcAgent)
 }
 
 

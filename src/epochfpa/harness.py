@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from marshal import dumps
@@ -89,6 +90,8 @@ class RunConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
+        self.seed = _integer(self.seed, "seed")
+        self.replications = _integer(self.replications, "replications")
         if len(self.agents) != self.params.n:
             raise ConfigError(
                 f"roster size {len(self.agents)} must equal n={self.params.n}"
@@ -124,8 +127,8 @@ class RunConfig:
                 params=params,
                 distribution=from_spec(doc["distribution"]),
                 agents=list(doc["agents"]),
-                seed=_integer(doc["seed"], "seed"),
-                replications=_integer(doc.get("replications", 1), "replications"),
+                seed=doc["seed"],
+                replications=doc.get("replications", 1),
                 out_dir=out_dir,
             )
         except (KeyError, TypeError) as exc:
@@ -181,14 +184,11 @@ class RunConfig:
 
 
 class Segment(NamedTuple):
-    """A stretch of recorded rounds sharing phase, epoch and buyer states."""
+    """A stretch of recorded rounds sharing phase, epoch and buyer states:
+    the ``AgentView`` of its first round and the participants of them all."""
 
-    start: int
-    phase: str
-    epoch: int
+    view: AgentView
     participants: tuple[int, ...]
-    states: tuple[BuyerState, ...]
-    uncleared: int  # before the segment's first round
 
 
 @dataclass
@@ -199,8 +199,9 @@ class RoundColumns:
     order (the rounds of an idle stretch share one empty dict),
     ``winners[t]`` its winner or ``None``, ``payments[t]`` the price,
     ``uncleared[t]`` and ``allocations[t]`` the counts after it.  Phase,
-    epoch, participants and the states before a round are stored once per
-    segment, ``segments[s]`` running up to the next one's start, and the
+    epoch, the states and the uncleared count before a segment's first round
+    are read from the ``AgentView`` of that round, which ``segments[s]`` keeps
+    with the participants, running up to the next one's start, and the
     rounds that moved a buyer map to their moves in ``transitions``.
     """
 
@@ -216,9 +217,7 @@ class RoundColumns:
         """Record ``k`` rounds without participants from ``view``, the first
         one's, as a segment of their own: the rounds before them had bidders
         or another phase."""
-        self.segments.append(
-            Segment(view.t, view.phase, view.config.index, (), view.states, view.uncleared)
-        )
+        self.segments.append(Segment(view, ()))
         self.bids += [{}] * k
         self.winners += [None] * k
         self.payments += [0.0] * k
@@ -231,7 +230,7 @@ class RoundColumns:
     def segment_ends(self) -> Iterator[tuple[Segment, int]]:
         """Every segment with the round its successor starts at."""
         segments = self.segments
-        ends = [s.start for s in segments[1:]] + [len(self.bids)]
+        ends = [s.view.t for s in segments[1:]] + [len(self.bids)]
         return zip(segments, ends)
 
 
@@ -259,16 +258,16 @@ class Trajectory:
         if c is None:
             return None
         out = []
-        for seg, end in c.segment_ends():
-            before = seg.uncleared
-            for t in range(seg.start, end):
+        for (view, participants), end in c.segment_ends():
+            before = view.uncleared
+            for t in range(view.t, end):
                 winner, after = c.winners[t], c.uncleared[t]
                 out.append(
                     RoundOutcome(
-                        t, seg.phase, seg.epoch, seg.participants,
-                        c.bids[t] if seg.participants else {},
+                        t, view.phase, view.config.index, participants,
+                        c.bids[t] if participants else {},
                         winner, c.payments[t], winner is not None,
-                        c.transitions.get(t, ()), before, after, c.allocations[t], seg.states,
+                        c.transitions.get(t, ()), before, after, c.allocations[t], view.states,
                     )
                 )
                 before = after
@@ -354,7 +353,8 @@ def run_simulation(
     ]
     utilities = [0.0] * n
     wins = [0] * n
-    epoch_utils: list[list[float]] = []
+    # each epoch's utilities, by epoch index
+    epoch_utils: defaultdict[int, list[float]] = defaultdict(lambda: [0.0] * n)
     columns = RoundColumns() if record == "full" else None
     blocks = columns is None
     if columns is not None:
@@ -362,8 +362,7 @@ def run_simulation(
         bid_column, winner_column = columns.bids, columns.winners
         payment_column, uncleared_column = columns.payments, columns.uncleared
         allocation_column = columns.allocations
-    # the states snapshot and phase of the current segment
-    segment_states = segment_phase = None
+    segment = None  # the view the current segment starts with
     unsteady = frozenset(i for i, agent in enumerate(agents) if not agent.stationary)
 
     while mech.t < horizon:
@@ -374,9 +373,8 @@ def run_simulation(
             if columns is None:
                 mech.run_idle()
                 continue
-            view, allocations = mech.view(), tuple(mech.allocations)
-            columns.add_idle(view, allocations, mech.run_idle())
-            segment_states, segment_phase = view.states, view.phase
+            segment = mech.view()
+            columns.add_idle(segment, tuple(mech.allocations), mech.run_idle())
             continue
         if blocks and unsteady.isdisjoint(participants):
             t = mech.t
@@ -405,19 +403,15 @@ def run_simulation(
             gain = vrow[winner] - outcome.payment
             utilities[winner] += gain
             wins[winner] += 1
-            while len(epoch_utils) <= outcome.epoch:
-                epoch_utils.append([0.0] * n)
             epoch_utils[outcome.epoch][winner] += gain
         for i in participants:
             observe = observers[i]
             if observe is not None:
                 observe(view, vrow[i], gain if i == winner else 0.0, bids, winner)
         if columns is not None:
-            if view.states is not segment_states or view.phase != segment_phase:
-                segment_states, segment_phase = view.states, view.phase
-                segments.append(
-                    Segment(t, view.phase, outcome.epoch, participants, view.states, view.uncleared)
-                )
+            if segment is None or view.states is not segment.states or view.phase != segment.phase:
+                segment = view
+                segments.append(Segment(view, participants))
             bid_column.append(outcome.bids)
             winner_column.append(winner)
             payment_column.append(outcome.payment)
@@ -428,8 +422,6 @@ def run_simulation(
 
     final_states = tuple(mech.states)
     mech.finish()
-    while len(epoch_utils) < len(mech.epoch_records):
-        epoch_utils.append([0.0] * n)
 
     return Trajectory(
         seed=config.seed,
@@ -441,7 +433,9 @@ def run_simulation(
         agent_utilities=np.array(utilities, dtype=float),
         agent_wins=np.array(wins, dtype=int),
         state_rounds=np.array(mech.state_rounds, dtype=int),
-        epoch_agent_utilities=[np.array(u, dtype=float) for u in epoch_utils],
+        epoch_agent_utilities=[
+            np.array(epoch_utils[e], dtype=float) for e in range(len(mech.epoch_records))
+        ],
         columns=columns,
     )
 
@@ -459,33 +453,20 @@ def _settle_block(
 ) -> int:
     """Bid the coming rounds, whose values are the rows of ``values``, with
     every participant's ``bids``, settle them with ``Mechanism.run_block``
-    and credit the winners; returns the rounds settled."""
+    and credit each settled round's winner in round order, as the round loop
+    does; returns the rounds settled."""
     view = mech.view()
-    ids = np.array(participants)
-    values = values[:, ids]
-    block = np.empty(values.shape)
+    block = np.empty((len(values), len(participants)))
     for j, i in enumerate(participants):
-        block[:, j] = agents[i].bids(view, values[:, j])
+        block[:, j] = agents[i].bids(view, values[:, i])
     settled, winners, payments = mech.run_block(block, ties)
-    if not settled:
-        return 0
-    epoch = view.config.index
-    while len(epoch_utils) <= epoch:
-        epoch_utils.append([0.0] * len(utilities))
-    epoch_row = epoch_utils[epoch]
-    won = winners[:, None] == ids
-    # row 0 holds each participant's running totals, of the run and of the
-    # epoch: one cumsum down the rows then adds its gains in round order, as
-    # the round loop does (a round it did not win adds 0.0)
-    sums = np.empty((settled + 1, 2, len(ids)))
-    sums[0] = [[utilities[i] for i in participants], [epoch_row[i] for i in participants]]
-    sums[1:] = np.where(won, values[:settled] - payments[:, None], 0.0)[:, None]
-    totals, epoch_totals = sums.cumsum(axis=0)[-1].tolist()
-    for i, total, epoch_total, count in zip(
-        participants, totals, epoch_totals, won.sum(axis=0).tolist()
-    ):
-        utilities[i], epoch_row[i] = total, epoch_total
-        wins[i] += count
+    epoch_row = epoch_utils[view.config.index]
+    for row, winner, payment in zip(values[:settled].tolist(), winners.tolist(), payments.tolist()):
+        if winner >= 0:
+            gain = row[winner] - payment
+            utilities[winner] += gain
+            wins[winner] += 1
+            epoch_row[winner] += gain
     return settled
 
 
@@ -714,48 +695,43 @@ def external_regret_profile(
     if len(family) == 0:
         raise ConfigError("expert family must be non-empty")
     agent = _buyer(agent, traj.values.shape[1])
-    configs = {e.config.index: e.config for e in traj.epochs}
     column = traj.values[:, agent]
     # of each round the agent bid in: value, own bid, top rival bid, realized utility, reserve
     vals, own, rival, realized, reserve = [], [], [], [], []
     stretches = []  # (index of the epoch's first such round, view)
     epoch = None
     gathered = 0
-    for seg, end in columns.segment_ends():
-        if agent not in seg.participants:
+    for (view, participants), end in columns.segment_ends():
+        if agent not in participants:
             continue
-        config = configs[seg.epoch]
-        good = seg.phase == GOOD_PHASE
-        size = end - seg.start
-        if seg.epoch != epoch:
-            epoch = seg.epoch
-            view = AgentView(
-                seg.start, seg.phase, config, seg.uncleared, seg.states,
-                seg.states.count(BuyerState.GOOD), seg.states.count(BuyerState.BAD),
-            )
+        start, config = view.t, view.config
+        size = end - start
+        if config.index != epoch:
+            epoch = config.index
             stretches.append((gathered, view))
         gathered += size
         # one row of bids per round, in participant order
-        width = len(seg.participants)
+        width = len(participants)
         bid_rows = np.fromiter(
-            chain.from_iterable(map(dict.values, columns.bids[seg.start : end])),
+            chain.from_iterable(map(dict.values, columns.bids[start:end])),
             float,
             size * width,
         ).reshape(size, width)
-        j = seg.participants.index(agent)
+        j = participants.index(agent)
         own.append(bid_rows[:, j])
         if width > 1:
             rival.append(np.delete(bid_rows, j, axis=1).max(axis=1))
         else:
             rival.append(np.full(size, -math.inf))
-        seg_vals = column[seg.start : end]
+        seg_vals = column[start:end]
         vals.append(seg_vals)
         gain = np.zeros(size)
-        won = [r for r, w in enumerate(columns.winners[seg.start : end]) if w == agent]
+        won = [r for r, w in enumerate(columns.winners[start:end]) if w == agent]
         if won:
-            paid = np.fromiter((columns.payments[seg.start + r] for r in won), float, len(won))
+            paid = np.fromiter((columns.payments[start + r] for r in won), float, len(won))
             gain[won] = seg_vals[won] - paid
         realized.append(gain)
+        good = view.phase == GOOD_PHASE
         reserve.append(np.full(size, config.good_reserve if good else config.bad_reserve))
     if not vals:
         return np.zeros(len(family))
@@ -864,15 +840,15 @@ def trajectory_ndjson(traj: Trajectory) -> str:
     pay_texts: dict[bytes, str] = {}
     lines = []
     last_allocations = alloc_text = None
-    for seg, end in columns.segment_ends():
-        start, participants = seg.start, seg.participants
+    for (view, participants), end in columns.segment_ends():
+        start, phase, epoch = view.t, view.phase, view.config.index
         a = allocations[start]
         if a != last_allocations:
             last_allocations, alloc_text = a, _ids_text(a)
         if not participants:
             head = (
                 f'{{"allocations":{alloc_text},"bids":{{}},"cleared":false,'
-                f'"epoch":{seg.epoch},"participants":[],"payment":0.0,"phase":"{seg.phase}","t":'
+                f'"epoch":{epoch},"participants":[],"payment":0.0,"phase":"{phase}","t":'
             )
             lines += [
                 f'{head}{t},"transitions":[],"uncleared":{u},"winner":null}}'
@@ -880,8 +856,8 @@ def trajectory_ndjson(traj: Trajectory) -> str:
             ]
             continue
         order = [(k, f'"{k}":') for k in sorted(participants, key=str)]
-        middle = f',"epoch":{seg.epoch},"participants":{_ids_text(participants)},"payment":'
-        phase = f',"phase":"{seg.phase}","t":'
+        middle = f',"epoch":{epoch},"participants":{_ids_text(participants)},"payment":'
+        tail = f',"phase":"{phase}","t":'
         for t in range(start, end):
             round_bids = bids[t]
             key = _exact_key(round_bids)
@@ -914,7 +890,7 @@ def trajectory_ndjson(traj: Trajectory) -> str:
             ) if move else ""
             lines.append(
                 f'{{"allocations":{alloc_text},"bids":{{{bid_text}}},{cleared}{middle}'
-                f'{pay_text}{phase}{t},"transitions":[{move_text}],'
+                f'{pay_text}{tail}{t},"transitions":[{move_text}],'
                 f'"uncleared":{uncleared[t]},"winner":{winner}}}'
             )
     return "\n".join(lines) + ("\n" if lines else "")

@@ -362,10 +362,10 @@ class Mechanism:
         uncleared_before = self.uncleared
         good = self._phase == GOOD_PHASE
         if good:
-            ids, reserve, expected = self._good_ids, cfg.good_reserve, self._good_set
+            ids, reserve = self._good_ids, cfg.good_reserve
         else:
-            ids, reserve, expected = self._bad_ids, cfg.bad_reserve, self._bad_set
-        self._check_bids(bids, expected)
+            ids, reserve = self._bad_ids, cfg.bad_reserve
+        self._check_bids(bids, ids)
         winner, payment = None, 0.0
         if bids:
             winner, payment = self._settle(bids, ids, reserve, tie)
@@ -569,10 +569,11 @@ class Mechanism:
         tied = [i for i in ordered_ids if bids[i] == best]
         return (tied[int(tie * len(tied))] if len(tied) > 1 else tied[0]), best
 
-    def _check_bids(self, bids, expected: frozenset) -> None:
-        if bids.keys() != expected:
+    def _check_bids(self, bids, ids: tuple[int, ...]) -> None:
+        # bids in participant order pass the first test; any order, the second
+        if tuple(bids) != ids and bids.keys() != set(ids):
             raise MechanismError(
-                f"bids must come from exactly the current participants {sorted(expected)}"
+                f"bids must come from exactly the current participants {sorted(ids)}"
             )
         for i, b in bids.items():
             # a bool is an int, but True is no bid
@@ -597,8 +598,6 @@ class Mechanism:
         self._bad_ids = tuple(
             i for i, s in enumerate(self._states) if s == BuyerState.BAD
         )
-        self._good_set = frozenset(self._good_ids)
-        self._bad_set = frozenset(self._bad_ids)
 
     def _start_epoch(self) -> None:
         if any(s == BuyerState.REST for s in self.states):

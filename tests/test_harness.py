@@ -81,6 +81,28 @@ def test_config_validates_roster_size_and_ids():
     assert cfg.agents[0]["kind"] == "good-strategy"
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("seed", 1.5), ("seed", "x"), ("seed", None), ("seed", True),
+     ("replications", 2.5), ("replications", "2"), ("replications", True)],
+)
+def test_config_checks_seed_and_replications_on_construction(field, bad):
+    fields = {"seed": 5, "replications": 1, field: bad}
+    message = f"^{field} must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(
+            params=make_config().params, distribution=Uniform(0.0, 1.0),
+            agents=[{"kind": "myopic"}] * 2, **fields,
+        )
+
+
+def test_config_stores_numpy_integers_as_ints():
+    base = make_config()
+    cfg = RunConfig(base.params, base.distribution, base.agents, np.int64(7), np.int64(2))
+    assert (type(cfg.seed), type(cfg.replications)) == (int, int)
+    assert (cfg.seed, cfg.replications) == (7, 2)
+
+
 def test_config_json_round_trip(tmp_path):
     cfg = make_config(n=2, agents=[{"kind": "lookahead"}, {"kind": "myopic"}])
     doc = cfg.to_dict()
@@ -1116,6 +1138,88 @@ def test_invalid_block_bid_raises_as_on_the_per_round_path(at, bad):
     assert messages[0] == messages[1]
     assert re.match(rf"round {at} \(good phase, epoch \d+\): ", messages[0])
     assert messages[0].endswith(f"buyer 1 submitted an invalid bid {bad!r}")
+
+
+def recorded_blocks(monkeypatch):
+    """Patch ``Mechanism.run_block`` to log, per call, the phase, the uncleared
+    count and threshold it started from and the rows it settled."""
+    calls = []
+    run_block = Mechanism.run_block
+
+    def logged(self, bids, ties):
+        before = (self.phase, self.uncleared, self.config.uncleared_threshold)
+        k, winners, payments = run_block(self, bids, ties)
+        calls.append((*before, k))
+        return k, winners, payments
+
+    monkeypatch.setattr(Mechanism, "run_block", logged)
+    return calls
+
+
+class InvalidInGoodPhases(Agent):
+    """Stationary, bidding -1 in good phases and 0 in bad ones."""
+
+    stationary = True
+
+    def bid(self, view, value):
+        return -1.0 if view.phase == "good" else 0.0
+
+    def bids(self, view, values):
+        return np.full(len(values), self.bid(view, 0.0))
+
+
+def test_a_block_that_settles_nothing_raises_as_on_the_per_round_path(monkeypatch):
+    config = make_config(n=2, horizon=700)
+    good_start = Mechanism(config.params, config.distribution).config.bad_rounds
+    substitutes = dict.fromkeys(range(2), InvalidInGoodPhases)
+    blocks = recorded_blocks(monkeypatch)
+    messages = []
+    for record in ("light", "full"):
+        with pytest.raises(MechanismError) as caught:
+            run_simulation(config, record=record, substitutes=substitutes)
+        messages.append(str(caught.value))
+    assert blocks == [("good", 0, blocks[0][2], 0)]  # light mode's one block
+    assert messages[0] == messages[1]
+    assert messages[0] == (
+        f"round {good_start} (good phase, epoch 0): buyer 0 submitted an invalid bid -1.0"
+    )
+
+
+class HighIn(Agent):
+    """Stationary, bidding 1.0 in the rounds of ``high`` and 0 otherwise."""
+
+    stationary = True
+
+    def __init__(self, high):
+        super().__init__()
+        self.high = high
+
+    def bid(self, view, value):
+        return 1.0 if view.t in self.high else 0.0
+
+    def bids(self, view, values):
+        t = np.arange(view.t, view.t + len(values))
+        return np.where((t >= self.high.start) & (t < self.high.stop), 1.0, 0.0)
+
+
+def test_a_block_opening_on_the_threshold_crossing_keeps_the_accounts(monkeypatch):
+    # buyer 0 wins its quota right after the good phase's first threshold - 1
+    # uncleared rounds, so the block holding its rest ends there and the
+    # next block opens on the crossing
+    config = make_config(n=2, horizon=700)
+    cfg = Mechanism(config.params, config.distribution).config
+    quota, threshold = config.params.rest_threshold, cfg.uncleared_threshold
+    first_win = cfg.bad_rounds + threshold - 1
+    crossing = first_win + quota
+    substitutes = {0: lambda: HighIn(range(first_win, crossing)), 1: lambda: HighIn(range(0))}
+    blocks = recorded_blocks(monkeypatch)
+    light = run_simulation(config, record="light", substitutes=substitutes)
+    assert ("good", threshold - 1, threshold, 0) in blocks
+    full = run_simulation(config, record="full", substitutes=substitutes)
+    assert_same_accounts(light, full)
+    assert light.epochs[0].threshold_round == crossing
+    assert full.columns.transitions[crossing - 1] == ((0, BuyerState.GOOD, BuyerState.REST),)
+    assert light.agent_wins.tolist() == [quota, 0]
 
 
 # -- hindsight rescoring in stretches ----------------------------------------------

@@ -1,13 +1,16 @@
 """The names the benchmark's per-layer spans wrap still exist in the package,
-and every boundary a workload must exercise still fires.
+every boundary a workload must exercise still fires, and a full-size unit of
+each workload still matches ``perfbench/reference.json``.
 
 ``perfbench/spans.py`` wraps functions and agent methods by name; a rename in
-the package, or a call that no longer goes through the wrapped name, would
-otherwise surface only when the benchmark runs.
+the package, a call that no longer goes through the wrapped name, or a byte
+that moves in a workload's outputs would otherwise surface only when the
+benchmark runs.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -72,3 +75,15 @@ def test_layer_metrics_read_a_tiny_base_run(tmp_path):
         *(f"harness.replay_shared_prefix_share.buyer{b}" for b in workload.replay_buyers),
     }
     assert all(0.0 <= share <= 1.0 for share in metrics.values())
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_full_size_units_match_the_benchmark_reference(name, tmp_path):
+    # the benchmark checks its reference only at full size; byte drift in the
+    # ndjson or the regret profiles shows up here first
+    cls = workloads.WORKLOADS[name]
+    workload = cls(cls.default_seed, tmp_path)
+    reference = json.loads(run.REFERENCE.read_text())[name]
+    checks = workloads.Checks()
+    workload.check(workload.run(), checks, reference)
+    assert checks.attempted > 0 and checks.failures == []
