@@ -92,6 +92,8 @@ class RunConfig:
     def __post_init__(self):
         self.seed = _integer(self.seed, "seed")
         self.replications = _integer(self.replications, "replications")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         if len(self.agents) != self.params.n:
             raise ConfigError(
                 f"roster size {len(self.agents)} must equal n={self.params.n}"
@@ -120,16 +122,13 @@ class RunConfig:
                 rho=p["rho"],
                 reset_round=_integer(p.get("reset_round"), "reset_round", optional=True),
             )
-            out_dir = doc.get("out_dir")
-            if out_dir is not None and not isinstance(out_dir, str):
-                raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
             return cls(
                 params=params,
                 distribution=from_spec(doc["distribution"]),
                 agents=list(doc["agents"]),
                 seed=doc["seed"],
                 replications=doc.get("replications", 1),
-                out_dir=out_dir,
+                out_dir=doc.get("out_dir"),
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed run config: {exc}") from None

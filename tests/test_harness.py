@@ -84,11 +84,12 @@ def test_config_validates_roster_size_and_ids():
 @pytest.mark.parametrize(
     "field, bad",
     [("seed", 1.5), ("seed", "x"), ("seed", None), ("seed", True),
-     ("replications", 2.5), ("replications", "2"), ("replications", True)],
+     ("replications", 2.5), ("replications", "2"), ("replications", True), ("out_dir", 5)],
 )
-def test_config_checks_seed_and_replications_on_construction(field, bad):
+def test_config_checks_its_fields_on_construction(field, bad):
     fields = {"seed": 5, "replications": 1, field: bad}
-    message = f"^{field} must be an integer, got {re.escape(repr(bad))}$"
+    kind = "a string" if field == "out_dir" else "an integer"
+    message = f"^{field} must be {kind}, got {re.escape(repr(bad))}$"
     with pytest.raises(ConfigError, match=message):
         RunConfig(
             params=make_config().params, distribution=Uniform(0.0, 1.0),
