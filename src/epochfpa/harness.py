@@ -16,7 +16,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from marshal import dumps
-from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -194,17 +193,18 @@ class Segment(NamedTuple):
 class RoundColumns:
     """The rounds of a full-mode run, one list entry per round.
 
-    ``bids[t]`` is round ``t``'s bids keyed by its participants in their
-    order (the rounds of an idle stretch share one empty dict),
-    ``winners[t]`` its winner or ``None``, ``payments[t]`` the price,
-    ``uncleared[t]`` and ``allocations[t]`` the counts after it.  Phase,
+    ``bids[t]`` is the tuple of round ``t``'s bids in its segment's
+    participant order (idle rounds share ``()``), ``winners[t]`` its winner
+    or ``None``, ``payments[t]`` the price, ``uncleared[t]`` and
+    ``allocations[t]`` the counts after it; a round that left the
+    allocations as they were holds the previous round's tuple.  Phase,
     epoch, the states and the uncleared count before a segment's first round
     are read from the ``AgentView`` of that round, which ``segments[s]`` keeps
     with the participants, running up to the next one's start, and the
     rounds that moved a buyer map to their moves in ``transitions``.
     """
 
-    bids: list[dict] = field(default_factory=list)
+    bids: list[tuple] = field(default_factory=list)
     winners: list[Optional[int]] = field(default_factory=list)
     payments: list[float] = field(default_factory=list)
     uncleared: list[int] = field(default_factory=list)
@@ -217,7 +217,7 @@ class RoundColumns:
         one's, as a segment of their own: the rounds before them had bidders
         or another phase."""
         self.segments.append(Segment(view, ()))
-        self.bids += [{}] * k
+        self.bids += [()] * k
         self.winners += [None] * k
         self.payments += [0.0] * k
         if view.phase == GOOD_PHASE:  # an empty good auction is uncleared
@@ -264,7 +264,7 @@ class Trajectory:
                 out.append(
                     RoundOutcome(
                         t, view.phase, view.config.index, participants,
-                        c.bids[t] if participants else {},
+                        dict(zip(participants, c.bids[t])),
                         winner, c.payments[t], winner is not None,
                         c.transitions.get(t, ()), before, after, c.allocations[t], view.states,
                     )
@@ -361,6 +361,7 @@ def run_simulation(
         bid_column, winner_column = columns.bids, columns.winners
         payment_column, uncleared_column = columns.payments, columns.uncleared
         allocation_column = columns.allocations
+        allocated = None  # the last allocations recorded, shared while they hold
     segment = None  # the view the current segment starts with
     unsteady = frozenset(i for i, agent in enumerate(agents) if not agent.stationary)
 
@@ -373,7 +374,9 @@ def run_simulation(
                 mech.run_idle()
                 continue
             segment = mech.view()
-            columns.add_idle(segment, tuple(mech.allocations), mech.run_idle())
+            if tuple(mech.allocations) != allocated:
+                allocated = tuple(mech.allocations)
+            columns.add_idle(segment, allocated, mech.run_idle())
             continue
         if blocks and unsteady.isdisjoint(participants):
             t = mech.t
@@ -411,11 +414,13 @@ def run_simulation(
             if segment is None or view.states is not segment.states or view.phase != segment.phase:
                 segment = view
                 segments.append(Segment(view, participants))
-            bid_column.append(outcome.bids)
+            bid_column.append(tuple(outcome.bids.values()))
             winner_column.append(winner)
             payment_column.append(outcome.payment)
             uncleared_column.append(outcome.uncleared)
-            allocation_column.append(outcome.allocations)
+            if outcome.allocations != allocated:
+                allocated = outcome.allocations
+            allocation_column.append(allocated)
             if outcome.transitions:
                 moves[t] = outcome.transitions
 
@@ -712,7 +717,7 @@ def external_regret_profile(
         # one row of bids per round, in participant order
         width = len(participants)
         bid_rows = np.fromiter(
-            chain.from_iterable(map(dict.values, columns.bids[start:end])),
+            chain.from_iterable(columns.bids[start:end]),
             float,
             size * width,
         ).reshape(size, width)
@@ -819,25 +824,52 @@ def trajectory_ndjson(traj: Trajectory) -> str:
     Bid keys are buyer ids as decimal strings, sorted as strings, so ``"10"``
     comes before ``"2"``.
 
-    Lines are formatted from ``traj.columns`` directly.  The texts a segment
+    The text is the segments' chunks that ``write_trajectory`` writes one at
+    a time, joined.  A full-mode trajectory is required: a light-mode one
+    raises ``ConfigError``.
+    """
+    return "".join(_ndjson_chunks(_full_columns(traj)))
+
+
+def write_trajectory(traj: Trajectory, path) -> None:
+    """Write ``trajectory_ndjson(traj)`` to ``path``, one segment at a time.
+
+    A segment lies within one phase, so no more than ``max_epoch_length``
+    lines are held at once.  A light-mode trajectory raises ``ConfigError``
+    before the file is opened, so no file is left behind.
+    """
+    chunks = _ndjson_chunks(_full_columns(traj))
+    with open(path, "w") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def _full_columns(traj: Trajectory) -> RoundColumns:
+    if traj.columns is None:
+        raise ConfigError("trajectory was not recorded in full mode")
+    return traj.columns
+
+
+def _ndjson_chunks(columns: RoundColumns) -> Iterator[str]:
+    """The ndjson lines of each segment, as one string per segment.
+
+    Lines are formatted from the columns directly.  The texts a segment
     shares are formatted once per segment, an idle round's line comes from
     its segment's template, and the allocations are formatted again only
-    after a win.  Each distinct bid set and payment is formatted once, keyed
-    by its ``marshal`` bytes, which hold every id and the type and exact
-    bits of every number, so ``0``, ``0.0``, ``-0.0`` and ``np.float64(0.0)``
-    never share a key; one with a number marshal refuses, a subclass of
-    ``int`` or ``float`` other than numpy's, is formatted every time.  An
-    exact finite float is written with ``float.__repr__``, as the encoder
-    does, and any other number goes through the encoder itself.
+    after a win.  Each distinct bid tuple of a participant order, and each
+    distinct payment, is formatted once, keyed by its ``marshal`` bytes,
+    which hold the type and exact bits of every number, so ``0``, ``0.0``,
+    ``-0.0`` and ``np.float64(0.0)`` never share a key; one with a number
+    marshal refuses, a subclass of ``int`` or ``float`` other than numpy's,
+    is formatted every time.  An exact finite float is written with
+    ``float.__repr__``, as the encoder does, and any other number goes
+    through the encoder itself.
     """
-    columns = traj.columns
-    if columns is None:
-        raise ConfigError("trajectory was not recorded in full mode")
     bids, winners, payments = columns.bids, columns.winners, columns.payments
     uncleared, allocations, moves = columns.uncleared, columns.allocations, columns.transitions
-    bid_texts: dict[bytes, str] = {}
+    # a tuple carries no buyer ids, so its text is cached per participant order
+    bid_texts: dict[tuple[int, ...], dict[bytes, str]] = {}
     pay_texts: dict[bytes, str] = {}
-    lines = []
     last_allocations = alloc_text = None
     for (view, participants), end in columns.segment_ends():
         start, phase, epoch = view.t, view.phase, view.config.index
@@ -849,24 +881,26 @@ def trajectory_ndjson(traj: Trajectory) -> str:
                 f'{{"allocations":{alloc_text},"bids":{{}},"cleared":false,'
                 f'"epoch":{epoch},"participants":[],"payment":0.0,"phase":"{phase}","t":'
             )
-            lines += [
-                f'{head}{t},"transitions":[],"uncleared":{u},"winner":null}}'
+            yield "".join([
+                f'{head}{t},"transitions":[],"uncleared":{u},"winner":null}}\n'
                 for t, u in zip(range(start, end), uncleared[start:end])
-            ]
+            ])
             continue
-        order = [(k, f'"{k}":') for k in sorted(participants, key=str)]
+        texts = bid_texts.setdefault(participants, {})
+        order = [
+            (participants.index(k), f'"{k}":') for k in sorted(participants, key=str)
+        ]
         middle = f',"epoch":{epoch},"participants":{_ids_text(participants)},"payment":'
         tail = f',"phase":"{phase}","t":'
+        lines = []
         for t in range(start, end):
             round_bids = bids[t]
             key = _exact_key(round_bids)
-            bid_text = bid_texts.get(key)
+            bid_text = texts.get(key)
             if bid_text is None:
-                bid_text = ",".join(
-                    [label + _number_text(round_bids[k]) for k, label in order]
-                )
+                bid_text = ",".join([label + _number_text(round_bids[j]) for j, label in order])
                 if key is not None:
-                    bid_texts[key] = bid_text
+                    texts[key] = bid_text
             payment = payments[t]
             key = _exact_key(payment)
             pay_text = pay_texts.get(key)
@@ -890,9 +924,9 @@ def trajectory_ndjson(traj: Trajectory) -> str:
             lines.append(
                 f'{{"allocations":{alloc_text},"bids":{{{bid_text}}},{cleared}{middle}'
                 f'{pay_text}{tail}{t},"transitions":[{move_text}],'
-                f'"uncleared":{uncleared[t]},"winner":{winner}}}'
+                f'"uncleared":{uncleared[t]},"winner":{winner}}}\n'
             )
-    return "\n".join(lines) + ("\n" if lines else "")
+        yield "".join(lines)
 
 
 def _ids_text(ints: tuple[int, ...]) -> str:
@@ -917,10 +951,6 @@ def _number_text(x) -> str:
 # for the numbers a line does not format itself: all but exact finite floats
 # (ints, float subclasses, inf and nan)
 _COMPACT_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
-def write_trajectory(traj: Trajectory, path) -> None:
-    Path(path).write_text(trajectory_ndjson(traj))
 
 
 def write_epoch_csv(traj: Trajectory, path) -> None:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -934,6 +935,62 @@ def test_columns_give_the_outcomes_run_round_returned(roster, monkeypatch):
 def test_ndjson_of_zero_horizon_is_empty():
     traj = run_simulation(make_config(horizon=0))
     assert trajectory_ndjson(traj) == reference_ndjson(traj) == ""
+
+
+@pytest.mark.parametrize("roster", ["twelve", "five", "zero-horizon"])
+def test_written_file_equals_the_text(roster, tmp_path):
+    if roster == "zero-horizon":
+        traj = run_simulation(make_config(horizon=0))
+    else:
+        config, substitutes = mixed_number_rosters()[roster]
+        traj = run_simulation(config, substitutes=substitutes)
+    path = tmp_path / "trajectory.ndjson"
+    write_trajectory(traj, path)
+    assert path.read_bytes() == trajectory_ndjson(traj).encode()
+
+
+def test_columns_hold_bid_tuples_and_share_unchanged_allocations():
+    config, substitutes = mixed_number_rosters()["five"]
+    columns = run_simulation(config, substitutes=substitutes).columns
+    for (view, participants), end in columns.segment_ends():
+        for t in range(view.t, end):
+            assert type(columns.bids[t]) is tuple
+            assert len(columns.bids[t]) == len(participants)
+            if not participants:
+                assert columns.bids[t] is columns.bids[view.t]
+    pairs = list(zip(columns.allocations, columns.allocations[1:]))
+    assert any(a != b for a, b in pairs)
+    assert all(a is b for a, b in pairs if a == b)
+
+
+def test_write_trajectory_holds_one_segment_at_a_time(tmp_path):
+    # the peak of traced allocations while writing stays a small share of the
+    # file, where holding the whole text took more than three times it
+    agents = [
+        {"kind": "myopic", "good_mode": "empirical"},
+        {"kind": "exp3", "levels": 4},
+        {"kind": "myopic", "good_mode": "zero"},
+    ]
+    traj = run_simulation(make_config(n=3, horizon=6000, agents=agents))
+    path = tmp_path / "trajectory.ndjson"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_trajectory(traj, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    written = path.stat().st_size
+    assert written > 6000 * 100
+    assert peak < written / 4, (peak, written)
+
+
+def test_write_trajectory_refuses_light_mode_before_creating_the_file(tmp_path):
+    traj = run_simulation(make_config(horizon=50), record="light")
+    path = tmp_path / "trajectory.ndjson"
+    with pytest.raises(ConfigError, match="full mode"):
+        write_trajectory(traj, path)
+    assert not path.exists()
 
 
 def test_ndjson_schema_fields():
