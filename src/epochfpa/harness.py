@@ -251,8 +251,8 @@ class Trajectory:
 
     @property
     def rounds(self) -> Optional[list[RoundOutcome]]:
-        """Each round's outcome, built from ``columns`` on every access;
-        ``None`` for a light-mode run."""
+        """Each round's outcome, built from ``columns`` on every access, with
+        its bids keyed by participant; ``None`` for a light-mode run."""
         c = self.columns
         if c is None:
             return None

@@ -971,7 +971,7 @@ def test_write_trajectory_holds_one_segment_at_a_time(tmp_path):
         {"kind": "exp3", "levels": 4},
         {"kind": "myopic", "good_mode": "zero"},
     ]
-    traj = run_simulation(make_config(n=3, horizon=6000, agents=agents))
+    traj = run_simulation(make_config(n=3, horizon=10_000, agents=agents))
     path = tmp_path / "trajectory.ndjson"
     tracemalloc.start()
     try:
@@ -981,7 +981,7 @@ def test_write_trajectory_holds_one_segment_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     written = path.stat().st_size
-    assert written > 6000 * 100
+    assert written > 10_000 * 100
     assert peak < written / 4, (peak, written)
 
 
