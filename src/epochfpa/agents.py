@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import ValueDistribution
+from .distributions import ValueDistribution, _integer
 from .mechanism import AgentView, BuyerState, MechanismParams
 
 __all__ = [
@@ -201,7 +201,7 @@ class Exp3Learner:
         n_arms: int,
         gamma: float,
         reward_scale: float,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
     ):
         if n_arms < 1:
             raise AgentError("need at least one arm")
@@ -210,7 +210,7 @@ class Exp3Learner:
         self.n_arms = n_arms
         self.gamma = gamma
         self.reward_scale = reward_scale if reward_scale > 0 else 1.0
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.rng = rng
         self.weights = np.ones(n_arms)
         self._pending: Optional[tuple[int, float]] = None
         self._draw: Optional[tuple[list[float], list[float]]] = None
@@ -257,16 +257,6 @@ class Exp3Learner:
 # ---------------------------------------------------------------------------
 # agents
 # ---------------------------------------------------------------------------
-
-
-def _count(x, name: str, minimum: int, optional: bool = False):
-    """``x`` if it is an integer (not a bool) of at least ``minimum``, or an
-    ``optional`` ``None``."""
-    if optional and x is None:
-        return x
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < minimum:
-        raise AgentError(f"{name} must be an integer of at least {minimum}, got {x!r}")
-    return x
 
 
 def _family(family):
@@ -378,7 +368,7 @@ class LookaheadAgent(GoodStrategyAgent):
 
     def __init__(self, k: Optional[int] = None):
         super().__init__()
-        self.k = _count(k, "lookahead depth k", 0, optional=True)
+        self.k = None if k is None else _integer(k, "lookahead depth k", AgentError, 0)
 
     def _setup(self) -> None:
         threshold = self.params.lookahead_threshold
@@ -535,7 +525,7 @@ class Exp3Agent(Agent):
         self.family = _family(family)
         self.gamma = gamma
         self.grid_step = grid_step
-        self.levels = _count(levels, "levels", 0)
+        self.levels = _integer(levels, "levels", AgentError, 0)
 
     def _setup(self) -> None:
         if self.family is None:
@@ -577,8 +567,10 @@ class EtcAgent(Agent):
     ):
         super().__init__()
         self.family = _family(family)
-        self.explore_len = _count(explore_len, "explore_len", 1, optional=True)
-        self.levels = _count(levels, "levels", 0)
+        if explore_len is not None:
+            explore_len = _integer(explore_len, "explore_len", AgentError, 1)
+        self.explore_len = explore_len
+        self.levels = _integer(levels, "levels", AgentError, 0)
         self.committed_index: Optional[int] = None
 
     def _setup(self) -> None:

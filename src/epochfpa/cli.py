@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .distributions import DistributionError, auction_scalars, from_spec, monopoly_reserve
+from .distributions import auction_scalars, from_spec, monopoly_reserve
 from .harness import (
     ConfigError,
     RunConfig,
@@ -28,10 +28,10 @@ from .harness import (
     write_epoch_csv,
     write_trajectory,
 )
-from .mechanism import MechanismError
 from .suites import SUITES, run_suite
 
-_USER_ERRORS = (ConfigError, DistributionError, MechanismError, ValueError, OSError)
+# every error the package raises for bad input is a ValueError
+_USER_ERRORS = (ValueError, OSError)
 
 
 def _load_dist(text: str):

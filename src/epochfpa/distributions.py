@@ -15,9 +15,10 @@ bidder's win probability equal to ``P(sale) / m``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import integrate, optimize
@@ -50,6 +51,32 @@ class DistributionError(ValueError):
     """Invalid distribution specification or argument."""
 
 
+# the input checks every module shares; ``error`` is the calling module's
+# ValueError subclass
+
+
+def _integer(x, name: str, error: type, minimum: Optional[int] = None) -> int:
+    """``x`` as an ``int``; bools, floats such as 5.0 and values below
+    ``minimum`` are refused."""
+    if (
+        isinstance(x, bool)
+        or not isinstance(x, numbers.Integral)
+        or minimum is not None and x < minimum
+    ):
+        bound = "" if minimum is None else f" of at least {minimum}"
+        raise error(f"{name} must be an integer{bound}, got {x!r}")
+    return int(x)
+
+
+def _number(x, name: str, error: type) -> float:
+    """``x`` as a finite ``float``; bools, strings and other non-numbers are refused."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise error(f"{name} must be a number, got {x!r}")
+    if not math.isfinite(x):
+        raise error(f"{name} must be finite, got {x!r}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class FiniteSupport:
     """Discrete prior on a strictly increasing tuple of nonnegative values."""
@@ -62,16 +89,14 @@ class FiniteSupport:
         if not self.support:
             raise DistributionError("finite support must be non-empty")
         try:
-            support = tuple((float(v), float(p)) for v, p in self.support)
+            pairs = [(v, p) for v, p in self.support]
         except (TypeError, ValueError):
             raise DistributionError(
                 f"finite support must be [value, probability] pairs, got {self.support!r}"
             ) from None
-        object.__setattr__(self, "support", support)
-        values = [v for v, _ in support]
-        probs = [p for _, p in support]
-        if not all(math.isfinite(v) for v in values):
-            raise DistributionError("support values must be finite")
+        values = [_number(v, "support values", DistributionError) for v, _ in pairs]
+        probs = [_number(p, "probabilities", DistributionError) for _, p in pairs]
+        object.__setattr__(self, "support", tuple(zip(values, probs)))
         if any(v < 0 for v in values):
             raise DistributionError("support values must be nonnegative")
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -139,13 +164,7 @@ class Uniform:
 
     def __post_init__(self):
         for name in ("lo", "hi"):
-            x = getattr(self, name)
-            try:
-                x = float(x)
-            except (TypeError, ValueError):
-                raise DistributionError(f"uniform bound {name} must be a number, got {x!r}") from None
-            if not math.isfinite(x):
-                raise DistributionError(f"uniform bound {name} must be finite, got {x!r}")
+            x = _number(getattr(self, name), f"uniform bound {name}", DistributionError)
             object.__setattr__(self, name, x)
         if self.lo < 0:
             raise DistributionError("uniform lower bound must be nonnegative")
@@ -281,16 +300,10 @@ def to_spec(dist: ValueDistribution) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _check_count(m: int, minimum: int = 1) -> int:
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < minimum:
-        raise DistributionError(f"buyer count must be an integer >= {minimum}, got {m!r}")
-    return int(m)
-
-
 @lru_cache(maxsize=65536)
 def tail_quantile(dist: ValueDistribution, m: int) -> float:
     """Value at the (1 - 1/m) quantile."""
-    m = _check_count(m)
+    m = _integer(m, "buyer count", DistributionError, 1)
     return dist.inv_cdf(1.0 - 1.0 / m)
 
 
@@ -299,7 +312,7 @@ def upper_tail_mean(dist: ValueDistribution, m: int) -> float:
     """Expected value conditioned on meeting the (1 - 1/m) quantile; 0 for m = 0."""
     if m == 0:
         return 0.0
-    m = _check_count(m)
+    m = _integer(m, "buyer count", DistributionError, 1)
     q = tail_quantile(dist, m)
     if isinstance(dist, FiniteSupport):
         mask = dist.values >= q - _PROB_TOL
@@ -390,7 +403,7 @@ def myerson_detail(dist: ValueDistribution, n: int) -> MyersonAuction:
     """
     if n == 0:
         return MyersonAuction(0, 0.0, 0.0, 0.0)
-    n = _check_count(n)
+    n = _integer(n, "buyer count", DistributionError, 1)
     if isinstance(dist, FiniteSupport):
         best_r, best_rev = None, -1.0
         for r in dist.values:
@@ -418,14 +431,14 @@ def myerson_revenue(dist: ValueDistribution, n: int) -> float:
 
 def myerson_win_prob(dist: ValueDistribution, m: int) -> float:
     """Probability that a fixed buyer among m iid buyers wins the optimal auction."""
-    _check_count(m)
+    _integer(m, "buyer count", DistributionError, 1)
     return myerson_detail(dist, m).win_prob
 
 
 @lru_cache(maxsize=65536)
 def win_quantile(dist: ValueDistribution, m: int) -> float:
     """Value at the (1 - win probability) quantile; never below tail_quantile."""
-    m = _check_count(m)
+    m = _integer(m, "buyer count", DistributionError, 1)
     return dist.inv_cdf(1.0 - myerson_win_prob(dist, m))
 
 
@@ -451,7 +464,7 @@ class AuctionScalars:
 
 def auction_scalars(dist: ValueDistribution, m: int, n: int) -> AuctionScalars:
     """Compute all auction scalars for m competing buyers and an n-buyer revenue."""
-    m = _check_count(m)
+    m = _integer(m, "buyer count", DistributionError, 1)
     return AuctionScalars(
         m=m,
         tail_quantile=tail_quantile(dist, m),

@@ -23,6 +23,7 @@ import numpy as np
 from .agents import Agent, AgentError, ExpertAgent, ExpertFamily, build_agent
 from .distributions import (
     ValueDistribution,
+    _integer,
     from_spec,
     myerson_revenue,
     to_spec,
@@ -68,15 +69,6 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
-def _integer(x, name: str, optional: bool = False):
-    """``x`` as an int if it is an integer; bools and floats such as 50.0 are refused."""
-    if optional and x is None:
-        return None
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {x!r}")
-    return int(x)
-
-
 @dataclass
 class RunConfig:
     """A reproducible simulation: parameters, prior, roster, seed, replications."""
@@ -89,8 +81,8 @@ class RunConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        self.seed = _integer(self.seed, "seed")
-        self.replications = _integer(self.replications, "replications")
+        self.seed = _integer(self.seed, "seed", ConfigError)
+        self.replications = _integer(self.replications, "replications", ConfigError)
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         if len(self.agents) != self.params.n:
@@ -103,7 +95,8 @@ class RunConfig:
             if not isinstance(spec, dict):
                 raise ConfigError(f"roster entry {i} must be an object, got {spec!r}")
         ids = [
-            _integer(spec.get("id", i), f"roster entry {i} id") for i, spec in enumerate(self.agents)
+            _integer(spec.get("id", i), f"roster entry {i} id", ConfigError)
+            for i, spec in enumerate(self.agents)
         ]
         if sorted(ids) != list(range(self.params.n)):
             raise ConfigError("agent ids must be exactly 0..n-1")
@@ -114,12 +107,12 @@ class RunConfig:
         try:
             p = doc["params"]
             params = MechanismParams(
-                n=_integer(p["n"], "n"),
-                horizon=_integer(p["T"], "T"),
+                n=p["n"],
+                horizon=_integer(p["T"], "T", ConfigError),
                 epsilon=p["epsilon"],
                 delta=p["delta"],
                 rho=p["rho"],
-                reset_round=_integer(p.get("reset_round"), "reset_round", optional=True),
+                reset_round=p.get("reset_round"),
             )
             return cls(
                 params=params,
@@ -328,8 +321,6 @@ def run_simulation(
     params, dist, n = config.params, config.distribution, config.params.n
     horizon = params.horizon
 
-    agents = config.build_agents(replication, substitutes)
-
     if values is None:
         values = dist.sample_block(
             substream(config.seed, "rep", replication, "values"), (horizon, n)
@@ -340,6 +331,8 @@ def run_simulation(
             raise ConfigError(
                 f"values must have shape (T, n) = {(horizon, n)}, got {values.shape}"
             )
+    # after the values check, so a bad block fails before any agent is built
+    agents = config.build_agents(replication, substitutes)
     tie_draws = substream(config.seed, "rep", replication, "tie").random(horizon)
     ties = tie_draws.tolist()
 

@@ -24,7 +24,6 @@ the ``lemma-b1``, ``lemma-b3`` and ``theorem-1`` figures unchanged.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Optional
@@ -33,6 +32,8 @@ import numpy as np
 
 from .distributions import (
     ValueDistribution,
+    _integer,
+    _number,
     tail_quantile,
     upper_tail_mean,
     win_quantile,
@@ -89,30 +90,17 @@ class MechanismParams:
     enforce_rho_cap: bool = True
 
     def __post_init__(self):
-        for name in ("n", "horizon", "reset_round"):
+        for name, minimum in (("n", 1), ("horizon", 0), ("reset_round", 0)):
             x = getattr(self, name)
-            if x is None and name == "reset_round":
-                continue
-            # a bool is an int, but True is no count
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                raise MechanismError(f"{name} must be an integer, got {x!r}")
-            object.__setattr__(self, name, int(x))
-        if self.n < 1:
-            raise MechanismError("need at least one buyer")
-        if self.horizon < 0:
-            raise MechanismError("horizon must be nonnegative")
+            if name != "reset_round" or x is not None:  # None: no reset
+                object.__setattr__(self, name, _integer(x, name, MechanismError, minimum))
         for name in ("epsilon", "delta", "rho"):
-            x = getattr(self, name)
-            if not isinstance(x, numbers.Real):
-                raise MechanismError(f"{name} must be a number, got {x!r}")
-            if not 0.0 < x < 1.0:
+            if not 0.0 < _number(getattr(self, name), name, MechanismError) < 1.0:
                 raise MechanismError(f"{name} must lie strictly inside (0, 1)")
         if self.enforce_rho_cap and self.rho > self.rho_cap + 1e-15:
             raise MechanismError(
                 f"rho={self.rho} exceeds the admissible cap {self.rho_cap:.8g}"
             )
-        if self.reset_round is not None and self.reset_round < 0:
-            raise MechanismError("reset_round must be nonnegative")
 
     @property
     def rho_cap(self) -> float:
@@ -312,7 +300,6 @@ class Mechanism:
         self.state_rounds = [[0, 0, 0] for _ in range(params.n)]
         self._states: tuple[BuyerState, ...] = ()
         self._states_since = 0
-        self._reset_done = False
         self._start_epoch()
 
     # -- state inspection ---------------------------------------------------
@@ -432,7 +419,7 @@ class Mechanism:
         if self.t >= self.params.horizon or self.participants():
             return 0
         # up to and including the round that ends the phase or fires the reset
-        k = min(self.params.horizon - self.t, max(1, self.block_room() + 1))
+        k = min(self.params.horizon - self.t, self._rounds_left)
         if self._phase == GOOD_PHASE:  # an empty good auction is uncleared
             crossing = self._epoch.config.uncleared_threshold - self.uncleared - 1
             if self._epoch.threshold_round is None and 0 <= crossing < k:
@@ -446,11 +433,7 @@ class Mechanism:
     def block_room(self) -> int:
         """Rounds that can run from the current one before the round that
         ends the phase or fires the pending reset."""
-        room = self._rounds_left - 1
-        reset = self.params.reset_round
-        if reset is not None and not self._reset_done:
-            room = min(room, reset - self.t - 1)
-        return room
+        return self._rounds_left - 1
 
     def run_block(
         self, bids: np.ndarray, ties: np.ndarray
@@ -531,23 +514,19 @@ class Mechanism:
         ``run_round``, ``run_idle`` and ``run_block`` call it, and none of
         their rounds but the last can end the phase or fire the reset."""
         self.t += rounds
-        params = self.params
-        if (
-            params.reset_round is not None
-            and not self._reset_done
-            and self.t >= params.reset_round
-        ):
-            self._reset_done = True
-            self._close_epoch(completed=False, reset=True)
-            self.states = [BuyerState.GOOD] * params.n
-            self._start_epoch()
-            return
         self._rounds_left -= rounds
         if self._rounds_left > 0:
             return
-        if self._phase == BAD_PHASE:
+        reset = self.params.reset_round
+        # the countdown ends on the reset round, max(reset_round, 1), while
+        # the reset is pending: a reset at round 0 fires after round 0
+        if reset is not None and self.t == max(reset, 1):
+            self._close_epoch(completed=False, reset=True)
+            self.states = [BuyerState.GOOD] * self.params.n
+            self._start_epoch()
+        elif self._phase == BAD_PHASE:
             self._phase = GOOD_PHASE
-            self._rounds_left = self._epoch.config.good_rounds
+            self._count_down(self._epoch.config.good_rounds)
         else:
             self._close_epoch(completed=True)
             self._start_epoch()
@@ -610,7 +589,15 @@ class Mechanism:
         self.uncleared = 0
         self.allocations = [0] * self.params.n
         self._phase = BAD_PHASE
-        self._rounds_left = config.bad_rounds
+        self._count_down(config.bad_rounds)
+
+    def _count_down(self, rounds: int) -> None:
+        """Count down the ``rounds`` of a phase starting now, or the rounds up
+        to the pending reset if it comes first."""
+        reset = self.params.reset_round
+        if reset is not None and max(reset, 1) > self.t:
+            rounds = min(rounds, max(reset, 1) - self.t)
+        self._rounds_left = rounds
 
     def _close_epoch(self, completed: bool, reset: bool = False) -> None:
         epoch = self._epoch

@@ -76,6 +76,17 @@ def _params(n: int, horizon: int, reset_round=None) -> MechanismParams:
     )
 
 
+def _config(agents, horizon, seed, dist=None, reset_round=None, replications=1) -> RunConfig:
+    """A run of the roster ``agents`` on ``dist``, Uniform(0, 1) by default."""
+    return RunConfig(
+        params=_params(len(agents), horizon, reset_round),
+        distribution=Uniform(0.0, 1.0) if dist is None else dist,
+        agents=agents,
+        seed=seed,
+        replications=replications,
+    )
+
+
 # ---------------------------------------------------------------------------
 # optimal-auction oracle
 # ---------------------------------------------------------------------------
@@ -152,15 +163,6 @@ def suite_myerson_oracle(seed: int = 20260810, supports: int = 20) -> SuiteRepor
 # ---------------------------------------------------------------------------
 
 
-def _good_strategy_config(n: int, horizon: int, seed: int) -> RunConfig:
-    return RunConfig(
-        params=_params(n, horizon),
-        distribution=Uniform(0.0, 1.0),
-        agents=[{"kind": "good-strategy"}] * n,
-        seed=seed,
-    )
-
-
 def suite_lemma_b1(runs: int = 100, seed: int = 101) -> SuiteReport:
     """Deterministic per-epoch revenue floor from good-phase auctions."""
     report = SuiteReport("lemma-b1")
@@ -169,7 +171,7 @@ def suite_lemma_b1(runs: int = 100, seed: int = 101) -> SuiteReport:
     for r in range(runs):
         n = (2, 4, 6)[r % 3]
         horizon = 2 * _params(n, 1).max_epoch_length + 5
-        config = _good_strategy_config(n, horizon, seed + r)
+        config = _config([{"kind": "good-strategy"}] * n, horizon, seed + r)
         traj = run_simulation(config, record="light")
         h = config.params.rest_threshold
         completed = [e for e in traj.epochs if e.completed]
@@ -194,7 +196,7 @@ def suite_lemma_b3(epochs: int = 200, seed: int = 303) -> SuiteReport:
     report = SuiteReport("lemma-b3")
     n = 4
     horizon = epochs * _params(n, 1).max_epoch_length + 3
-    config = _good_strategy_config(n, horizon, seed)
+    config = _config([{"kind": "good-strategy"}] * n, horizon, seed)
     traj = run_simulation(config, record="light")
     params = config.params
     completed = [k for k, e in enumerate(traj.epochs) if e.completed][:epochs]
@@ -228,12 +230,8 @@ def _bad_population_config(n: int, epochs: int, seed: int, bad_mode: str) -> Run
     # zero bids in good rounds walk the whole roster into the bad state in
     # epoch 0; measurements start once the bad population is in place
     horizon = _params(n, 1).max_epoch_length + epochs * _params(n, 1).epoch_length(1) + 3
-    return RunConfig(
-        params=_params(n, horizon),
-        distribution=Uniform(0.0, 1.0),
-        agents=[{"kind": "myopic", "good_mode": "zero", "bad_mode": bad_mode}] * n,
-        seed=seed,
-    )
+    agents = [{"kind": "myopic", "good_mode": "zero", "bad_mode": bad_mode}] * n
+    return _config(agents, horizon, seed)
 
 
 def suite_lemma_b4(epochs: int = 200, seed: int = 404) -> SuiteReport:
@@ -329,13 +327,7 @@ def suite_theorem_1(
     # requested number of epochs under any roster dynamics
     horizon = (min_epochs + 1) * _params(n, 1).max_epoch_length
     for split in ((6, 0), (3, 3), (0, 6)):
-        config = RunConfig(
-            params=_params(n, horizon),
-            distribution=Uniform(0.0, 1.0),
-            agents=_theorem_roster(*split),
-            seed=seed,
-            replications=replications,
-        )
+        config = _config(_theorem_roster(*split), horizon, seed, replications=replications)
         _check_bounds(report, config, split)
     return report
 
@@ -351,13 +343,8 @@ def suite_upper_bound(replications: int = 8, seed: int = 808) -> SuiteReport:
     horizon = 2 * _params(n, 1).max_epoch_length + 5
     for label, dist in dists.items():
         for split in ((2, 0), (1, 1), (0, 2)):
-            config = RunConfig(
-                params=_params(n, horizon),
-                distribution=dist,
-                agents=_theorem_roster(*split),
-                seed=seed,
-                replications=replications,
-            )
+            roster = _theorem_roster(*split)
+            config = _config(roster, horizon, seed, dist, replications=replications)
             _check_bounds(report, config, split, f"{label} ")
     return report
 
@@ -446,11 +433,9 @@ def suite_regret(seeds: int = 8, horizon: int = 8000, seed: int = 707) -> SuiteR
         f"N*L={explore_total} <= {0.05 * horizon_etc:.0f}"
     )
     for s in range(4):
-        config = RunConfig(
-            params=_params(2, horizon_etc, reset_round=explore_total),
-            distribution=Uniform(0.0, 1.0),
-            agents=[{"kind": "etc"}, {"kind": "lookahead"}],
-            seed=seed + 40 + s,
+        config = _config(
+            [{"kind": "etc"}, {"kind": "lookahead"}], horizon_etc, seed + 40 + s,
+            reset_round=explore_total,
         )
         traj = run_simulation(
             config,
@@ -471,12 +456,7 @@ def suite_policy_regret(seed: int = 909) -> SuiteReport:
     report = SuiteReport("policy-regret")
     n = 2
     horizon = _params(n, 1).max_epoch_length + 5
-    config = RunConfig(
-        params=_params(n, horizon),
-        distribution=Uniform(0.0, 1.0),
-        agents=[{"kind": "good-strategy"}, {"kind": "good-strategy"}],
-        seed=seed,
-    )
+    config = _config([{"kind": "good-strategy"}] * n, horizon, seed)
     family = ExpertFamily((Expert(GOOD_TEMPLATE),), ValueGrid(0.0, 1.0, 1.0 / 64.0))
     regret = estimate_policy_regret(config, 0, family)
     report.check(regret == 0.0, f"policy regret of an agent against itself: {regret!r}")

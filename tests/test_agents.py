@@ -206,6 +206,13 @@ def test_myopic_empirical_bid_matches_per_candidate_oracle(dist, seed):
     assert list(agent._rival_bids) == list(window)
 
 
+def test_expert_agent_refuses_an_index_outside_its_family():
+    family = default_expert_family(Uniform(0.0, 1.0), levels=1)
+    for index in (-1, len(family)):
+        with pytest.raises(AgentError, match=f"expert index {index} outside the family"):
+            ExpertAgent(family, index)
+
+
 def test_myopic_rejects_unknown_modes():
     with pytest.raises(AgentError):
         MyopicAgent(good_mode="wat")
@@ -427,13 +434,15 @@ def etc_with_family(params, n_experts=2, explore_len=50):
 
 def test_etc_exploration_schedule():
     params, _ = make_view()
-    agent = etc_with_family(params, n_experts=2, explore_len=50)
+    with pytest.warns(UserWarning, match="no mechanism reset"):
+        agent = etc_with_family(params, n_experts=2, explore_len=50)
     assert [agent._arm_for(t) for t in (0, 49, 50, 99)] == [0, 0, 1, 1]
 
 
 def test_etc_commits_to_best_average():
     params, view = make_view()
-    agent = etc_with_family(params, n_experts=2, explore_len=2)
+    with pytest.warns(UserWarning, match="no mechanism reset"):
+        agent = etc_with_family(params, n_experts=2, explore_len=2)
     agent._scores[:] = (0.1 * 2, 0.3 * 2)
     assert agent._arm_for(4) == 1
     assert agent.committed_index == 1
@@ -441,14 +450,16 @@ def test_etc_commits_to_best_average():
 
 def test_etc_tie_breaks_to_lowest_index():
     params, _ = make_view()
-    agent = etc_with_family(params, n_experts=3, explore_len=2)
+    with pytest.warns(UserWarning, match="no mechanism reset"):
+        agent = etc_with_family(params, n_experts=3, explore_len=2)
     agent._scores[:] = (0.2, 0.2, 0.2)
     assert agent._arm_for(6) == 0
 
 
 def test_etc_default_exploration_length():
     params, _ = make_view()
-    agent = bind(EtcAgent(levels=1), params)
+    with pytest.warns(UserWarning, match="no mechanism reset"):
+        agent = bind(EtcAgent(levels=1), params)
     n = len(agent.family)
     assert agent.explore_len == max(1, math.ceil(params.horizon ** (2 / 3) / n))
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import weakref
@@ -6,6 +7,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 from epochfpa.cli import main
+from epochfpa.suites import run_suite
 
 
 @pytest.fixture
@@ -125,6 +127,27 @@ def test_verify_option_the_suite_does_not_take_exits_two(suite, value, capsys):
     assert suite in err and "--replications" in err
 
 
+def test_verify_passes_the_seed_to_the_suite(monkeypatch, capsys):
+    from epochfpa import suites
+
+    real, seeds = suites.SUITES["lemma-b1"], []
+
+    @functools.wraps(real)  # keeps the signature the option check reads
+    def recording(**overrides):
+        seeds.append(overrides.get("seed"))
+        return real(**overrides)
+
+    monkeypatch.setitem(suites.SUITES, "lemma-b1", recording)
+    assert main(["verify", "--suite", "lemma-b1", "--seed", "7"]) == 0
+    assert seeds == [7]
+    assert "=== suite lemma-b1: PASS ===" in capsys.readouterr().out
+
+
+def test_run_suite_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suite("nope")
+
+
 def test_config_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"params": {"n": 2}}')
@@ -187,6 +210,14 @@ def test_non_string_out_dir_exits_two(tmp_path, monkeypatch, capsys, out_dir):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def test_simulate_without_an_output_directory_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = one_buyer_config(tmp_path)
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "no output directory: pass --out or set out_dir" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("step", [0, -0.25, float("nan")], ids=["zero", "negative", "nan"])
 def test_exp3_bad_grid_step_exits_two(tmp_path, capsys, step):
     path = one_buyer_config(tmp_path, agents=[{"kind": "exp3", "grid_step": step}])
@@ -212,8 +243,15 @@ def test_finite_support_non_finite_value_exits_two(capsys, value):
         ('{"kind":"finite","support":5}', "finite support must be [value, probability] pairs"),
         ('{"kind":"uniform","lo":0}', "uniform distribution needs a 'hi' field"),
         ('{"kind":"uniform","lo":null,"hi":1}', "uniform bound lo must be a number"),
+        ('{"kind":"uniform","lo":"0","hi":1}', "uniform bound lo must be a number, got '0'"),
+        ('{"kind":"uniform","lo":0,"hi":true}', "uniform bound hi must be a number, got True"),
+        ('{"kind":"finite","support":[[true,1.0]]}', "support values must be a number, got True"),
+        ('{"kind":"finite","support":[[1.0,"1"]]}', "probabilities must be a number, got '1'"),
     ],
-    ids=["finite-no-support", "finite-support-not-pairs", "uniform-no-hi", "uniform-null-lo"],
+    ids=[
+        "finite-no-support", "finite-support-not-pairs", "uniform-no-hi", "uniform-null-lo",
+        "uniform-string-lo", "uniform-bool-hi", "finite-bool-value", "finite-string-probability",
+    ],
 )
 def test_malformed_distribution_exits_two(capsys, dist, message):
     assert main(["inspect", "--dist", dist, "--m", "1", "--n", "1"]) == 2

@@ -56,6 +56,22 @@ def test_inverse_cdf_rejects_nonmonotone():
         InverseCdf(lambda p: 1.0 - p)
 
 
+def test_priors_store_numpy_scalars_as_floats():
+    uniform = Uniform(np.int64(0), np.float32(2.0))
+    assert (type(uniform.lo), type(uniform.hi)) == (float, float)
+    assert uniform == Uniform(0.0, 2.0)
+    finite = FiniteSupport(((np.int64(1), np.float64(0.5)), (2, 0.5)))
+    assert all(type(x) is float for pair in finite.support for x in pair)
+
+
+def test_buyer_counts_are_integers_of_at_least_one(uniform01):
+    assert tail_quantile(uniform01, np.int64(2)) == 0.5
+    message = "^buyer count must be an integer of at least 1, got "
+    for m in (0, -1, 2.0, True, "2"):
+        with pytest.raises(DistributionError, match=message):
+            auction_scalars(uniform01, m, 1)
+
+
 def test_spec_round_trip(uniform01, two_point):
     for dist in (uniform01, two_point):
         assert from_spec(to_spec(dist)) == dist
@@ -125,6 +141,13 @@ def test_inverse_cdf_kind_matches_uniform_scalars(uniform01):
         assert upper_tail_mean(via_icdf, m) == pytest.approx(
             upper_tail_mean(uniform01, m), abs=1e-8
         )
+
+
+def test_inverse_cdf_kind_continuous_mean_and_monopoly_reserve():
+    # F(v) = v^2 on [0, 1]: mean 2/3, and r * (1 - r^2) peaks at 1/sqrt(3)
+    dist = InverseCdf(lambda p: p**0.5)
+    assert abs(dist.mean() - 2.0 / 3.0) <= 1e-12
+    assert abs(monopoly_reserve(dist) - 1.0 / math.sqrt(3.0)) <= 1e-6
 
 
 # -- monopoly reserve ---------------------------------------------------------

@@ -98,6 +98,12 @@ def test_config_checks_its_fields_on_construction(field, bad):
         )
 
 
+def test_config_refuses_zero_replications():
+    base = make_config()
+    with pytest.raises(ConfigError, match="^replications must be at least 1$"):
+        RunConfig(base.params, base.distribution, base.agents, 5, replications=0)
+
+
 def test_config_stores_numpy_integers_as_ints():
     base = make_config()
     cfg = RunConfig(base.params, base.distribution, base.agents, np.int64(7), np.int64(2))
@@ -374,8 +380,10 @@ def test_policy_regret_replays_sample_no_values(monkeypatch):
 
 def test_run_simulation_with_supplied_values_is_identical():
     cfg = make_config(n=3, horizon=700, agents=[{"kind": "exp3"}, {"kind": "myopic"}, {"kind": "etc"}])
-    drawn = run_simulation(cfg)
-    reused = run_simulation(cfg, values=drawn.values)
+    with pytest.warns(UserWarning, match="no mechanism reset"):
+        drawn = run_simulation(cfg)
+    with pytest.warns(UserWarning, match="no mechanism reset"):
+        reused = run_simulation(cfg, values=drawn.values)
     assert trajectory_ndjson(reused) == trajectory_ndjson(drawn)
     assert np.array_equal(reused.agent_utilities, drawn.agent_utilities)
     for shape in [(699, 3), (700, 2), (2100,)]:

@@ -78,6 +78,15 @@ def test_params_validation():
         make_params(rho=None)
 
 
+@pytest.mark.parametrize(
+    "field, value, minimum", [("n", 0, 1), ("horizon", -1, 0), ("reset_round", -1, 0)]
+)
+def test_params_refuse_counts_below_their_minimum(field, value, minimum):
+    message = f"^{field} must be an integer of at least {minimum}, got {value}$"
+    with pytest.raises(MechanismError, match=message):
+        make_params(**{field: value})
+
+
 def test_rest_threshold_values():
     assert make_params().rest_threshold == 54
     p = MechanismParams(
@@ -345,6 +354,18 @@ def test_reset_round_restores_everyone_once():
     assert mech.epoch_index == 1
 
 
+@pytest.mark.parametrize("reset_round", [0, 1])
+def test_a_reset_at_round_zero_fires_after_round_zero_as_at_one(reset_round):
+    mech = fresh(n=2, reset_round=reset_round)
+    assert mech.block_room() == 0  # round 0 fires the reset
+    mech.run_round({})  # nobody is bad, so the bad phase has no bidders
+    rec = mech.epoch_records[0]
+    assert (rec.start, rec.end, rec.reset) == (0, 1, True)
+    # the reset is booked once: the new epoch runs its whole bad phase
+    assert mech.block_room() == mech.config.bad_rounds - 1
+    assert mech.run_idle() == mech.config.bad_rounds and mech.epoch_index == 1
+
+
 def test_finish_records_partial_epoch():
     mech = fresh(n=2)
     bad_round(mech, {})
@@ -395,11 +416,11 @@ def test_instance_attribute_budget():
     # mechanism-only round driver 8-10% slower (60 interleaved reps), so new
     # bookkeeping is derived from what the mechanism already stores.
     mech = fresh(n=2, reset_round=5)
-    assert len(vars(mech)) <= 17
+    assert len(vars(mech)) <= 16
     while mech.epoch_index < 1:
         mech.run_round({i: 0.0 for i in mech.participants()})
     mech.run_round({i: 0.0 for i in mech.participants()})
-    assert len(vars(mech)) <= 17
+    assert len(vars(mech)) <= 16
 
 
 def test_public_name_budget():
@@ -439,7 +460,6 @@ def _snapshot(mech):
         mech._epoch.threshold_round,
         mech._epoch.good_at_threshold,
         mech._epoch.idle_rounds,
-        mech._reset_done,
         list(mech.epoch_records),
         [list(row) for row in mech.state_rounds],
     )
