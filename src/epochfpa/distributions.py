@@ -52,7 +52,8 @@ class DistributionError(ValueError):
 
 
 # the input checks every module shares; ``error`` is the calling module's
-# ValueError subclass
+# ValueError subclass.  The caches of the scalars below are typed, so that a
+# cached 1 does not answer for True.
 
 
 def _integer(x, name: str, error: type, minimum: Optional[int] = None) -> int:
@@ -300,19 +301,19 @@ def to_spec(dist: ValueDistribution) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=65536, typed=True)
 def tail_quantile(dist: ValueDistribution, m: int) -> float:
     """Value at the (1 - 1/m) quantile."""
     m = _integer(m, "buyer count", DistributionError, 1)
     return dist.inv_cdf(1.0 - 1.0 / m)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=65536, typed=True)
 def upper_tail_mean(dist: ValueDistribution, m: int) -> float:
     """Expected value conditioned on meeting the (1 - 1/m) quantile; 0 for m = 0."""
+    m = _integer(m, "buyer count", DistributionError, 0)
     if m == 0:
         return 0.0
-    m = _integer(m, "buyer count", DistributionError, 1)
     q = tail_quantile(dist, m)
     if isinstance(dist, FiniteSupport):
         mask = dist.values >= q - _PROB_TOL
@@ -393,7 +394,7 @@ def _spa_revenue_continuous(dist: ValueDistribution, n: int, r: float) -> float:
     return r * sale + tail
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def myerson_detail(dist: ValueDistribution, n: int) -> MyersonAuction:
     """Reserve, revenue, and per-buyer win probability of the optimal auction.
 
@@ -401,9 +402,9 @@ def myerson_detail(dist: ValueDistribution, n: int) -> MyersonAuction:
     reserves at the support points; continuous priors by quadrature with the
     reserve optimized numerically.  ``n = 0`` is the empty auction.
     """
+    n = _integer(n, "buyer count", DistributionError, 0)
     if n == 0:
         return MyersonAuction(0, 0.0, 0.0, 0.0)
-    n = _integer(n, "buyer count", DistributionError, 1)
     if isinstance(dist, FiniteSupport):
         best_r, best_rev = None, -1.0
         for r in dist.values:
@@ -435,7 +436,7 @@ def myerson_win_prob(dist: ValueDistribution, m: int) -> float:
     return myerson_detail(dist, m).win_prob
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=65536, typed=True)
 def win_quantile(dist: ValueDistribution, m: int) -> float:
     """Value at the (1 - win probability) quantile; never below tail_quantile."""
     m = _integer(m, "buyer count", DistributionError, 1)

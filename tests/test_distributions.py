@@ -70,6 +70,18 @@ def test_buyer_counts_are_integers_of_at_least_one(uniform01):
     for m in (0, -1, 2.0, True, "2"):
         with pytest.raises(DistributionError, match=message):
             auction_scalars(uniform01, m, 1)
+    # a cached count answers for no bool or float equal to it, and an empty
+    # auction is m = 0 itself
+    for scalar in (tail_quantile, upper_tail_mean, myerson_revenue, win_quantile):
+        scalar(uniform01, 1)
+        for m in (True, 1.0):
+            with pytest.raises(DistributionError, match="^buyer count must be an integer"):
+                scalar(uniform01, m)
+    assert upper_tail_mean(uniform01, 0) == myerson_revenue(uniform01, 0) == 0.0
+    for m in (False, 0.0, -1):
+        for scalar in (upper_tail_mean, myerson_revenue):
+            with pytest.raises(DistributionError, match="^buyer count must be an integer"):
+                scalar(uniform01, m)
 
 
 def test_spec_round_trip(uniform01, two_point):
