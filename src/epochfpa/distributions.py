@@ -52,8 +52,7 @@ class DistributionError(ValueError):
 
 
 # the input checks every module shares; ``error`` is the calling module's
-# ValueError subclass.  The caches of the scalars below are typed, so that a
-# cached 1 does not answer for True.
+# ValueError subclass
 
 
 def _integer(x, name: str, error: type, minimum: Optional[int] = None) -> int:
@@ -300,6 +299,8 @@ def to_spec(dist: ValueDistribution) -> dict:
 # scalar operations
 # ---------------------------------------------------------------------------
 
+# the caches that take a buyer count are typed, so a cached 1 never answers
+# for True or 1.0 before the count check has run
 
 @lru_cache(maxsize=65536, typed=True)
 def tail_quantile(dist: ValueDistribution, m: int) -> float:
