@@ -4,7 +4,15 @@ Three prior kinds are supported: finite supports, uniform intervals, and
 continuous priors given by their inverse CDF.  All scalars (tail quantiles,
 upper-tail means, monopoly reserves, optimal-auction revenue and win
 probabilities) are computed exactly where possible: closed forms for uniform,
-ordered-support sums for finite supports, adaptive quadrature otherwise.
+ordered-support sums for finite supports.  An integral is one 21-point
+Gauss-Kronrod step, the first step of ``scipy.integrate.quad``, returned when
+quad's own accuracy test accepts it; otherwise it is ``quad`` itself, so either
+way the double is quad's.  Reserves are refined by a port of scipy's bounded
+Brent search.  scipy is therefore imported only when a step falls short: never
+for a finite prior, which integrates nothing, and not for a uniform prior with
+up to 21 buyers, whose tail integrand is a polynomial of degree n (exact under
+the 10-point Gauss rule up to n = 19).  An ``InverseCdf`` such as ``sqrt``
+loads it on its first integral.
 
 Quantile convention: ``inv_cdf(p)`` is the left-continuous infimum,
 ``inf {v : F(v) >= p}``.  Ties in auctions are broken uniformly at random
@@ -21,7 +29,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import integrate, optimize
 
 __all__ = [
     "DistributionError",
@@ -231,8 +238,7 @@ class InverseCdf:
         return float(self.icdf(1.0))
 
     def mean(self) -> float:
-        value, _ = integrate.quad(self.icdf, 0.0, 1.0, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
-        return value
+        return _quad(self.icdf, 0.0, 1.0)
 
     def cdf(self, v: float) -> float:
         if v <= self.support_min:
@@ -296,6 +302,165 @@ def to_spec(dist: ValueDistribution) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# quadrature and bounded minimization
+# ---------------------------------------------------------------------------
+
+# 21-point Gauss-Kronrod rule of QUADPACK's dqk21 on [-1, 1], as the exact
+# doubles scipy uses: XGK[1::2] are the 10-point Gauss nodes, WG their weights
+_XGK = (
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+    0.2943928627014602, 0.14887433898163122, 0.0,
+)
+_WGK = (
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+    0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+    0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+    0.14773910490133849, 0.1494455540029169,
+)
+_WG = (
+    0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+    0.26926671930999635, 0.29552422471475287,
+)
+_EPMACH = 2.220446049250313e-16  # d1mach(4)
+_UFLOW = 2.2250738585072014e-308  # d1mach(1)
+
+
+def _quad(f, a: float, b: float, limit: int = 50) -> float:
+    """``scipy.integrate.quad(f, a, b, epsabs=epsrel=_QUAD_TOL, limit=limit)[0]``.
+
+    Runs dqagse's first dqk21 step in the same order of operations and returns
+    its result when dqagse's accuracy test accepts it; any other case calls
+    scipy, imported only then.  Like quad, it calls ``f`` on Python floats.
+    """
+    a, b = float(a), float(b)
+    if a == b:
+        return 0.0
+    if a < b:
+        centr = 0.5 * (a + b)
+        hlgth = 0.5 * (b - a)
+        fc = f(centr)
+        resg = 0.0
+        resk = _WGK[10] * fc
+        resabs = abs(resk)
+        fv1 = [0.0] * 10
+        fv2 = [0.0] * 10
+        for j in (*range(1, 10, 2), *range(0, 10, 2)):  # Gauss nodes first
+            absc = hlgth * _XGK[j]
+            fval1 = f(centr - absc)
+            fval2 = f(centr + absc)
+            fv1[j] = fval1
+            fv2[j] = fval2
+            fsum = fval1 + fval2
+            if j % 2:
+                resg = resg + _WG[j // 2] * fsum
+            resk = resk + _WGK[j] * fsum
+            resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
+        reskh = resk * 0.5
+        resasc = _WGK[10] * abs(fc - reskh)
+        for j in range(10):
+            resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+        result = resk * hlgth
+        resabs = resabs * hlgth
+        resasc = resasc * hlgth
+        abserr = abs((resk - resg) * hlgth)
+        if resasc != 0.0 and abserr != 0.0:
+            abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+        if resabs > _UFLOW / (50.0 * _EPMACH):
+            abserr = max((_EPMACH * 50.0) * resabs, abserr)
+        errbnd = max(_QUAD_TOL, _QUAD_TOL * abs(result))
+        # dqagse stops after its first step on this test; its ``resabs`` is
+        # dqk21's ``resasc``
+        if abserr <= errbnd and abserr != resasc or abserr == 0.0:
+            return result
+    from scipy import integrate
+
+    return integrate.quad(f, a, b, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=limit)[0]
+
+
+def _bounded_min(func, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """``(x, fun)`` of ``minimize_scalar(func, bounds=(a, b), method="bounded",
+    options={"xatol": xatol})``.
+
+    A line-for-line port of ``scipy.optimize._optimize._minimize_scalar_bounded``
+    (scipy, BSD-3-Clause), with maxiter 500, on Python floats.
+    """
+    maxfun = 500
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # check for a parabolic fit
+        if abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # check the parabola is acceptable
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (math.copysign(1.0, xm - xf) if xm != xf else 1.0)
+            else:
+                golden = 1
+
+        if golden:  # a golden-section step
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        # np.sign(rat) + (rat == 0); rat and tol1 are never NaN on finite bounds
+        x = xf + (math.copysign(1.0, rat) if rat else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
+# ---------------------------------------------------------------------------
 # scalar operations
 # ---------------------------------------------------------------------------
 
@@ -322,10 +487,7 @@ def upper_tail_mean(dist: ValueDistribution, m: int) -> float:
         return tail / float(np.sum(dist.probs[mask]))
     if isinstance(dist, Uniform):
         return 0.5 * (q + dist.hi)
-    value, _ = integrate.quad(
-        dist.icdf, 1.0 - 1.0 / m, 1.0, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL
-    )
-    return m * value
+    return m * _quad(dist.icdf, 1.0 - 1.0 / m, 1.0)
 
 
 def _posted_revenue(dist: ValueDistribution, r: float) -> float:
@@ -350,11 +512,8 @@ def _maximize(f, lo: float, hi: float, grid: int = 513) -> float:
     best = int(np.argmax(ys))
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, grid - 1)]
-    res = optimize.minimize_scalar(
-        lambda x: -f(x), bounds=(a, b), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(res.x) if -res.fun >= ys[best] else float(xs[best])
+    x, fun = _bounded_min(lambda x: -f(x), float(a), float(b), 1e-10)
+    return x if -fun >= ys[best] else float(xs[best])
 
 
 @dataclass(frozen=True)
@@ -384,13 +543,8 @@ def _spa_revenue_finite(dist: FiniteSupport, n: int, r: float) -> float:
 
 def _spa_revenue_continuous(dist: ValueDistribution, n: int, r: float) -> float:
     sale = 1.0 - dist.cdf(r) ** n
-    tail, _ = integrate.quad(
-        lambda x: _second_highest_tail(dist.cdf(x), n),
-        r,
-        dist.support_max,
-        epsabs=_QUAD_TOL,
-        epsrel=_QUAD_TOL,
-        limit=200,
+    tail = _quad(
+        lambda x: _second_highest_tail(dist.cdf(x), n), r, dist.support_max, limit=200
     )
     return r * sale + tail
 

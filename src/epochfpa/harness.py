@@ -82,15 +82,13 @@ class RunConfig:
 
     def __post_init__(self):
         self.seed = _integer(self.seed, "seed", ConfigError)
-        self.replications = _integer(self.replications, "replications", ConfigError)
+        self.replications = _integer(self.replications, "replications", ConfigError, 1)
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         if len(self.agents) != self.params.n:
             raise ConfigError(
                 f"roster size {len(self.agents)} must equal n={self.params.n}"
             )
-        if self.replications < 1:
-            raise ConfigError("replications must be at least 1")
         for i, spec in enumerate(self.agents):
             if not isinstance(spec, dict):
                 raise ConfigError(f"roster entry {i} must be an object, got {spec!r}")

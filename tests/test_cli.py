@@ -1,11 +1,16 @@
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from scipy.integrate import IntegrationWarning
 
+import epochfpa
 from epochfpa.cli import main
 from epochfpa.suites import run_suite
 
@@ -46,6 +51,26 @@ def test_inspect_reads_dist_from_file(tmp_path, capsys):
         line.split("=", 1) for line in capsys.readouterr().out.strip().splitlines()
     )
     assert float(values["myerson_revenue"]) == pytest.approx(1.5)
+
+
+def test_uniform_and_finite_priors_never_load_scipy_solvers(tmp_path, config_file):
+    # a fresh interpreter: this test module has imported scipy.integrate itself
+    script = (
+        "import sys\n"
+        "from epochfpa.cli import main\n"
+        "config, out, dist = sys.argv[1:]\n"
+        "assert main(['simulate', '--config', config, '--out', out]) == 0\n"
+        "assert main(['inspect', '--dist', dist, '--m', '2', '--n', '2']) == 0\n"
+        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])\n"
+    )
+    src = str(Path(epochfpa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    finite = '{"kind":"finite","support":[[1.0,0.5],[2.0,0.5]]}'
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(config_file), str(tmp_path / "out"), finite],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_simulate_writes_outputs(tmp_path, config_file, capsys):

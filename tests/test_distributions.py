@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate, optimize
 
 from epochfpa.distributions import (
     DistributionError,
     FiniteSupport,
     InverseCdf,
+    MyersonAuction,
     Uniform,
+    _bounded_min,
+    _quad,
     auction_scalars,
     from_spec,
     monopoly_reserve,
@@ -307,3 +311,105 @@ def test_auction_scalars_bundle(uniform01):
     assert scalars.win_prob == pytest.approx(0.375, abs=1e-6)
     assert scalars.win_quantile == pytest.approx(0.625, abs=1e-6)
     assert scalars.myerson_revenue == pytest.approx(5.0 / 12.0, abs=1e-6)
+
+
+# -- quadrature and bounded search against scipy ------------------------------
+
+
+def _scipy_quad(f, a, b, limit=50):
+    return integrate.quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=limit)[0]
+
+
+def _tail_integrand(dist, n):
+    # P(at least two of n draws exceed x), the Myerson revenue's tail integrand
+    return lambda x: 1.0 - dist.cdf(x) ** n - n * (1.0 - dist.cdf(x)) * dist.cdf(x) ** (n - 1)
+
+
+@st.composite
+def tail_integrals(draw):
+    """A uniform prior's Myerson tail integral over [r, hi], with n <= 40."""
+    lo = draw(st.floats(0.0, 5.0))
+    hi = lo + draw(st.floats(1e-3, 10.0))
+    r = draw(st.floats(lo, hi))
+    return _tail_integrand(Uniform(lo, hi), draw(st.integers(1, 40))), r, hi, 200
+
+
+def test_quad_matches_scipy_bit_for_bit(monkeypatch):
+    # every scipy call _quad makes is a fallback; the rest took the one step
+    fallbacks = []
+    quad = integrate.quad
+    monkeypatch.setattr(
+        integrate, "quad", lambda *args, **kw: fallbacks.append(args[1:3]) or quad(*args, **kw)
+    )
+    branches = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(tail_integrals())
+    @example((math.sqrt, 0.0, 1.0, 50))
+    @example((math.sqrt, 0.5, 0.5, 50))
+    def check(case):
+        f, a, b, limit = case
+        before = len(fallbacks)
+        got = _quad(f, a, b, limit)
+        assert got == quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=limit)[0]
+        branches.add("empty" if a == b else "fallback" if len(fallbacks) > before else "step")
+
+    check()
+    assert branches == {"empty", "step", "fallback"}
+
+
+_OBJECTIVES = (
+    lambda x: (x - 0.3) ** 2,
+    lambda x: abs(x - 1.7),
+    lambda x: math.sin(3.0 * x),
+    lambda x: math.cos(x) * x,
+    lambda x: (x - 2.0) ** 4 - x,
+    lambda x: -x * math.exp(-abs(x - 0.5)),
+    lambda x: math.exp(x) - 2.0 * x,
+    lambda x: x**3 - 2.0 * x,
+    lambda x: 1.0 / (1.0 + (x - 0.1) ** 2),
+    lambda x: math.floor(4.0 * x) - x,
+    lambda x: -math.sqrt(abs(x)) + 0.1 * x * x,
+    lambda x: 0.0,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(_OBJECTIVES), st.floats(-5.0, 5.0), st.floats(1e-9, 5.0)
+)
+def test_bounded_min_matches_minimize_scalar(func, a, width):
+    b = a + width
+    res = optimize.minimize_scalar(
+        func, bounds=(a, b), method="bounded", options={"xatol": 1e-10}
+    )
+    assert _bounded_min(func, a, b, 1e-10) == (res.x, res.fun)
+
+
+def _scipy_myerson_detail(dist, n):
+    """The uniform prior's Myerson detail as computed with scipy's quad and
+    minimize_scalar before both were replaced."""
+
+    def revenue(r):
+        tail = _scipy_quad(_tail_integrand(dist, n), r, dist.support_max, limit=200)
+        return r * (1.0 - dist.cdf(r) ** n) + tail
+
+    xs = np.linspace(dist.support_min, dist.support_max, 129)
+    ys = [revenue(x) for x in xs]
+    best = int(np.argmax(ys))
+    res = optimize.minimize_scalar(
+        lambda x: -revenue(x), bounds=(xs[max(best - 1, 0)], xs[min(best + 1, 128)]),
+        method="bounded", options={"xatol": 1e-10},
+    )
+    reserve = float(res.x) if -res.fun >= ys[best] else float(xs[best])
+    return MyersonAuction(
+        n, reserve, revenue(reserve), (1.0 - dist.cdf(reserve) ** n) / n
+    )
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.floats(0.0, 5.0), st.floats(1e-2, 10.0), st.integers(1, 8))
+@example(0.0, 1.0, 6)
+def test_uniform_myerson_detail_matches_the_scipy_computation(lo, width, n):
+    dist = Uniform(lo, lo + width)
+    assert myerson_detail(dist, n) == _scipy_myerson_detail(dist, n)

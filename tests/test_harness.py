@@ -89,8 +89,8 @@ def test_config_validates_roster_size_and_ids():
 )
 def test_config_checks_its_fields_on_construction(field, bad):
     fields = {"seed": 5, "replications": 1, field: bad}
-    kind = "a string" if field == "out_dir" else "an integer"
-    message = f"^{field} must be {kind}, got {re.escape(repr(bad))}$"
+    kind = {"seed": "an integer", "replications": "an integer of at least 1"}
+    message = f"^{field} must be {kind.get(field, 'a string')}, got {re.escape(repr(bad))}$"
     with pytest.raises(ConfigError, match=message):
         RunConfig(
             params=make_config().params, distribution=Uniform(0.0, 1.0),
@@ -100,7 +100,8 @@ def test_config_checks_its_fields_on_construction(field, bad):
 
 def test_config_refuses_zero_replications():
     base = make_config()
-    with pytest.raises(ConfigError, match="^replications must be at least 1$"):
+    message = "^replications must be an integer of at least 1, got 0$"
+    with pytest.raises(ConfigError, match=message):
         RunConfig(base.params, base.distribution, base.agents, 5, replications=0)
 
 
