@@ -4,15 +4,12 @@ Three prior kinds are supported: finite supports, uniform intervals, and
 continuous priors given by their inverse CDF.  All scalars (tail quantiles,
 upper-tail means, monopoly reserves, optimal-auction revenue and win
 probabilities) are computed exactly where possible: closed forms for uniform,
-ordered-support sums for finite supports.  An integral is one 21-point
-Gauss-Kronrod step, the first step of ``scipy.integrate.quad``, returned when
-quad's own accuracy test accepts it; otherwise it is ``quad`` itself, so either
-way the double is quad's.  Reserves are refined by a port of scipy's bounded
-Brent search.  scipy is therefore imported only when a step falls short: never
-for a finite prior, which integrates nothing, and not for a uniform prior with
-up to 21 buyers, whose tail integrand is a polynomial of degree n (exact under
-the 10-point Gauss rule up to n = 19).  An ``InverseCdf`` such as ``sqrt``
-loads it on its first integral.
+ordered-support sums for finite supports.  Every other integral (a uniform
+prior's Myerson revenue, an inverse-CDF prior's moments) runs a pure-Python
+port of QUADPACK's adaptive ``dqagse`` (Piessens et al., 1983), the routine
+behind ``scipy.integrate.quad``, in quad's order of floating-point operations,
+so each double is quad's.  Continuous reserves are refined by a port of
+scipy's bounded Brent search.  The package never imports scipy.
 
 Quantile convention: ``inv_cdf(p)`` is the left-continuous infimum,
 ``inf {v : F(v) >= p}``.  Ties in auctions are broken uniformly at random
@@ -24,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Union
@@ -324,58 +322,336 @@ _WG = (
 )
 _EPMACH = 2.220446049250313e-16  # d1mach(4)
 _UFLOW = 2.2250738585072014e-308  # d1mach(1)
+_OFLOW = 1.7976931348623157e308  # d1mach(2)
+
+
+class QuadratureWarning(UserWarning):
+    """An integral ended short of its tolerance, where scipy's ``quad`` warns."""
+
+
+# what dqagse's ier codes 1 to 5 mean; scipy's quad warns on each
+_IER_MESSAGES = (
+    "the maximum number of subdivisions ({limit}) has been reached",
+    "roundoff error prevents the requested tolerance from being reached",
+    "extremely bad integrand behaviour occurs at some points of the interval",
+    "the extrapolation does not converge: roundoff error in the table",
+    "the integral is probably divergent, or slowly convergent",
+)
 
 
 def _quad(f, a: float, b: float, limit: int = 50) -> float:
     """``scipy.integrate.quad(f, a, b, epsabs=epsrel=_QUAD_TOL, limit=limit)[0]``.
 
-    Runs dqagse's first dqk21 step in the same order of operations and returns
-    its result when dqagse's accuracy test accepts it; any other case calls
-    scipy, imported only then.  Like quad, it calls ``f`` on Python floats.
+    The double comes from ``_dqagse``, a port of the QUADPACK routine quad runs
+    on a finite interval, so it is quad's to the bit; where quad would warn, a
+    ``QuadratureWarning`` is raised.  Like quad, it calls ``f`` on Python floats.
     """
-    a, b = float(a), float(b)
-    if a == b:
-        return 0.0
-    if a < b:
-        centr = 0.5 * (a + b)
-        hlgth = 0.5 * (b - a)
-        fc = f(centr)
-        resg = 0.0
-        resk = _WGK[10] * fc
-        resabs = abs(resk)
-        fv1 = [0.0] * 10
-        fv2 = [0.0] * 10
-        for j in (*range(1, 10, 2), *range(0, 10, 2)):  # Gauss nodes first
-            absc = hlgth * _XGK[j]
-            fval1 = f(centr - absc)
-            fval2 = f(centr + absc)
-            fv1[j] = fval1
-            fv2[j] = fval2
-            fsum = fval1 + fval2
-            if j % 2:
-                resg = resg + _WG[j // 2] * fsum
-            resk = resk + _WGK[j] * fsum
-            resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
-        reskh = resk * 0.5
-        resasc = _WGK[10] * abs(fc - reskh)
-        for j in range(10):
-            resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
-        result = resk * hlgth
-        resabs = resabs * hlgth
-        resasc = resasc * hlgth
-        abserr = abs((resk - resg) * hlgth)
-        if resasc != 0.0 and abserr != 0.0:
-            abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-        if resabs > _UFLOW / (50.0 * _EPMACH):
-            abserr = max((_EPMACH * 50.0) * resabs, abserr)
-        errbnd = max(_QUAD_TOL, _QUAD_TOL * abs(result))
-        # dqagse stops after its first step on this test; its ``resabs`` is
-        # dqk21's ``resasc``
-        if abserr <= errbnd and abserr != resasc or abserr == 0.0:
-            return result
-    from scipy import integrate
+    result, _, ier, _ = _dqagse(f, float(a), float(b), limit)
+    if ier:
+        warnings.warn(
+            f"integral over [{a}, {b}]: {_IER_MESSAGES[ier - 1].format(limit=limit)}",
+            QuadratureWarning, stacklevel=2,
+        )
+    return result
 
-    return integrate.quad(f, a, b, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=limit)[0]
+
+def _qk21(f, a: float, b: float) -> tuple[float, float, float, float]:
+    """QUADPACK's dqk21 on [a, b], a < b: ``(result, abserr, resabs, resasc)``,
+    in its order of operations."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fc = f(centr)
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    fv1 = [0.0] * 10
+    fv2 = [0.0] * 10
+    for j in (*range(1, 10, 2), *range(0, 10, 2)):  # Gauss nodes first
+        absc = hlgth * _XGK[j]
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[j] = fval1
+        fv2[j] = fval2
+        fsum = fval1 + fval2
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    result = resk * hlgth
+    resabs = resabs * hlgth
+    resasc = resasc * hlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
+def _dqagse(f, a: float, b: float, limit: int) -> tuple[float, float, int, int]:
+    """``(result, abserr, ier, last)`` of scipy's quad at epsabs = epsrel =
+    ``_QUAD_TOL``: a port of QUADPACK's dqagse (Piessens et al., 1983), the
+    adaptive bisection with Wynn's epsilon extrapolation, on a finite interval.
+
+    As quad does, an empty interval gives zeros and a reversed one is flipped.
+    The lists are 0-based: ``maxerr`` and ``iord`` hold element indices and
+    ``nrmax`` is a position in ``iord``; ``last`` counts the subintervals.
+    """
+    if a == b:
+        return 0.0, 0.0, 0, 0
+    if b < a:
+        result, abserr, ier, last = _dqagse(f, b, a, limit)
+        return -result, abserr, ier, last
+    epsabs = epsrel = _QUAD_TOL
+    ier = ierro = 0
+    result, abserr, defabs, resabs = _qk21(f, a, b)
+    dres = abs(result)
+    errbnd = max(epsabs, epsrel * dres)
+    last = 1
+    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+        ier = 2
+    if limit == 1:
+        ier = 1
+    if ier != 0 or abserr <= errbnd and abserr != resabs or abserr == 0.0:
+        return result, abserr, ier, last
+
+    alist, blist, rlist, elist = [a] * limit, [b] * limit, [result] * limit, [abserr] * limit
+    iord, rlist2, res3la = [0] * limit, [result] + [0.0] * 51, [0.0] * 3
+    errmax, maxerr, area, errsum = abserr, 0, result, abserr
+    abserr = _OFLOW
+    nrmax = nres = ktmin = 0
+    numrl2 = 2
+    extrap = noext = False
+    iroff1 = iroff2 = iroff3 = 0
+    small = erlarg = ertest = correc = 0.0
+    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
+    plain_sum = False  # dqagse returns the sum of the subintervals, not the extrapolation
+    for last in range(2, limit + 1):
+        # bisect the subinterval with the nrmax-th largest error estimate
+        a1, b1, b2 = alist[maxerr], 0.5 * (alist[maxerr] + blist[maxerr]), blist[maxerr]
+        a2 = b1
+        erlast = errmax
+        area1, error1, _, defab1 = _qk21(f, a1, b1)
+        area2, error2, _, defab2 = _qk21(f, a2, b2)
+        area12 = area1 + area2
+        erro12 = error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if defab1 != error1 and defab2 != error2:
+            if abs(rlist[maxerr] - area12) <= 1e-5 * abs(area12) and erro12 >= 0.99 * errmax:
+                if extrap:
+                    iroff2 += 1
+                else:
+                    iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                iroff3 += 1
+        rlist[maxerr] = area1
+        rlist[last - 1] = area2
+        errbnd = max(epsabs, epsrel * abs(area))
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        if last == limit:
+            ier = 1
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+            ier = 4
+        # the half with the larger error keeps the bisected interval's slot
+        if error2 > error1:
+            alist[maxerr], alist[last - 1], blist[last - 1] = a2, a1, b1
+            rlist[maxerr], rlist[last - 1] = area2, area1
+            elist[maxerr], elist[last - 1] = error2, error1
+        else:
+            alist[last - 1], blist[maxerr], blist[last - 1] = a2, b1, b2
+            elist[maxerr], elist[last - 1] = error1, error2
+        maxerr, errmax, nrmax = _dqpsrt(limit, last, maxerr, elist, iord, nrmax)
+        if errsum <= errbnd:
+            plain_sum = True
+            break
+        if ier != 0:
+            break
+        if last == 2:
+            small, erlarg, ertest, rlist2[1] = abs(b - a) * 0.375, errsum, errbnd, area
+            continue
+        if noext:
+            continue
+        erlarg = erlarg - erlast
+        if abs(b1 - a1) > small:
+            erlarg = erlarg + erro12
+        if not extrap:
+            # extrapolate only once the smallest interval is next in line
+            if abs(blist[maxerr] - alist[maxerr]) > small:
+                continue
+            extrap = True
+            nrmax = 1
+        if ierro != 3 and erlarg > ertest:
+            # the smallest interval has the largest error: bisect the larger
+            # ones with a large error before extrapolating
+            jupbnd = last if last <= 2 + limit // 2 else limit + 3 - last
+            large = False
+            for _ in range(jupbnd - nrmax):
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                if abs(blist[maxerr] - alist[maxerr]) > small:
+                    large = True
+                    break
+                nrmax += 1
+            if large:
+                continue
+        numrl2 += 1
+        rlist2[numrl2 - 1] = area
+        numrl2, reseps, abseps, nres = _dqelg(numrl2, rlist2, res3la, nres)
+        ktmin += 1
+        if ktmin > 5 and abserr < 1e-3 * errsum:
+            ier = 5
+        if abseps < abserr:
+            ktmin, abserr, result, correc = 0, abseps, reseps, erlarg
+            ertest = max(epsabs, epsrel * abs(reseps))
+            if abserr <= ertest:
+                break
+        # prepare the bisection of the smallest interval
+        if numrl2 == 1:
+            noext = True
+        if ier == 5:
+            break
+        maxerr = iord[0]
+        errmax, nrmax, extrap, small, erlarg = elist[maxerr], 0, False, small * 0.5, errsum
+
+    # choose between the extrapolated result and the plain sum
+    if not plain_sum and abserr != _OFLOW:
+        test_divergence = True
+        if ier + ierro != 0:
+            if ierro == 3:
+                abserr = abserr + correc
+            if ier == 0:
+                ier = 3
+            if result != 0.0 and area != 0.0:
+                plain_sum = abserr / abs(result) > errsum / abs(area)
+            else:
+                plain_sum, test_divergence = abserr > errsum, area != 0.0
+        # the test on divergence; Fortran's result / 0 compares as divergent
+        # here, since errsum > 0 whenever the loop got this far
+        if not plain_sum and test_divergence and not (
+            ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01
+        ):
+            if area == 0.0 or 0.01 > result / area or result / area > 100.0 or errsum > abs(area):
+                ier = 6
+    if plain_sum or abserr == _OFLOW:
+        result = 0.0
+        for k in range(last):
+            result = result + rlist[k]
+        abserr = errsum
+    return result, abserr, ier - 1 if ier > 2 else ier, last
+
+
+def _dqpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: int):
+    """QUADPACK's dqpsrt: keep ``iord`` ordered by descending error and return
+    ``(maxerr, errmax, nrmax)`` of the subinterval to bisect next."""
+    if last <= 2:
+        iord[0], iord[1] = 0, 1
+        maxerr = iord[nrmax]
+        return maxerr, elist[maxerr], nrmax
+    errmax = elist[maxerr]
+    while nrmax > 0:
+        isucc = iord[nrmax - 1]
+        if errmax <= elist[isucc]:
+            break
+        iord[nrmax] = isucc
+        nrmax -= 1
+    # only the first jupbn errors are kept ordered: no more can be bisected
+    jupbn = last if last <= limit // 2 + 2 else limit + 3 - last
+    errmin = elist[last - 1]
+    for i in range(nrmax + 1, jupbn - 1):
+        isucc = iord[i]
+        if errmax >= elist[isucc]:
+            # insert errmax here, then errmin bottom-up
+            iord[i - 1] = maxerr
+            k = jupbn - 2
+            for _ in range(jupbn - 1 - i):
+                isucc = iord[k]
+                if errmin < elist[isucc]:
+                    iord[k + 1] = last - 1
+                    break
+                iord[k + 1] = isucc
+                k -= 1
+            else:
+                iord[i] = last - 1
+            break
+        iord[i - 1] = isucc
+    else:
+        iord[jupbn - 2] = maxerr
+        iord[jupbn - 1] = last - 1
+    maxerr = iord[nrmax]
+    return maxerr, elist[maxerr], nrmax
+
+
+def _dqelg(n: int, epstab: list, res3la: list, nres: int):
+    """QUADPACK's dqelg, Wynn's epsilon algorithm on ``epstab[:n]``: returns
+    ``(n, result, abserr, nres)`` and updates ``epstab`` and ``res3la``."""
+    nres += 1
+    abserr = _OFLOW
+    result = epstab[n - 1]
+    if n >= 3:
+        epstab[n + 1] = epstab[n - 1]
+        newelm = (n - 1) // 2
+        epstab[n - 1] = _OFLOW
+        num = k1 = n  # k1 is 1-based, as in the table's Fortran layout
+        for i in range(1, newelm + 1):
+            res = epstab[k1 + 1]
+            e0 = epstab[k1 - 3]
+            e1 = epstab[k1 - 2]
+            e2 = res
+            e1abs = abs(e1)
+            delta2 = e2 - e1
+            err2 = abs(delta2)
+            tol2 = max(abs(e2), e1abs) * _EPMACH
+            delta3 = e1 - e0
+            err3 = abs(delta3)
+            tol3 = max(e1abs, abs(e0)) * _EPMACH
+            if err2 <= tol2 and err3 <= tol3:
+                # e0, e1 and e2 agree to machine accuracy: converged
+                return n, res, max(err2 + err3, 5.0 * _EPMACH * abs(res)), nres
+            e3 = epstab[k1 - 1]
+            epstab[k1 - 1] = e1
+            delta1 = e1 - e3
+            err1 = abs(delta1)
+            tol1 = max(e1abs, abs(e3)) * _EPMACH
+            # two close elements, or irregular behaviour: drop part of the table
+            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+                n = i + i - 1
+                break
+            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+            epsinf = abs(ss * e1)
+            if not epsinf > 1e-4:
+                n = i + i - 1
+                break
+            res = e1 + 1.0 / ss
+            epstab[k1 - 1] = res
+            k1 -= 2
+            error = err2 + abs(res - e2) + err3
+            if error <= abserr:
+                abserr = error
+                result = res
+        # shift the table; it holds at most limexp = 50 elements
+        if n == 50:
+            n = 49
+        start = 1 - num % 2
+        for ib in range(start, start + 2 * newelm + 2, 2):
+            epstab[ib] = epstab[ib + 2]
+        epstab[:n] = epstab[num - n:num]
+        if nres < 4:
+            res3la[nres - 1] = result
+            abserr = _OFLOW
+        else:
+            abserr = (
+                abs(result - res3la[2]) + abs(result - res3la[1]) + abs(result - res3la[0])
+            )
+            res3la[0], res3la[1], res3la[2] = res3la[1], res3la[2], result
+    return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
 
 
 def _bounded_min(func, a: float, b: float, xatol: float) -> tuple[float, float]:

@@ -40,7 +40,7 @@ from .harness import (
     run_simulation,
     trajectory_ndjson,
 )
-from .mechanism import BuyerState, MechanismParams
+from .mechanism import BuyerState, MechanismParams, derive_epoch_config
 from .rng import substream
 
 __all__ = [
@@ -166,27 +166,37 @@ def suite_myerson_oracle(seed: int = 20260810, supports: int = 20) -> SuiteRepor
 def suite_lemma_b1(runs: int = 100, seed: int = 101) -> SuiteReport:
     """Deterministic per-epoch revenue floor from good-phase auctions."""
     report = SuiteReport("lemma-b1")
-    violations = 0
-    epochs_checked = 0
+    violations = mismatches = epochs_checked = 0
     for r in range(runs):
         n = (2, 4, 6)[r % 3]
         horizon = 2 * _params(n, 1).max_epoch_length + 5
         config = _config([{"kind": "good-strategy"}] * n, horizon, seed + r)
         traj = run_simulation(config, record="light")
-        h = config.params.rest_threshold
+        params, dist = config.params, config.distribution
+        h = params.rest_threshold
         completed = [e for e in traj.epochs if e.completed]
         if len(completed) < 2:
             report.check(False, f"run {r}: expected 2 completed epochs, got {len(completed)}")
             continue
         for e in completed:
             epochs_checked += 1
-            floor = len(e.good_end) * h * e.config.good_reserve
-            if e.good_revenue < floor - 1e-9:
+            # the specification's reserve, not the one the run recorded
+            reserve = (1.0 - params.epsilon) * upper_tail_mean(dist, max(1, len(e.good_start)))
+            if e.good_revenue < len(e.good_end) * h * reserve - 1e-9:
                 violations += 1
+            if e.config != derive_epoch_config(
+                params, e.good_start, e.bad_start, dist, e.config.index
+            ):
+                mismatches += 1
     report.check(
         violations == 0,
-        f"good-phase revenue >= |G_end|*H*r_g in all {epochs_checked} completed epochs "
-        f"({violations} violations)",
+        f"good-phase revenue >= |G_end|*H*(1-eps)*upper_tail_mean(|G_start|) in all "
+        f"{epochs_checked} completed epochs ({violations} violations)",
+    )
+    report.check(
+        mismatches == 0,
+        f"recorded epoch configs match derive_epoch_config in all {epochs_checked} "
+        f"completed epochs ({mismatches} mismatches)",
     )
     return report
 
@@ -255,9 +265,12 @@ def suite_lemma_b4(epochs: int = 200, seed: int = 404) -> SuiteReport:
                 * cfg.bad_tail_mean
             )
             samples.extend(float(u) for u in traj.epoch_agent_utilities[k])
+        if cap is None:
+            report.check(False, f"bad_mode={bad_mode}: no completed epoch with {n} bad buyers")
+            continue
         mean, se = mean_se(samples)
         report.check(
-            cap is not None and mean <= cap + 3.0 * se,
+            mean <= cap + 3.0 * se,
             f"bad_mode={bad_mode}: mean per-epoch bad utility {mean:.4f} <= "
             f"{cap:.4f} + 3se ({se:.4f}) over {len(samples)} samples",
         )

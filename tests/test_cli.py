@@ -12,6 +12,7 @@ from scipy.integrate import IntegrationWarning
 
 import epochfpa
 from epochfpa.cli import main
+from epochfpa.distributions import QuadratureWarning
 from epochfpa.suites import run_suite
 
 
@@ -53,21 +54,40 @@ def test_inspect_reads_dist_from_file(tmp_path, capsys):
     assert float(values["myerson_revenue"]) == pytest.approx(1.5)
 
 
-def test_uniform_and_finite_priors_never_load_scipy_solvers(tmp_path, config_file):
-    # a fresh interpreter: this test module has imported scipy.integrate itself
-    script = (
-        "import sys\n"
-        "from epochfpa.cli import main\n"
-        "config, out, dist = sys.argv[1:]\n"
-        "assert main(['simulate', '--config', config, '--out', out]) == 0\n"
-        "assert main(['inspect', '--dist', dist, '--m', '2', '--n', '2']) == 0\n"
-        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])\n"
-    )
+# a fresh interpreter, as this test module imports scipy itself; besides the
+# CLI on a uniform and a finite prior, it integrates sqrt over [0, 1], singular
+# at 0, and replays the policy-replay roster, whose lookahead replays reach
+# that integral through a one-buyer good set
+_SCIPY_FREE_SCRIPT = """
+import math, sys
+from epochfpa.agents import default_expert_family
+from epochfpa.cli import main
+from epochfpa.distributions import InverseCdf, Uniform, auction_scalars, upper_tail_mean
+from epochfpa.harness import RunConfig, estimate_policy_regret
+from epochfpa.mechanism import MechanismParams
+
+config, out, dist = sys.argv[1:]
+assert main(['simulate', '--config', config, '--out', out]) == 0
+assert main(['inspect', '--dist', dist, '--m', '2', '--n', '2']) == 0
+assert upper_tail_mean(InverseCdf(math.sqrt), 1) == 0.6666666666666669
+auction_scalars(Uniform(0, 1), 25, 25)
+sqrt = InverseCdf(lambda p: p**0.5, label='sqrt')
+params = MechanismParams(n=4, horizon=1000, epsilon=0.3, delta=0.3, rho=0.3 * 0.7**4 / 12)
+roster = [{'kind': 'exp3'}, {'kind': 'lookahead'}, {'kind': 'myopic'},
+          {'kind': 'myopic', 'good_mode': 'zero'}]
+replay = RunConfig(params=params, distribution=sqrt, agents=roster, seed=5)
+for buyer in (0, 1):
+    estimate_policy_regret(replay, buyer, default_expert_family(sqrt))
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+
+
+def test_no_prior_ever_loads_scipy(tmp_path, config_file):
     src = str(Path(epochfpa.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     finite = '{"kind":"finite","support":[[1.0,0.5],[2.0,0.5]]}'
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(config_file), str(tmp_path / "out"), finite],
+        [sys.executable, "-c", _SCIPY_FREE_SCRIPT, str(config_file), str(tmp_path / "out"), finite],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.stdout.splitlines()[-1] == "[]"
@@ -288,7 +308,8 @@ def test_uniform_infinite_bound_exits_two(capsys, recwarn):
     assert main(["inspect", "--dist", dist, "--m", "2", "--n", "2"]) == 2
     assert "uniform bound hi must be finite" in capsys.readouterr().err
     assert not [
-        w for w in recwarn if issubclass(w.category, (RuntimeWarning, IntegrationWarning))
+        w for w in recwarn
+        if issubclass(w.category, (RuntimeWarning, IntegrationWarning, QuadratureWarning))
     ]
 
 

@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,13 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
+from epochfpa import distributions
 from epochfpa.distributions import (
     DistributionError,
     FiniteSupport,
     InverseCdf,
     MyersonAuction,
+    QuadratureWarning,
     Uniform,
     _bounded_min,
+    _dqagse,
     _quad,
     auction_scalars,
     from_spec,
@@ -334,28 +339,115 @@ def tail_integrals(draw):
     return _tail_integrand(Uniform(lo, hi), draw(st.integers(1, 40))), r, hi, 200
 
 
+# integrands with a kink, a step, an oscillation or a singularity at c; the
+# last three diverge
+_ROUGH = (
+    lambda x, c: abs(x - c) ** 0.5,
+    lambda x, c: abs(x - c) ** 0.3,
+    lambda x, c: abs(x - c),
+    lambda x, c: math.log(abs(x - c)) if x != c else 0.0,
+    lambda x, c: abs(x - c) ** -0.9 if x != c else 0.0,
+    lambda x, c: float(x > c),
+    lambda x, c: math.floor(7.0 * (x - c)),
+    lambda x, c: math.sin(50.0 * (x - c)),
+    lambda x, c: math.sin(1.0 / (x - c)) if x != c else 0.0,
+    lambda x, c: 1.0 / abs(x - c) if x != c else 0.0,
+    lambda x, c: 1.0 / (x - c) ** 2 if x != c else 0.0,
+    lambda x, c: 1.0 / (x - c) if x != c else 0.0,
+)
+
+
+@st.composite
+def integrals(draw):
+    """A tail integral, or a rough integrand on [a, b], at a limit of 3, 50 or 200."""
+    limit = draw(st.sampled_from((3, 50, 200)))
+    if draw(st.booleans()):
+        f, a, b, _ = draw(tail_integrals())
+        return f, a, b, limit
+    a, b = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    c = draw(st.sampled_from((a, b, 0.5 * (a + b), 1.0 / 3.0)))
+    return functools.partial(draw(st.sampled_from(_ROUGH)), c=c), a, b, limit
+
+
+# the start of each warning quad gives, by the dqagse ier code it reports
+_SCIPY_IER = {
+    "The maximum number of subdivisions": 1,
+    "The occurrence of roundoff error": 2,
+    "Extremely bad integrand behavior": 3,
+    "The algorithm does not converge": 4,
+    "The integral is probably divergent": 5,
+}
+
+
+def _scipy_ier(message):
+    return next(ier for start, ier in _SCIPY_IER.items() if message.startswith(start))
+
+
+def _scipy_dqagse(f, a, b, limit):
+    """quad's ``(result, abserr, ier, last)``; ier is read back from its message."""
+    out = integrate.quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=limit, full_output=1)
+    ier = 0 if len(out) == 3 else _scipy_ier(out[3])
+    return out[0], out[1], ier, out[2]["last"]
+
+
 def test_quad_matches_scipy_bit_for_bit(monkeypatch):
-    # every scipy call _quad makes is a fallback; the rest took the one step
-    fallbacks = []
-    quad = integrate.quad
+    # a case is extrapolated when it runs Wynn's epsilon algorithm
+    extrapolations = []
+    dqelg = distributions._dqelg
     monkeypatch.setattr(
-        integrate, "quad", lambda *args, **kw: fallbacks.append(args[1:3]) or quad(*args, **kw)
+        distributions, "_dqelg", lambda *args: extrapolations.append(args) or dqelg(*args)
     )
     branches = set()
 
-    @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(tail_integrals())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(integrals())
     @example((math.sqrt, 0.0, 1.0, 50))
     @example((math.sqrt, 0.5, 0.5, 50))
+    @example((math.sqrt, 0.0, 1.0, 3))
     def check(case):
         f, a, b, limit = case
-        before = len(fallbacks)
-        got = _quad(f, a, b, limit)
-        assert got == quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=limit)[0]
-        branches.add("empty" if a == b else "fallback" if len(fallbacks) > before else "step")
+        before = len(extrapolations)
+        got = _dqagse(f, a, b, limit)
+        assert got == _scipy_dqagse(f, a, b, limit)
+        _, _, ier, last = got
+        branches.add(
+            "empty" if last == 0 else "one step" if last == 1
+            else "extrapolated" if len(extrapolations) > before else "subdivided"
+        )
+        if ier == 1:
+            branches.add("limit reached")
 
     check()
-    assert branches == {"empty", "step", "fallback"}
+    assert branches == {"empty", "one step", "subdivided", "extrapolated", "limit reached"}
+
+
+@pytest.mark.parametrize(
+    "f, a, b, limit, ier, words",
+    [
+        (math.sqrt, 0.0, 1.0, 3, 1, "maximum number of subdivisions (3)"),
+        (
+            lambda x: math.sin(1e6 * x) * 1e-3 + x, -0.6885785688324275, 1.537997070034113,
+            200, 2, "roundoff error",
+        ),
+        (lambda x: 1.0 / abs(x - 1 / 3) if x != 1 / 3 else 0.0, 0.0, 1.0, 50, 3, "bad integrand"),
+        (
+            lambda x: 1.0 / (x - 0.3) ** 2 if x != 0.3 else 0.0, -0.20293179224741054,
+            1.461543391720888, 50, 4, "extrapolation does not converge",
+        ),
+        (lambda x: abs(x - 1 / 3) ** -1.5 if x != 1 / 3 else 0.0, 0.0, 1.0, 50, 5, "divergent"),
+    ],
+    ids=["limit", "roundoff", "bad-integrand", "extrapolation-roundoff", "divergent"],
+)
+def test_quad_warns_where_scipy_does(f, a, b, limit, ier, words):
+    with pytest.warns(integrate.IntegrationWarning) as scipy_warnings:
+        expected = integrate.quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=limit)[0]
+    assert [_scipy_ier(str(w.message)) for w in scipy_warnings] == [ier]
+    assert _dqagse(f, a, b, limit)[2] == ier
+    # a UserWarning, so the suite's error::UserWarning filter catches a stray one
+    assert issubclass(QuadratureWarning, UserWarning)
+    with pytest.warns(QuadratureWarning, match=re.escape(words)) as ours:
+        assert _quad(f, a, b, limit) == expected
+    assert len(ours) == 1
 
 
 _OBJECTIVES = (
