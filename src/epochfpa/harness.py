@@ -585,6 +585,40 @@ def classify_roster(config: RunConfig) -> tuple[int, int]:
     return n_soph, config.params.n - n_soph
 
 
+class Check(NamedTuple):
+    """One verification check.  Sense ``">="`` passes when observed >= bound -
+    3se, ``"<="`` when observed <= bound + 3se, and ``"=="`` only on exact
+    equality.  A NaN observed value fails every sense."""
+
+    name: str
+    observed: float
+    bound: float
+    se: float = 0.0
+    sense: str = ">="
+
+    @property
+    def margin(self) -> float:
+        """Distance from ``observed`` to the tolerated limit, negative on failure."""
+        if self.sense == ">=":
+            return self.observed - (self.bound - 3.0 * self.se)
+        if self.sense == "<=":
+            return self.bound + 3.0 * self.se - self.observed
+        if self.sense == "==":
+            return 0.0 if self.observed == self.bound else -abs(self.observed - self.bound)
+        raise ValueError(f"unknown check sense {self.sense!r}")
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0.0
+
+    def line(self) -> str:
+        """The verdict, name, observed value, bound, se and margin on one line."""
+        return (
+            f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.observed:.6g} "
+            f"{self.sense} {self.bound:.6g} (se {self.se:.6g}, margin {self.margin:+.6g})"
+        )
+
+
 @dataclass
 class BoundReport:
     n_soph: int
@@ -595,11 +629,11 @@ class BoundReport:
     slack: float
     measured_mean: Optional[float] = None
     measured_se: Optional[float] = None
-    checks: list[tuple[str, bool, float]] = field(default_factory=list)
+    checks: list[Check] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
+        return all(check.passed for check in self.checks)
 
     @property
     def vacuous(self) -> bool:
@@ -621,9 +655,7 @@ class BoundReport:
                 f"measured_per_round={self.measured_mean:.6f} "
                 f"ci95=±{1.96 * self.measured_se:.6f}"
             )
-        for name, ok, margin in self.checks:
-            out.append(f"[{'PASS' if ok else 'FAIL'}] {name} (margin {margin:+.6f})")
-        return out
+        return out + [check.line() for check in self.checks]
 
 
 def bound_report(config: RunConfig, measure: bool = True) -> BoundReport:
@@ -646,13 +678,13 @@ def bound_report(config: RunConfig, measure: bool = True) -> BoundReport:
         raise ConfigError("T=0 runs no round, so there is no revenue to measure")
     mean, se = mean_se(t.revenue_per_round for t in run_replications(config))
     report.measured_mean, report.measured_se = mean, se
-    floor = report.lower_bound - report.slack - 3.0 * se
-    ceil = report.upper_bound + 3.0 * se
     name = "revenue >= lower bound - slack - 3se"
     if report.vacuous:
         name += " [vacuous: lower bound - slack <= 0]"
-    report.checks.append((name, mean >= floor, mean - floor))
-    report.checks.append(("revenue <= upper bound + 3se", mean <= ceil, ceil - mean))
+    report.checks = [
+        Check(name, mean, report.lower_bound - report.slack, se, ">="),
+        Check("revenue <= upper bound + 3se", mean, report.upper_bound, se, "<="),
+    ]
     return report
 
 

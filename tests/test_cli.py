@@ -156,7 +156,7 @@ def test_verify_suite_fail_exit_one(monkeypatch, capsys):
 
     def failing():
         report = suites.SuiteReport("doomed")
-        report.check(False, "always fails")
+        report.check("always fails", 0.0, 1.0)
         return report
 
     monkeypatch.setitem(suites.SUITES, "policy-regret", failing)
@@ -360,7 +360,7 @@ def test_bounds_measure_failed_check_exits_one(monkeypatch, config_file, capsys)
             n_soph=1, n_naive=1, lower_bound=0.5, lower_bound_conservative=0.4,
             upper_bound=1.0, slack=0.1, measured_mean=0.0, measured_se=0.0,
         )
-        report.checks.append(("revenue >= lower bound - slack - 3se", False, -0.4))
+        report.checks.append(harness.Check("revenue >= lower bound - slack - 3se", 0.0, 0.4))
         return report
 
     monkeypatch.setattr(cli, "bound_report", failing)

@@ -22,6 +22,7 @@ from epochfpa.agents import (
 )
 from epochfpa.distributions import FiniteSupport, InverseCdf, Uniform
 from epochfpa.harness import (
+    Check,
     ConfigError,
     RunConfig,
     bound_report,
@@ -588,6 +589,40 @@ def test_bind_warnings_name_each_buyer():
     assert len(messages) == 2
     assert all(m.startswith("no mechanism reset") for m in messages)
     assert "buyer 0 " in messages[0] and "buyer 1 " in messages[1]
+
+
+@pytest.mark.parametrize("sense, side", [(">=", -1.0), ("<=", 1.0)])
+def test_check_passes_up_to_exactly_three_standard_errors(sense, side):
+    bound, se = 0.7, 0.1
+    limit = bound + side * 3.0 * se
+    at_limit = Check("floor or ceiling", limit, bound, se, sense)
+    assert at_limit.passed and at_limit.margin == 0.0
+    beyond = Check("floor or ceiling", np.nextafter(limit, side * math.inf), bound, se, sense)
+    assert not beyond.passed and beyond.margin < 0.0
+    inside = Check("floor or ceiling", bound, bound, se, sense)
+    assert inside.passed and inside.margin == pytest.approx(3.0 * se)
+
+
+def test_check_equality_is_exact_whatever_the_se():
+    assert Check("count", 3, 3, sense="==").passed
+    assert Check("count", 3, 3, sense="==").margin == 0.0
+    missed = Check("count", 3, 4, sense="==")
+    assert not missed.passed and missed.margin == -1.0
+    assert not Check("count", 3.0, 3.0 + 1e-12, se=1.0, sense="==").passed
+
+
+@pytest.mark.parametrize("sense", [">=", "<=", "=="])
+def test_check_fails_a_nan_observation(sense):
+    check = Check("no samples", math.nan, 0.0, 0.0, sense)
+    assert not check.passed
+    assert check.line() == f"[FAIL] no samples: nan {sense} 0 (se 0, margin +nan)"
+
+
+def test_check_line_and_unknown_sense():
+    check = Check("mean revenue", 0.5, 0.25, 0.05, ">=")
+    assert check.line() == "[PASS] mean revenue: 0.5 >= 0.25 (se 0.05, margin +0.4)"
+    with pytest.raises(ValueError, match="unknown check sense '>'"):
+        Check("typo", 1.0, 0.0, sense=">").passed
 
 
 def test_bound_report_measures_and_checks():
