@@ -117,6 +117,10 @@ class Expert:
     level: Optional[float] = None
     cutoff: Optional[float] = None
 
+    def __post_init__(self):
+        if self.style not in (GOOD_TEMPLATE, BAD_THRESHOLD, ZERO_BID):
+            raise AgentError(f"unknown expert style {self.style!r}")
+
     def rule(self, view: AgentView, buyer: int) -> tuple[float, float, bool]:
         """``(level, cutoff, snap)``: under ``view`` the buyer bids ``level``
         if its value, snapped to the grid when ``snap``, reaches ``cutoff``,
@@ -133,8 +137,6 @@ class Expert:
             level = cfg.bad_reserve if self.level is None else self.level
             cutoff = cfg.bad_cutoff if self.cutoff is None else self.cutoff
             return level, cutoff, True
-        if self.style not in (GOOD_TEMPLATE, BAD_THRESHOLD, ZERO_BID):
-            raise AgentError(f"unknown expert style {self.style!r}")
         return 0.0, math.inf, False
 
 

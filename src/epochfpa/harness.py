@@ -38,6 +38,7 @@ from .mechanism import (
     MechanismError,
     MechanismParams,
     RoundOutcome,
+    _roster,
 )
 from .rng import substream
 
@@ -172,27 +173,21 @@ class RunConfig:
         return agents
 
 
-class Segment(NamedTuple):
-    """A stretch of recorded rounds sharing phase, epoch and buyer states:
-    the ``AgentView`` of its first round and the participants of them all."""
-
-    view: AgentView
-    participants: tuple[int, ...]
-
-
 @dataclass
 class RoundColumns:
     """The rounds of a full-mode run, one list entry per round.
 
-    ``bids[t]`` is the tuple of round ``t``'s bids in its segment's
-    participant order (idle rounds share ``()``), ``winners[t]`` its winner
-    or ``None``, ``payments[t]`` the price, ``uncleared[t]`` and
-    ``allocations[t]`` the counts after it; a round that left the
-    allocations as they were holds the previous round's tuple.  Phase,
-    epoch, the states and the uncleared count before a segment's first round
-    are read from the ``AgentView`` of that round, which ``segments[s]`` keeps
-    with the participants, running up to the next one's start, and the
-    rounds that moved a buyer map to their moves in ``transitions``.
+    A segment is a stretch of rounds sharing phase, epoch and buyer states,
+    and ``segments[s]`` is the ``AgentView`` of its first round; it runs up
+    to the next one's start.  Phase, epoch, the states and the uncleared
+    count before the segment's first round are read from that view, and its
+    participants follow from the view's states and phase.  ``bids[t]`` is
+    the tuple of round ``t``'s bids in participant order (idle rounds share
+    ``()``), ``winners[t]`` its winner or ``None``, ``payments[t]`` the
+    price, ``uncleared[t]`` and ``allocations[t]`` the counts after it; a
+    round that left the allocations as they were holds the mechanism's same
+    tuple as the round before.  The rounds that moved a buyer map to their
+    moves in ``transitions``.
     """
 
     bids: list[tuple] = field(default_factory=list)
@@ -200,14 +195,14 @@ class RoundColumns:
     payments: list[float] = field(default_factory=list)
     uncleared: list[int] = field(default_factory=list)
     allocations: list[tuple[int, ...]] = field(default_factory=list)
-    segments: list[Segment] = field(default_factory=list)
+    segments: list[AgentView] = field(default_factory=list)
     transitions: dict[int, tuple] = field(default_factory=dict)
 
     def add_idle(self, view: AgentView, allocations: tuple[int, ...], k: int) -> None:
         """Record ``k`` rounds without participants from ``view``, the first
         one's, as a segment of their own: the rounds before them had bidders
         or another phase."""
-        self.segments.append(Segment(view, ()))
+        self.segments.append(view)
         self.bids += [()] * k
         self.winners += [None] * k
         self.payments += [0.0] * k
@@ -217,11 +212,13 @@ class RoundColumns:
             self.uncleared += [view.uncleared] * k
         self.allocations += [allocations] * k
 
-    def segment_ends(self) -> Iterator[tuple[Segment, int]]:
-        """Every segment with the round its successor starts at."""
+    def segment_ends(self) -> Iterator[tuple[AgentView, tuple[int, ...], int]]:
+        """Every segment's view, with its participants and the round its
+        successor starts at."""
         segments = self.segments
-        ends = [s.view.t for s in segments[1:]] + [len(self.bids)]
-        return zip(segments, ends)
+        ends = [view.t for view in segments[1:]] + [len(self.bids)]
+        for view, end in zip(segments, ends):
+            yield view, _roster(view.states, view.phase), end
 
 
 @dataclass
@@ -248,7 +245,7 @@ class Trajectory:
         if c is None:
             return None
         out = []
-        for (view, participants), end in c.segment_ends():
+        for view, participants, end in c.segment_ends():
             before = view.uncleared
             for t in range(view.t, end):
                 winner, after = c.winners[t], c.uncleared[t]
@@ -352,7 +349,6 @@ def run_simulation(
         bid_column, winner_column = columns.bids, columns.winners
         payment_column, uncleared_column = columns.payments, columns.uncleared
         allocation_column = columns.allocations
-        allocated = None  # the last allocations recorded, shared while they hold
     segment = None  # the view the current segment starts with
     unsteady = frozenset(i for i, agent in enumerate(agents) if not agent.stationary)
 
@@ -365,9 +361,7 @@ def run_simulation(
                 mech.run_idle()
                 continue
             segment = mech.view()
-            if tuple(mech.allocations) != allocated:
-                allocated = tuple(mech.allocations)
-            columns.add_idle(segment, allocated, mech.run_idle())
+            columns.add_idle(segment, mech.allocations, mech.run_idle())
             continue
         if blocks and unsteady.isdisjoint(participants):
             t = mech.t
@@ -404,18 +398,16 @@ def run_simulation(
         if columns is not None:
             if segment is None or view.states is not segment.states or view.phase != segment.phase:
                 segment = view
-                segments.append(Segment(view, participants))
+                segments.append(view)
             bid_column.append(tuple(outcome.bids.values()))
             winner_column.append(winner)
             payment_column.append(outcome.payment)
             uncleared_column.append(outcome.uncleared)
-            if outcome.allocations != allocated:
-                allocated = outcome.allocations
-            allocation_column.append(allocated)
+            allocation_column.append(outcome.allocations)
             if outcome.transitions:
                 moves[t] = outcome.transitions
 
-    final_states = tuple(mech.states)
+    final_states = mech.states
     mech.finish()
 
     return Trajectory(
@@ -522,10 +514,11 @@ def summarize(traj: Trajectory) -> RunSummary:
 
 
 def mean_se(samples) -> tuple[float, float]:
-    """Sample mean and its standard error (0 for fewer than two samples)."""
+    """Sample mean and its standard error (0 for fewer than two samples).
+    No samples have no mean: it is NaN, which fails every ``Check``."""
     xs = np.asarray(list(samples), dtype=float)
     if xs.size == 0:
-        return 0.0, 0.0
+        return math.nan, 0.0
     if xs.size == 1:
         return float(xs[0]), 0.0
     return float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(xs.size))
@@ -728,7 +721,7 @@ def external_regret_profile(
     stretches = []  # (index of the epoch's first such round, view)
     epoch = None
     gathered = 0
-    for (view, participants), end in columns.segment_ends():
+    for view, participants, end in columns.segment_ends():
         if agent not in participants:
             continue
         start, config = view.t, view.config
@@ -894,7 +887,7 @@ def _ndjson_chunks(columns: RoundColumns) -> Iterator[str]:
     bid_texts: dict[tuple[int, ...], dict[bytes, str]] = {}
     pay_texts: dict[bytes, str] = {}
     last_allocations = alloc_text = None
-    for (view, participants), end in columns.segment_ends():
+    for view, participants, end in columns.segment_ends():
         start, phase, epoch = view.t, view.phase, view.config.index
         a = allocations[start]
         if a != last_allocations:

@@ -6,7 +6,7 @@ with reserve prices fixed for the epoch from the current state counts.  During
 the good block a buyer is punished (moved to the absorbing bad state) for
 bidding below the reserve once too many auctions have gone uncleared, and is
 temporarily rested after winning its per-epoch allocation quota.  Rested
-buyers return to the good state when the epoch ends.
+buyers return to the good state when the next epoch starts.
 
 Transition rules fire in a fixed order after each good-block auction: first
 the uncleared-threshold punishment, then the rest move for the round's winner.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -109,7 +110,7 @@ class MechanismParams:
         cap_cons = eps * (1.0 - eps) * (1.0 - delta) * (1.0 - rho) / (12.0 * (1.0 + eps))
         return min(cap_main, cap_cons)
 
-    @property
+    @cached_property
     def rest_threshold(self) -> int:
         """Allocations a buyer may win per epoch before being rested."""
         return max(1, math.ceil(4.0 * math.log(1.0 / self.epsilon) / self.delta**2))
@@ -146,7 +147,6 @@ class EpochConfig:
     good_cutoff: float
     bad_cutoff: float
     bad_quantile: float
-    bad_tail_mean: float
     uncleared_threshold: int
 
 
@@ -190,9 +190,15 @@ def derive_epoch_config(
         good_cutoff=tail_quantile(dist, m_good),
         bad_cutoff=bad_p,
         bad_quantile=bad_q,
-        bad_tail_mean=upper_tail_mean(dist, m_bad),
         uncleared_threshold=math.ceil(m_good * params.rest_threshold / (1.0 - params.delta)),
     )
+
+
+def _roster(states: tuple[BuyerState, ...], phase: str) -> tuple[int, ...]:
+    """The buyers who bid in ``phase`` under ``states``, in id order: the bad
+    ones in the bad phase, the good ones in the good phase."""
+    bidder = BuyerState.BAD if phase == BAD_PHASE else BuyerState.GOOD
+    return tuple(i for i, s in enumerate(states) if s == bidder)
 
 
 class AgentView(NamedTuple):
@@ -276,12 +282,13 @@ class Mechanism:
     rounds would.  All three end with ``advance(rounds)``, the only code that
     moves ``t`` and books a phase end, an epoch end or the reset.
 
-    ``states`` is the mutable per-buyer list; ``view()``, ``participants()``
-    and each outcome's ``states_before`` read a snapshot of it that
-    ``_rebuild_rosters`` refreshes, so code that edits ``states`` directly
-    must call ``_rebuild_rosters`` afterwards.  ``state_rounds[i][s]`` counts
-    the rounds buyer ``i`` spent in state ``s``; it is brought up to date
-    whenever the snapshot is, and by ``finish()``.
+    ``states`` is the tuple of buyer states the current round runs under;
+    ``view()`` and each outcome's ``states_before`` hold it as it is.
+    ``_move``, its only writer, installs a new tuple from a given round on,
+    with the rosters ``_roster`` gives.  ``allocations``, the open epoch's
+    wins per buyer, is a tuple that each win replaces.  ``state_rounds[i][s]``
+    counts the rounds buyer ``i`` spent in state ``s``; ``_move`` and
+    ``finish()`` bring it up to date.
 
     The open epoch's ``EpochRecord`` is filled in as rounds settle and
     appended to ``epoch_records`` when the epoch closes or ``finish()`` ends
@@ -291,14 +298,12 @@ class Mechanism:
     def __init__(self, params: MechanismParams, dist: ValueDistribution):
         self.params = params
         self.dist = dist
-        self._rest_threshold = params.rest_threshold
         self.t = 0
-        self.states: list[BuyerState] = [BuyerState.GOOD] * params.n
-        self.allocations: list[int] = [0] * params.n
+        self.states: tuple[BuyerState, ...] = (BuyerState.GOOD,) * params.n
+        self.allocations: tuple[int, ...] = (0,) * params.n
         self.uncleared = 0
         self.epoch_records: list[EpochRecord] = []
         self.state_rounds = [[0, 0, 0] for _ in range(params.n)]
-        self._states: tuple[BuyerState, ...] = ()
         self._states_since = 0
         self._start_epoch()
 
@@ -325,7 +330,7 @@ class Mechanism:
             self._phase,
             self._epoch.config,
             self.uncleared,
-            self._states,
+            self.states,
             len(self._good_ids),
             len(self._bad_ids),
         )
@@ -345,7 +350,7 @@ class Mechanism:
         if self.t >= self.params.horizon:
             raise MechanismError(f"round {self.t} is past the horizon T={self.params.horizon}")
         epoch, cfg = self._epoch, self._epoch.config
-        states_before = self._states
+        states_before = self.states
         uncleared_before = self.uncleared
         good = self._phase == GOOD_PHASE
         if good:
@@ -361,7 +366,9 @@ class Mechanism:
         transitions = ()
         if good:
             if winner is not None:
-                self.allocations[winner] += 1
+                allocations = list(self.allocations)
+                allocations[winner] += 1
+                self.allocations = tuple(allocations)
                 epoch.good_revenue += payment
             else:
                 self.uncleared += 1
@@ -369,17 +376,15 @@ class Mechanism:
             if self.uncleared >= cfg.uncleared_threshold and bids:
                 for i in ids:
                     if bids[i] < reserve:
-                        self.states[i] = BuyerState.BAD
                         moves.append((i, BuyerState.GOOD, BuyerState.BAD))
                         epoch.punishments += 1
-            if winner is not None and self.allocations[winner] >= self._rest_threshold:
-                self.states[winner] = BuyerState.REST
+            if winner is not None and self.allocations[winner] >= self.params.rest_threshold:
                 moves.append((winner, BuyerState.GOOD, BuyerState.REST))
                 epoch.rests += 1
             if moves:
                 transitions = tuple(moves)
                 # the moves take effect from the next round on
-                self._rebuild_rosters(self.t + 1)
+                self._move(transitions, self.t + 1)
             if (
                 epoch.threshold_round is None
                 and uncleared_before < cfg.uncleared_threshold <= self.uncleared
@@ -401,7 +406,7 @@ class Mechanism:
             transitions,
             uncleared_before,
             self.uncleared,  # bad rounds leave it alone
-            tuple(self.allocations),
+            self.allocations,
             states_before,
         )
         self.advance()
@@ -479,7 +484,7 @@ class Mechanism:
                 stop = min(stop, int(np.flatnonzero(~cleared)[need - 1]))
             wins = np.bincount(col[cleared], minlength=len(ids)).tolist()
             for j, i in enumerate(ids):
-                quota = self._rest_threshold - self.allocations[i]
+                quota = self.params.rest_threshold - self.allocations[i]
                 if wins[j] >= quota:
                     rest = min(rest, int(np.flatnonzero(cleared & (col == j))[quota - 1]))
         k = rest + 1 if rest < stop else stop
@@ -493,17 +498,18 @@ class Mechanism:
         if good:
             if k < len(bids):
                 wins = np.bincount(col[cleared], minlength=len(ids)).tolist()
+            allocations = list(self.allocations)
             for i, count in zip(ids, wins):
-                self.allocations[i] += count
+                allocations[i] += count
+            self.allocations = tuple(allocations)
             self.uncleared += k - int(np.count_nonzero(cleared))
             epoch.good_revenue = revenue
         else:
             epoch.bad_revenue = revenue
         if rest < k:
-            self.states[ids[col[rest]]] = BuyerState.REST
             epoch.rests += 1
             # the rest takes effect from the next round on
-            self._rebuild_rosters(self.t + k)
+            self._move(((ids[col[rest]], BuyerState.GOOD, BuyerState.REST),), self.t + k)
         # no row reaches the end of the phase or the reset
         self.advance(k)
         return k, winners, payments
@@ -522,8 +528,7 @@ class Mechanism:
         # the reset is pending: a reset at round 0 fires after round 0
         if reset is not None and self.t == max(reset, 1):
             self._close_epoch(completed=False, reset=True)
-            self.states = [BuyerState.GOOD] * self.params.n
-            self._start_epoch()
+            self._start_epoch(reset=True)
         elif self._phase == BAD_PHASE:
             self._phase = GOOD_PHASE
             self._count_down(self._epoch.config.good_rounds)
@@ -537,7 +542,7 @@ class Mechanism:
         records nothing more."""
         if self._epoch.end is None and self.t > self._epoch.start:
             self._close_epoch(completed=False)
-        self._rebuild_rosters()
+        self._move((), self.t)
 
     # -- internals ------------------------------------------------------------
 
@@ -561,33 +566,35 @@ class Mechanism:
             ):
                 raise MechanismError(f"buyer {i} submitted an invalid bid {b!r}")
 
-    def _rebuild_rosters(self, since: Optional[int] = None) -> None:
-        """Snapshot ``states``, which hold from round ``since`` (by default
-        the current one) on, and count the rounds the old snapshot held."""
-        if since is None:
-            since = self.t
+    def _move(self, moves, since: int) -> None:
+        """Apply ``moves``, ``(buyer, from, to)`` triples, from round ``since``
+        on: count the rounds the current states held, then install the new
+        states tuple and its rosters."""
         held = since - self._states_since
-        for i, s in enumerate(self._states):
-            self.state_rounds[i][s] += held
+        for row, s in zip(self.state_rounds, self.states):
+            row[s] += held
         self._states_since = since
-        self._states = tuple(self.states)
-        self._good_ids = tuple(
-            i for i, s in enumerate(self._states) if s == BuyerState.GOOD
-        )
-        self._bad_ids = tuple(
-            i for i, s in enumerate(self._states) if s == BuyerState.BAD
-        )
+        states = list(self.states)
+        for i, _, to in moves:
+            states[i] = to
+        self.states = states = tuple(states)
+        self._good_ids = _roster(states, GOOD_PHASE)
+        self._bad_ids = _roster(states, BAD_PHASE)
 
-    def _start_epoch(self) -> None:
-        if any(s == BuyerState.REST for s in self.states):
-            raise MechanismError("rest state must be cleared before an epoch starts")
-        self._rebuild_rosters()
+    def _start_epoch(self, reset: bool = False) -> None:
+        # rested buyers return to the good state, and on a reset bad ones too
+        returning = (BuyerState.REST, BuyerState.BAD) if reset else (BuyerState.REST,)
+        self._move(
+            [(i, s, BuyerState.GOOD) for i, s in enumerate(self.states) if s in returning],
+            self.t,
+        )
         config = derive_epoch_config(
             self.params, self._good_ids, self._bad_ids, self.dist, index=self.epoch_index
         )
         self._epoch = EpochRecord(config, self.t, good_start=self._good_ids, bad_start=self._bad_ids)
         self.uncleared = 0
-        self.allocations = [0] * self.params.n
+        if any(self.allocations):  # a tuple of zeros stays shared
+            self.allocations = (0,) * self.params.n
         self._phase = BAD_PHASE
         self._count_down(config.bad_rounds)
 
@@ -606,10 +613,5 @@ class Mechanism:
         epoch.reset = reset
         epoch.good_end = tuple(i for i, s in enumerate(self.states) if s != BuyerState.BAD)
         epoch.uncleared_final = self.uncleared
-        epoch.allocations_final = tuple(self.allocations)
+        epoch.allocations_final = self.allocations
         self.epoch_records.append(epoch)
-        # the snapshot still holds the epoch's states, so the next
-        # _rebuild_rosters counts the epoch's last rounds under them
-        for i in range(self.params.n):
-            if self.states[i] == BuyerState.REST:
-                self.states[i] = BuyerState.GOOD

@@ -238,7 +238,7 @@ def suite_lemma_b3(epochs: int = 200, seed: int = 303) -> SuiteReport:
         and 0 in traj.epochs[k].good_at_threshold
         for k in completed
     ]
-    freq = float(np.mean(events))
+    freq = mean_se(events)[0]
     se_freq = math.sqrt(freq * (1.0 - freq) / len(events)) if events else 0.0
     report.check("unrested-at-threshold frequency", freq, EPSILON**2, se_freq, "<=")
     return report
@@ -267,8 +267,7 @@ def suite_lemma_b4(epochs: int = 200, seed: int = 404) -> SuiteReport:
         cap = (1.0 + EPSILON) * (bad_rounds / n) * upper_tail_mean(config.distribution, n)
         full = [k for k, e in enumerate(traj.epochs) if e.completed and len(e.bad_start) == n]
         samples = [float(u) for k in full for u in traj.epoch_agent_utilities[k]]
-        # no sample is a failure, not a mean of 0
-        mean, se = mean_se(samples) if samples else (math.nan, 0.0)
+        mean, se = mean_se(samples)
         report.check(f"bad_mode={bad_mode}: mean per-epoch bad utility", mean, cap, se, "<=")
         mismatches = _config_mismatches(config, traj)
         report.check(f"bad_mode={bad_mode}: {_CONFIG_CHECK}", mismatches, 0, sense="==")

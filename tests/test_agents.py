@@ -311,6 +311,10 @@ def test_default_family_contains_benchmarks_and_zero():
     assert (BAD_THRESHOLD, None) in styles
     assert (ZERO_BID, None) in styles
     assert len(family) <= 16
+    # a point mass has no spread, so its grid spans one unit above the point
+    point = default_expert_family(FiniteSupport(((3.0, 1.0),)))
+    assert (point.grid.lo, point.grid.hi) == (3.0, 4.0)
+    assert [e.style for e in point.experts] == [e.style for e in family.experts]
 
 
 # -- learners ---------------------------------------------------------------------
@@ -343,6 +347,15 @@ def test_exp3_single_step_hand_value():
     expect = 0.9 * w / (w + 1.0) + 0.05
     assert learner.probabilities()[0] == pytest.approx(expect, abs=1e-12)
     assert expect == pytest.approx(0.51125, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "n_arms, gamma, message",
+    [(0, 0.1, "at least one arm"), (2, 0.0, "gamma must lie"), (2, 1.5, "gamma must lie")],
+)
+def test_exp3_learner_rejects_no_arms_or_gamma_outside_its_range(n_arms, gamma, message):
+    with pytest.raises(AgentError, match=message):
+        Exp3Learner(n_arms, gamma, 1.0, substream(4, "l"))
 
 
 def test_exp3_update_pairing_enforced():

@@ -65,6 +65,20 @@ def test_inverse_cdf_rejects_nonmonotone():
         InverseCdf(lambda p: 1.0 - p)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FiniteSupport(()), "finite support must be non-empty"),
+        (lambda: InverseCdf(lambda p: p - 1.0), "must map into nonnegative values"),
+        (lambda: InverseCdf(lambda p: p / (1.0 - p) if p < 1.0 else math.inf), "must be finite"),
+        (lambda: InverseCdf(lambda p: math.nan), "must be finite"),
+    ],
+)
+def test_priors_reject_empty_or_invalid_definitions(build, message):
+    with pytest.raises(DistributionError, match=message):
+        build()
+
+
 def test_priors_store_numpy_scalars_as_floats():
     uniform = Uniform(np.int64(0), np.float32(2.0))
     assert (type(uniform.lo), type(uniform.hi)) == (float, float)
@@ -98,6 +112,11 @@ def test_spec_round_trip(uniform01, two_point):
         assert from_spec(to_spec(dist)) == dist
     with pytest.raises(DistributionError):
         from_spec({"kind": "weird"})
+    for spec in (None, {}):
+        with pytest.raises(DistributionError, match="must carry a 'kind'"):
+            from_spec(spec)
+    with pytest.raises(DistributionError, match="inverse-cdf distributions have no document form"):
+        to_spec(InverseCdf(lambda p: p))
 
 
 # -- sampling -----------------------------------------------------------------

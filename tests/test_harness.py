@@ -122,6 +122,9 @@ def test_config_json_round_trip(tmp_path):
     assert loaded.to_dict() == doc
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"params": {}})
+    cfg.out_dir = "runs"
+    assert cfg.to_dict() == {**doc, "out_dir": "runs"}
+    assert RunConfig.from_dict(cfg.to_dict()).out_dir == "runs"
 
 
 # -- simulation ---------------------------------------------------------------------
@@ -133,6 +136,11 @@ def test_zero_horizon_gives_empty_trajectory():
     assert traj.epochs == []
     assert traj.total_revenue == 0.0
     assert traj.revenue_per_round == 0.0
+
+
+def test_run_simulation_rejects_an_unknown_record_mode():
+    with pytest.raises(ConfigError, match="unknown record mode 'x'"):
+        run_simulation(make_config(horizon=10), record="x")
 
 
 def test_single_buyer_single_epoch_round_count():
@@ -503,7 +511,8 @@ def test_reset_during_bad_phase():
 
 
 def test_mean_se_basics():
-    assert mean_se([]) == (0.0, 0.0)
+    mean, se = mean_se([])
+    assert math.isnan(mean) and se == 0.0
     assert mean_se([2.0]) == (2.0, 0.0)
     mean, se = mean_se([1.0, 2.0, 3.0])
     assert mean == pytest.approx(2.0)
@@ -543,6 +552,8 @@ def test_conservative_variant_is_smaller():
     main = theorem_lower_bound(dist, params, 3, 3)
     cons = theorem_lower_bound(dist, params, 3, 3, variant="conservative")
     assert cons < main
+    with pytest.raises(ConfigError, match="unknown bound variant 'x'"):
+        theorem_lower_bound(dist, params, 3, 3, variant="x")
 
 
 def test_revenue_upper_bound_values():
@@ -550,6 +561,9 @@ def test_revenue_upper_bound_values():
     assert revenue_upper_bound(dist, 3, 3) == pytest.approx(5 / 6 + 17 / 32, abs=1e-6)
     assert revenue_upper_bound(dist, 0, 6) == pytest.approx(0.7165178, abs=1e-6)
     assert revenue_upper_bound(dist, 6, 0) == pytest.approx(11 / 12, abs=1e-9)
+    for split in ((-1, 3), (3, -1)):
+        with pytest.raises(ConfigError, match="counts must be nonnegative"):
+            revenue_upper_bound(dist, *split)
 
 
 def test_revenue_slack_formula():
@@ -711,6 +725,12 @@ def test_external_regret_requires_full_record():
     traj = run_simulation(cfg, record="light")
     with pytest.raises(ConfigError):
         estimate_external_regret(traj, 0, GOOD_ONLY_FAMILY)
+
+
+def test_external_regret_rejects_empty_family():
+    traj = run_simulation(make_config(n=2, horizon=100))
+    with pytest.raises(ConfigError, match="expert family must be non-empty"):
+        external_regret_profile(traj, 0, ExpertFamily((), ValueGrid(0.0, 1.0, 1 / 64)))
 
 
 # -- policy regret ---------------------------------------------------------------------
@@ -996,7 +1016,7 @@ def test_written_file_equals_the_text(roster, tmp_path):
 def test_columns_hold_bid_tuples_and_share_unchanged_allocations():
     config, substitutes = mixed_number_rosters()["five"]
     columns = run_simulation(config, substitutes=substitutes).columns
-    for (view, participants), end in columns.segment_ends():
+    for view, participants, end in columns.segment_ends():
         for t in range(view.t, end):
             assert type(columns.bids[t]) is tuple
             assert len(columns.bids[t]) == len(participants)

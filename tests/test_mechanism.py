@@ -169,9 +169,7 @@ def test_bad_round_requires_bad_phase_participants():
 
 def test_bad_round_first_price_rule():
     mech = fresh()
-    mech.states[2] = BuyerState.BAD
-    mech.states[3] = BuyerState.BAD
-    mech._rebuild_rosters()
+    mech._move([(2, BuyerState.GOOD, BuyerState.BAD), (3, BuyerState.GOOD, BuyerState.BAD)], 0)
     r_b = mech.config.bad_reserve
     out = bad_round(mech, {2: r_b + 0.1, 3: r_b + 0.05})
     assert out.winner == 2 and out.payment == pytest.approx(r_b + 0.1)
@@ -184,8 +182,7 @@ def test_bad_round_first_price_rule():
 
 def test_bad_round_never_transitions():
     mech = fresh()
-    mech.states[2] = BuyerState.BAD
-    mech._rebuild_rosters()
+    mech._move([(2, BuyerState.GOOD, BuyerState.BAD)], 0)
     for bid in (0.0, 0.2, 5.0):
         out = bad_round(mech, {2: bid})
         assert out.transitions == ()
@@ -209,7 +206,7 @@ def test_invalid_bids_are_rejected(bid):
     drain_bad_phase(mech)
     with pytest.raises(MechanismError, match="invalid bid"):
         good_round(mech, {0: bid, 1: 0.0})
-    assert mech.allocations == [0, 0] and mech.uncleared == 0
+    assert mech.allocations == (0, 0) and mech.uncleared == 0
 
 
 @pytest.mark.parametrize("bid", [0, 1, 0.0, np.float64(0.5)])
@@ -276,7 +273,7 @@ def test_winner_rests_at_quota():
     drain_bad_phase(mech)
     h = mech.params.rest_threshold
     r_g = mech.config.good_reserve
-    mech.allocations[0] = h - 1
+    mech.allocations = (h - 1, 0)
     out = good_round(mech, {0: r_g + 0.2, 1: 0.0})
     assert (0, BuyerState.GOOD, BuyerState.REST) in out.transitions
     assert mech.states[0] == BuyerState.REST
@@ -301,9 +298,7 @@ def test_tie_break_uses_supplied_uniform():
 
 def test_empty_good_roster_rounds_are_uncleared_noops():
     mech = fresh(n=2)
-    for i in range(2):
-        mech.states[i] = BuyerState.BAD
-    mech._rebuild_rosters()
+    mech._move([(i, BuyerState.GOOD, BuyerState.BAD) for i in range(2)], 0)
     drain_bad_phase_bids = {i: 0.0 for i in mech.participants()}
     while mech.phase == BAD_PHASE:
         bad_round(mech, drain_bad_phase_bids)
@@ -327,9 +322,8 @@ def test_epoch_end_returns_rested_and_keeps_bad():
     mech = fresh(n=4)
     cfg = mech.config
     drain_bad_phase(mech)
-    mech.states[0] = BuyerState.REST
-    mech.states[1] = BuyerState.BAD
-    mech._rebuild_rosters()
+    rest, bad = (0, BuyerState.GOOD, BuyerState.REST), (1, BuyerState.GOOD, BuyerState.BAD)
+    mech._move([rest, bad], mech.t)
     while mech.epoch_index == 0:
         bids = {i: 0.0 for i in mech.participants()}
         mech.run_round(bids)
@@ -345,8 +339,7 @@ def test_epoch_end_returns_rested_and_keeps_bad():
 
 def test_reset_round_restores_everyone_once():
     mech = fresh(n=2, reset_round=3)
-    mech.states[1] = BuyerState.BAD
-    mech._rebuild_rosters()
+    mech._move([(1, BuyerState.GOOD, BuyerState.BAD)], 0)
     for _ in range(3):
         mech.run_round({i: 0.0 for i in mech.participants()})
     assert mech.states[1] == BuyerState.GOOD
@@ -401,8 +394,7 @@ def test_no_round_runs_past_the_horizon():
 
 def test_run_block_stops_at_the_horizon():
     mech = fresh(n=2, horizon=30, rho=0.5, enforce_rho_cap=False)
-    mech.states[1] = BuyerState.BAD
-    mech._rebuild_rosters()
+    mech._move([(1, BuyerState.GOOD, BuyerState.BAD)], 0)
     assert mech.block_room() > 30  # the bad phase alone outlasts the run
     ids = mech.participants()
     settled, _, _ = mech.run_block(np.full((64, len(ids)), 0.9), np.zeros(64))
@@ -416,11 +408,11 @@ def test_instance_attribute_budget():
     # mechanism-only round driver 8-10% slower (60 interleaved reps), so new
     # bookkeeping is derived from what the mechanism already stores.
     mech = fresh(n=2, reset_round=5)
-    assert len(vars(mech)) <= 16
+    assert len(vars(mech)) <= 14
     while mech.epoch_index < 1:
         mech.run_round({i: 0.0 for i in mech.participants()})
     mech.run_round({i: 0.0 for i in mech.participants()})
-    assert len(vars(mech)) <= 16
+    assert len(vars(mech)) <= 14
 
 
 def test_public_name_budget():
@@ -483,9 +475,7 @@ class _Scenario:
         self.idle = Mechanism(params, Uniform(0.0, 1.0))
         self.ref = Mechanism(params, Uniform(0.0, 1.0))
         for mech in (self.idle, self.ref):
-            for i in start_bad:
-                mech.states[i] = BuyerState.BAD
-            mech._rebuild_rosters()
+            mech._move([(i, BuyerState.GOOD, BuyerState.BAD) for i in start_bad], 0)
         self.forced = force_t is None
 
     def force_empty_good_set(self):
@@ -495,9 +485,13 @@ class _Scenario:
         if not mech.participants():  # already empty: force it later
             return
         for m in (self.idle, self.ref):
-            for i in m.participants():
-                m.states[i] = BuyerState.REST if self.rest_mask[i] else BuyerState.BAD
-            m._rebuild_rosters()
+            m._move(
+                [
+                    (i, BuyerState.GOOD, BuyerState.REST if self.rest_mask[i] else BuyerState.BAD)
+                    for i in m.participants()
+                ],
+                m.t,
+            )
         self.forced = True
 
     def busy_round(self):
@@ -674,9 +668,7 @@ def test_raw_bid_streams_keep_the_round_invariants(data):
         n=n, horizon=horizon, epsilon=epsilon, delta=delta, rho=rho, reset_round=reset, **kw
     )
     mech = Mechanism(params, Uniform(0.0, 1.0))
-    for i in start_bad:
-        mech.states[i] = BuyerState.BAD
-    mech._rebuild_rosters()
+    mech._move([(i, BuyerState.GOOD, BuyerState.BAD) for i in start_bad], 0)
     payments = {}  # (epoch, phase) -> payments in round order
     epoch_start = 0
 
@@ -725,7 +717,7 @@ def test_raw_bid_streams_keep_the_round_invariants(data):
             epoch_start = out.t + 1
             # rested buyers return to good, and everyone at the reset
             states = [BuyerState.GOOD if fired or s == BuyerState.REST else s for s in states]
-        assert mech.states == states
+        assert mech.states == tuple(states)
 
     mech.finish()
     assert sum(e.end - e.start for e in mech.epoch_records) == horizon
@@ -785,9 +777,7 @@ def test_run_block_settles_exactly_up_to_the_first_event(data):
     )
     block, ref = Mechanism(params, Uniform(0.0, 1.0)), Mechanism(params, Uniform(0.0, 1.0))
     for mech in (block, ref):
-        for i in start_bad:
-            mech.states[i] = BuyerState.BAD
-        mech._rebuild_rosters()
+        mech._move([(i, BuyerState.GOOD, BuyerState.BAD) for i in start_bad], 0)
 
     while ref.t < horizon:
         ids = ref.participants()
@@ -846,14 +836,14 @@ def test_run_block_ends_at_a_rest_and_stops_at_an_invalid_bid():
     t = mech.t
     k, winners, payments = mech.run_block(bids, np.zeros(len(bids)))
     assert k == h and winners.tolist() == [0] * k and payments.tolist() == [reserve] * k
-    assert mech.allocations == [h, 0] and mech.states[0] == BuyerState.REST
+    assert mech.allocations == (h, 0) and mech.states[0] == BuyerState.REST
     assert mech.participants() == (1,) and mech._epoch.rests == 1
     # the rest holds from the round after the h-th win on
     assert mech.state_rounds[0] == [t + h, 0, 0] and mech.t == t + h
     for bad in (-0.5, math.nan, math.inf):
         block = np.array([[reserve], [reserve], [bad]])
         assert mech.run_block(block, np.zeros(3))[0] == 2
-    assert mech.allocations == [h, 6]
+    assert mech.allocations == (h, 6)
 
 
 def test_run_block_breaks_ties_before_an_invalid_bid():
@@ -871,10 +861,10 @@ def test_run_block_leaves_a_rest_with_a_punishment_to_run_round():
     drain_bad_phase(mech)
     h, reserve = mech.params.rest_threshold, mech.config.good_reserve
     mech.uncleared = mech.config.uncleared_threshold
-    mech.allocations[0] = h - 1
+    mech.allocations = (h - 1, 0)
     # buyer 0 wins its h-th allocation while buyer 1 bids below the reserve
     assert mech.run_block(np.array([[reserve, 0.0]] * 3), np.zeros(3))[0] == 0
-    assert mech.allocations == [h - 1, 0] and mech.participants() == (0, 1)
+    assert mech.allocations == (h - 1, 0) and mech.participants() == (0, 1)
     out = mech.run_round({0: reserve, 1: 0.0})
     assert out.transitions == (
         (1, BuyerState.GOOD, BuyerState.BAD),
