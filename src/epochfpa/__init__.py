@@ -8,12 +8,10 @@ oracles at desk scale.
 """
 
 from .distributions import (
-    AuctionScalars,
     DistributionError,
     FiniteSupport,
     InverseCdf,
     Uniform,
-    auction_scalars,
     from_spec,
     monopoly_reserve,
     myerson_revenue,

@@ -17,7 +17,15 @@ import json
 import sys
 from pathlib import Path
 
-from .distributions import auction_scalars, from_spec, monopoly_reserve
+from .distributions import (
+    from_spec,
+    monopoly_reserve,
+    myerson_revenue,
+    myerson_win_prob,
+    tail_quantile,
+    upper_tail_mean,
+    win_quantile,
+)
 from .harness import (
     ConfigError,
     RunConfig,
@@ -44,18 +52,21 @@ def _load_dist(text: str):
 
 
 def _cmd_inspect(args) -> int:
-    dist = _load_dist(args.dist)
-    scalars = auction_scalars(dist, args.m, args.n)
-    print(f"kind={dist.kind}")
-    print(f"m={scalars.m}")
-    print(f"n={args.n}")
-    print(f"mean={dist.mean():.10g}")
-    print(f"tail_quantile={scalars.tail_quantile:.10g}")
-    print(f"upper_tail_mean={scalars.upper_tail_mean:.10g}")
-    print(f"win_prob={scalars.win_prob:.10g}")
-    print(f"win_quantile={scalars.win_quantile:.10g}")
-    print(f"monopoly_reserve={monopoly_reserve(dist):.10g}")
-    print(f"myerson_revenue={scalars.myerson_revenue:.10g}")
+    dist, m, n = _load_dist(args.dist), args.m, args.n
+    # all computed before the first line, so a bad count prints nothing
+    lines = [
+        f"kind={dist.kind}",
+        f"m={m}",
+        f"n={n}",
+        f"mean={dist.mean():.10g}",
+        f"tail_quantile={tail_quantile(dist, m):.10g}",
+        f"upper_tail_mean={upper_tail_mean(dist, m):.10g}",
+        f"win_prob={myerson_win_prob(dist, m):.10g}",
+        f"win_quantile={win_quantile(dist, m):.10g}",
+        f"monopoly_reserve={monopoly_reserve(dist):.10g}",
+        f"myerson_revenue={myerson_revenue(dist, n):.10g}",
+    ]
+    print("\n".join(lines))
     return 0
 
 

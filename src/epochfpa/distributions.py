@@ -34,7 +34,6 @@ __all__ = [
     "Uniform",
     "InverseCdf",
     "ValueDistribution",
-    "AuctionScalars",
     "MyersonAuction",
     "from_spec",
     "to_spec",
@@ -45,7 +44,6 @@ __all__ = [
     "myerson_revenue",
     "myerson_win_prob",
     "win_quantile",
-    "auction_scalars",
 ]
 
 _PROB_TOL = 1e-12
@@ -872,36 +870,3 @@ def win_quantile(dist: ValueDistribution, m: int) -> float:
     """Value at the (1 - win probability) quantile; never below tail_quantile."""
     m = _integer(m, "buyer count", DistributionError, 1)
     return dist.inv_cdf(1.0 - myerson_win_prob(dist, m))
-
-
-@dataclass(frozen=True)
-class AuctionScalars:
-    """The scalar bundle the mechanism derives from a prior for m and n buyers."""
-
-    m: int
-    tail_quantile: float
-    upper_tail_mean: float
-    win_prob: float
-    win_quantile: float
-    myerson_revenue: float
-
-    def __post_init__(self):
-        if self.upper_tail_mean < self.tail_quantile - 1e-9:
-            raise DistributionError("upper-tail mean fell below its quantile")
-        if self.win_prob > 1.0 / self.m + 1e-9:
-            raise DistributionError("win probability exceeded 1/m")
-        if self.win_quantile < self.tail_quantile - 1e-9:
-            raise DistributionError("win quantile fell below the tail quantile")
-
-
-def auction_scalars(dist: ValueDistribution, m: int, n: int) -> AuctionScalars:
-    """Compute all auction scalars for m competing buyers and an n-buyer revenue."""
-    m = _integer(m, "buyer count", DistributionError, 1)
-    return AuctionScalars(
-        m=m,
-        tail_quantile=tail_quantile(dist, m),
-        upper_tail_mean=upper_tail_mean(dist, m),
-        win_prob=myerson_win_prob(dist, m),
-        win_quantile=win_quantile(dist, m),
-        myerson_revenue=myerson_revenue(dist, n),
-    )

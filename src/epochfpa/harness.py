@@ -267,7 +267,7 @@ class Trajectory:
 
     @property
     def uncleared_good_rounds(self) -> int:
-        return sum(e.uncleared_final for e in self.epochs)
+        return sum(e.uncleared for e in self.epochs)
 
     @property
     def total_revenue(self) -> float:
@@ -614,14 +614,17 @@ class Check(NamedTuple):
 
 @dataclass
 class BoundReport:
+    """The theorem's per-round revenue bounds for a roster, and the checks of
+    a measured run against them: none until ``bound_report`` measures, then
+    the floor check first, whose ``observed`` and ``se`` are the measured
+    mean revenue per round and its standard error."""
+
     n_soph: int
     n_naive: int
     lower_bound: float
     lower_bound_conservative: float
     upper_bound: float
     slack: float
-    measured_mean: Optional[float] = None
-    measured_se: Optional[float] = None
     checks: list[Check] = field(default_factory=list)
 
     @property
@@ -643,11 +646,9 @@ class BoundReport:
             f"slack={self.slack:.6f}",
             f"floor={self.lower_bound - self.slack:.6f}" + (" (vacuous)" if self.vacuous else ""),
         ]
-        if self.measured_mean is not None:
-            out.append(
-                f"measured_per_round={self.measured_mean:.6f} "
-                f"ci95=±{1.96 * self.measured_se:.6f}"
-            )
+        if self.checks:
+            floor = self.checks[0]
+            out.append(f"measured_per_round={floor.observed:.6f} ci95=±{1.96 * floor.se:.6f}")
         return out + [check.line() for check in self.checks]
 
 
@@ -670,7 +671,6 @@ def bound_report(config: RunConfig, measure: bool = True) -> BoundReport:
     if params.horizon == 0:
         raise ConfigError("T=0 runs no round, so there is no revenue to measure")
     mean, se = mean_se(t.revenue_per_round for t in run_replications(config))
-    report.measured_mean, report.measured_se = mean, se
     name = "revenue >= lower bound - slack - 3se"
     if report.vacuous:
         name += " [vacuous: lower bound - slack <= 0]"

@@ -139,14 +139,12 @@ class EpochConfig:
     index: int
     good_count: int
     bad_count: int
-    length: int
     bad_rounds: int
     good_rounds: int
     good_reserve: float
     bad_reserve: float
     good_cutoff: float
     bad_cutoff: float
-    bad_quantile: float
     uncleared_threshold: int
 
 
@@ -182,14 +180,12 @@ def derive_epoch_config(
         index=index,
         good_count=m_good,
         bad_count=m_bad,
-        length=length,
         bad_rounds=bad_rounds,
         good_rounds=good_rounds,
         good_reserve=(1.0 - params.epsilon) * upper_tail_mean(dist, m_good),
         bad_reserve=bad_reserve,
         good_cutoff=tail_quantile(dist, m_good),
         bad_cutoff=bad_p,
-        bad_quantile=bad_q,
         uncleared_threshold=math.ceil(m_good * params.rest_threshold / (1.0 - params.delta)),
     )
 
@@ -235,7 +231,9 @@ class RoundOutcome(NamedTuple):
 class EpochRecord:
     """Per-epoch accounting, filled in as the epoch's rounds settle and
     appended to ``Mechanism.epoch_records`` when it closes (or is truncated);
-    ``end`` is ``None`` while the epoch is open."""
+    ``end`` is ``None`` while the epoch is open.  ``uncleared`` and
+    ``allocations`` are the epoch's counts so far, the only copy of them:
+    ``Mechanism`` reads them, and a closed record keeps its last round's."""
 
     config: EpochConfig
     start: int
@@ -247,8 +245,8 @@ class EpochRecord:
     good_start: tuple[int, ...] = ()
     bad_start: tuple[int, ...] = ()
     good_end: tuple[int, ...] = ()
-    uncleared_final: int = 0
-    allocations_final: tuple[int, ...] = ()
+    uncleared: int = 0
+    allocations: tuple[int, ...] = ()
     threshold_round: Optional[int] = None
     good_at_threshold: Optional[tuple[int, ...]] = None
     # rounds of the epoch whose phase had no participants, and its GOOD->BAD
@@ -285,14 +283,15 @@ class Mechanism:
     ``states`` is the tuple of buyer states the current round runs under;
     ``view()`` and each outcome's ``states_before`` hold it as it is.
     ``_move``, its only writer, installs a new tuple from a given round on,
-    with the rosters ``_roster`` gives.  ``allocations``, the open epoch's
-    wins per buyer, is a tuple that each win replaces.  ``state_rounds[i][s]``
-    counts the rounds buyer ``i`` spent in state ``s``; ``_move`` and
-    ``finish()`` bring it up to date.
+    with the rosters ``_roster`` gives.  ``state_rounds[i][s]`` counts the
+    rounds buyer ``i`` spent in state ``s``; ``_move`` and ``finish()`` bring
+    it up to date.
 
     The open epoch's ``EpochRecord`` is filled in as rounds settle and
     appended to ``epoch_records`` when the epoch closes or ``finish()`` ends
-    the run.
+    the run.  ``uncleared`` and ``allocations`` read its counts: the uncleared
+    good rounds, which only ``_add_uncleared`` adds to, and the wins per
+    buyer, a tuple that each win replaces.
     """
 
     def __init__(self, params: MechanismParams, dist: ValueDistribution):
@@ -300,8 +299,6 @@ class Mechanism:
         self.dist = dist
         self.t = 0
         self.states: tuple[BuyerState, ...] = (BuyerState.GOOD,) * params.n
-        self.allocations: tuple[int, ...] = (0,) * params.n
-        self.uncleared = 0
         self.epoch_records: list[EpochRecord] = []
         self.state_rounds = [[0, 0, 0] for _ in range(params.n)]
         self._states_since = 0
@@ -312,6 +309,14 @@ class Mechanism:
     @property
     def config(self) -> EpochConfig:
         return self._epoch.config
+
+    @property
+    def uncleared(self) -> int:
+        return self._epoch.uncleared
+
+    @property
+    def allocations(self) -> tuple[int, ...]:
+        return self._epoch.allocations
 
     @property
     def phase(self) -> str:
@@ -329,7 +334,7 @@ class Mechanism:
             self.t,
             self._phase,
             self._epoch.config,
-            self.uncleared,
+            self._epoch.uncleared,
             self.states,
             len(self._good_ids),
             len(self._bad_ids),
@@ -351,7 +356,7 @@ class Mechanism:
             raise MechanismError(f"round {self.t} is past the horizon T={self.params.horizon}")
         epoch, cfg = self._epoch, self._epoch.config
         states_before = self.states
-        uncleared_before = self.uncleared
+        uncleared_before = epoch.uncleared
         good = self._phase == GOOD_PHASE
         if good:
             ids, reserve = self._good_ids, cfg.good_reserve
@@ -366,31 +371,25 @@ class Mechanism:
         transitions = ()
         if good:
             if winner is not None:
-                allocations = list(self.allocations)
+                allocations = list(epoch.allocations)
                 allocations[winner] += 1
-                self.allocations = tuple(allocations)
+                epoch.allocations = tuple(allocations)
                 epoch.good_revenue += payment
             else:
-                self.uncleared += 1
+                self._add_uncleared(1)
             moves = []
-            if self.uncleared >= cfg.uncleared_threshold and bids:
+            if epoch.uncleared >= cfg.uncleared_threshold and bids:
                 for i in ids:
                     if bids[i] < reserve:
                         moves.append((i, BuyerState.GOOD, BuyerState.BAD))
                         epoch.punishments += 1
-            if winner is not None and self.allocations[winner] >= self.params.rest_threshold:
+            if winner is not None and epoch.allocations[winner] >= self.params.rest_threshold:
                 moves.append((winner, BuyerState.GOOD, BuyerState.REST))
                 epoch.rests += 1
             if moves:
                 transitions = tuple(moves)
                 # the moves take effect from the next round on
                 self._move(transitions, self.t + 1)
-            if (
-                epoch.threshold_round is None
-                and uncleared_before < cfg.uncleared_threshold <= self.uncleared
-            ):
-                epoch.threshold_round = self.t
-                epoch.good_at_threshold = ids
         elif winner is not None:
             epoch.bad_revenue += payment
         # positional, in field order: keywords would double the cost
@@ -405,8 +404,8 @@ class Mechanism:
             winner is not None,  # cleared
             transitions,
             uncleared_before,
-            self.uncleared,  # bad rounds leave it alone
-            self.allocations,
+            epoch.uncleared,  # bad rounds leave it alone
+            epoch.allocations,
             states_before,
         )
         self.advance()
@@ -426,11 +425,7 @@ class Mechanism:
         # up to and including the round that ends the phase or fires the reset
         k = min(self.params.horizon - self.t, self._rounds_left)
         if self._phase == GOOD_PHASE:  # an empty good auction is uncleared
-            crossing = self._epoch.config.uncleared_threshold - self.uncleared - 1
-            if self._epoch.threshold_round is None and 0 <= crossing < k:
-                self._epoch.threshold_round = self.t + crossing
-                self._epoch.good_at_threshold = self._good_ids
-            self.uncleared += k
+            self._add_uncleared(k)
         self._epoch.idle_rounds += k
         self.advance(k)
         return k
@@ -462,7 +457,7 @@ class Mechanism:
         good = self._phase == GOOD_PHASE
         # no run has a good bidder past the threshold, since the crossing
         # round is uncleared and so punishes every bidder in it
-        if k < 1 or not ids or good and self.uncleared >= cfg.uncleared_threshold:
+        if k < 1 or not ids or good and epoch.uncleared >= cfg.uncleared_threshold:
             return 0, np.empty(0, dtype=int), np.empty(0)
         bids, ties = bids[:k], ties[:k]
         reserve = cfg.good_reserve if good else cfg.bad_reserve
@@ -479,12 +474,12 @@ class Mechanism:
         cleared = best >= reserve
         rest = k  # the first row that rests its winner
         if good:
-            need = cfg.uncleared_threshold - self.uncleared
+            need = cfg.uncleared_threshold - epoch.uncleared
             if k - np.count_nonzero(cleared) >= need:
                 stop = min(stop, int(np.flatnonzero(~cleared)[need - 1]))
             wins = np.bincount(col[cleared], minlength=len(ids)).tolist()
             for j, i in enumerate(ids):
-                quota = self.params.rest_threshold - self.allocations[i]
+                quota = self.params.rest_threshold - epoch.allocations[i]
                 if wins[j] >= quota:
                     rest = min(rest, int(np.flatnonzero(cleared & (col == j))[quota - 1]))
         k = rest + 1 if rest < stop else stop
@@ -498,11 +493,12 @@ class Mechanism:
         if good:
             if k < len(bids):
                 wins = np.bincount(col[cleared], minlength=len(ids)).tolist()
-            allocations = list(self.allocations)
+            allocations = list(epoch.allocations)
             for i, count in zip(ids, wins):
                 allocations[i] += count
-            self.allocations = tuple(allocations)
-            self.uncleared += k - int(np.count_nonzero(cleared))
+            epoch.allocations = tuple(allocations)
+            # the block stops before the crossing, so this records none
+            self._add_uncleared(k - int(np.count_nonzero(cleared)))
             epoch.good_revenue = revenue
         else:
             epoch.bad_revenue = revenue
@@ -581,6 +577,17 @@ class Mechanism:
         self._good_ids = _roster(states, GOOD_PHASE)
         self._bad_ids = _roster(states, BAD_PHASE)
 
+    def _add_uncleared(self, rounds: int) -> None:
+        """Count ``rounds`` uncleared good rounds from the current one on, and
+        record the one that reaches the threshold, if any, with the good
+        roster as its bidders: callers add before the round's moves."""
+        epoch = self._epoch
+        crossing = epoch.config.uncleared_threshold - epoch.uncleared - 1
+        if 0 <= crossing < rounds:
+            epoch.threshold_round = self.t + crossing
+            epoch.good_at_threshold = self._good_ids
+        epoch.uncleared += rounds
+
     def _start_epoch(self, reset: bool = False) -> None:
         # rested buyers return to the good state, and on a reset bad ones too
         returning = (BuyerState.REST, BuyerState.BAD) if reset else (BuyerState.REST,)
@@ -591,10 +598,13 @@ class Mechanism:
         config = derive_epoch_config(
             self.params, self._good_ids, self._bad_ids, self.dist, index=self.epoch_index
         )
-        self._epoch = EpochRecord(config, self.t, good_start=self._good_ids, bad_start=self._bad_ids)
-        self.uncleared = 0
-        if any(self.allocations):  # a tuple of zeros stays shared
-            self.allocations = (0,) * self.params.n
+        # an epoch after one without wins keeps that epoch's tuple of zeros
+        zeros = self._epoch.allocations if self.epoch_records else ()
+        if not zeros or any(zeros):
+            zeros = (0,) * self.params.n
+        self._epoch = EpochRecord(
+            config, self.t, good_start=self._good_ids, bad_start=self._bad_ids, allocations=zeros
+        )
         self._phase = BAD_PHASE
         self._count_down(config.bad_rounds)
 
@@ -612,6 +622,4 @@ class Mechanism:
         epoch.completed = completed
         epoch.reset = reset
         epoch.good_end = tuple(i for i, s in enumerate(self.states) if s != BuyerState.BAD)
-        epoch.uncleared_final = self.uncleared
-        epoch.allocations_final = self.allocations
         self.epoch_records.append(epoch)

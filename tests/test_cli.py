@@ -62,7 +62,10 @@ _SCIPY_FREE_SCRIPT = """
 import math, sys
 from epochfpa.agents import default_expert_family
 from epochfpa.cli import main
-from epochfpa.distributions import InverseCdf, Uniform, auction_scalars, upper_tail_mean
+from epochfpa.distributions import (
+    InverseCdf, Uniform, myerson_revenue, myerson_win_prob, tail_quantile, upper_tail_mean,
+    win_quantile,
+)
 from epochfpa.harness import RunConfig, estimate_policy_regret
 from epochfpa.mechanism import MechanismParams
 
@@ -70,7 +73,8 @@ config, out, dist = sys.argv[1:]
 assert main(['simulate', '--config', config, '--out', out]) == 0
 assert main(['inspect', '--dist', dist, '--m', '2', '--n', '2']) == 0
 assert upper_tail_mean(InverseCdf(math.sqrt), 1) == 0.6666666666666669
-auction_scalars(Uniform(0, 1), 25, 25)
+for scalar in (tail_quantile, upper_tail_mean, myerson_win_prob, win_quantile, myerson_revenue):
+    scalar(Uniform(0, 1), 25)
 sqrt = InverseCdf(lambda p: p**0.5, label='sqrt')
 params = MechanismParams(n=4, horizon=1000, epsilon=0.3, delta=0.3, rho=0.3 * 0.7**4 / 12)
 roster = [{'kind': 'exp3'}, {'kind': 'lookahead'}, {'kind': 'myopic'},
@@ -198,6 +202,17 @@ def test_config_error_exit_two(tmp_path, capsys):
     bad.write_text('{"params": {"n": 2}}')
     assert main(["bounds", "--config", str(bad)]) == 2
     assert main(["inspect", "--dist", '{"kind":"nope"}', "--m", "1", "--n", "1"]) == 2
+    capsys.readouterr()
+    # inspect computes every scalar before it prints its first line
+    uniform = '{"kind":"uniform","lo":0,"hi":1}'
+    for m, n, message in (
+        ("0", "1", "buyer count must be an integer of at least 1, got 0"),
+        ("1", "-1", "buyer count must be an integer of at least 0, got -1"),
+    ):
+        assert main(["inspect", "--dist", uniform, "--m", m, "--n", n]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -358,7 +373,7 @@ def test_bounds_measure_failed_check_exits_one(monkeypatch, config_file, capsys)
     def failing(config, measure=True):
         report = harness.BoundReport(
             n_soph=1, n_naive=1, lower_bound=0.5, lower_bound_conservative=0.4,
-            upper_bound=1.0, slack=0.1, measured_mean=0.0, measured_se=0.0,
+            upper_bound=1.0, slack=0.1,
         )
         report.checks.append(harness.Check("revenue >= lower bound - slack - 3se", 0.0, 0.4))
         return report

@@ -19,7 +19,6 @@ from epochfpa.distributions import (
     _bounded_min,
     _dqagse,
     _quad,
-    auction_scalars,
     from_spec,
     monopoly_reserve,
     myerson_detail,
@@ -91,8 +90,9 @@ def test_buyer_counts_are_integers_of_at_least_one(uniform01):
     assert tail_quantile(uniform01, np.int64(2)) == 0.5
     message = "^buyer count must be an integer of at least 1, got "
     for m in (0, -1, 2.0, True, "2"):
-        with pytest.raises(DistributionError, match=message):
-            auction_scalars(uniform01, m, 1)
+        for scalar in (tail_quantile, myerson_win_prob, win_quantile):
+            with pytest.raises(DistributionError, match=message):
+                scalar(uniform01, m)
     # a cached count answers for no bool or float equal to it, and an empty
     # auction is m = 0 itself
     for scalar in (tail_quantile, upper_tail_mean, myerson_revenue, win_quantile):
@@ -299,12 +299,14 @@ def test_scaled_tail_mean_decreasing():
                 assert scaled[m_g] >= 0.5 * scaled[m_b] - 1e-12
 
 
-def test_win_prob_capped_by_inverse_count():
+def test_win_prob_capped_and_tail_mean_and_win_quantile_above_tail_quantile():
     rng = substream(8, "cap")
     dists = [Uniform(0.0, 1.0)] + [random_finite(rng, 2 + k % 3) for k in range(6)]
     for dist in dists:
         for m in range(1, 7):
             assert myerson_win_prob(dist, m) <= 1.0 / m + 1e-9
+            assert upper_tail_mean(dist, m) >= tail_quantile(dist, m) - 1e-9
+            assert win_quantile(dist, m) >= tail_quantile(dist, m) - 1e-9
 
 
 def test_revenue_monotone_and_below_tail_mean(uniform01, two_point):
@@ -328,13 +330,12 @@ def test_expected_max_below_upper_tail_mean():
             assert mean <= upper_tail_mean(dist, n) + 3 * se
 
 
-def test_auction_scalars_bundle(uniform01):
-    scalars = auction_scalars(uniform01, 2, 2)
-    assert scalars.tail_quantile == 0.5
-    assert scalars.upper_tail_mean == pytest.approx(0.75)
-    assert scalars.win_prob == pytest.approx(0.375, abs=1e-6)
-    assert scalars.win_quantile == pytest.approx(0.625, abs=1e-6)
-    assert scalars.myerson_revenue == pytest.approx(5.0 / 12.0, abs=1e-6)
+def test_auction_scalars_of_two_uniform_buyers(uniform01):
+    assert tail_quantile(uniform01, 2) == 0.5
+    assert upper_tail_mean(uniform01, 2) == pytest.approx(0.75)
+    assert myerson_win_prob(uniform01, 2) == pytest.approx(0.375, abs=1e-6)
+    assert win_quantile(uniform01, 2) == pytest.approx(0.625, abs=1e-6)
+    assert myerson_revenue(uniform01, 2) == pytest.approx(5.0 / 12.0, abs=1e-6)
 
 
 # -- quadrature and bounded search against scipy ------------------------------

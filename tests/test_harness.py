@@ -147,7 +147,7 @@ def test_single_buyer_single_epoch_round_count():
     cfg = make_config(n=1, horizon=160, agents=[{"kind": "myopic"}])
     traj = run_simulation(cfg)
     epoch = traj.epochs[0]
-    assert epoch.config.length == epoch.end - epoch.start
+    assert epoch.config.bad_rounds + epoch.config.good_rounds == epoch.end - epoch.start
     assert len(traj.rounds) == 160
     assert all(r.t == k for k, r in enumerate(traj.rounds))
 
@@ -221,7 +221,7 @@ def test_threshold_reached_or_everyone_rested_each_epoch():
     for e in traj.epochs:
         if not e.completed:
             continue
-        all_rested = all(e.allocations_final[i] >= h for i in e.good_start)
+        all_rested = all(e.allocations[i] >= h for i in e.good_start)
         assert e.threshold_round is not None or all_rested
 
 
@@ -469,8 +469,8 @@ def test_summarize_epoch_split_totals():
             good_start=(0, 1),
             bad_start=(),
             good_end=(0, 1),
-            uncleared_final=1,
-            allocations_final=(0, 0),
+            uncleared=1,
+            allocations=(0, 0),
             threshold_round=None,
             good_at_threshold=None,
         )
@@ -643,11 +643,15 @@ def test_bound_report_measures_and_checks():
     cfg = make_config(n=2, horizon=700)
     cfg.replications = 2
     report = bound_report(cfg)
-    assert report.measured_mean is not None
+    # the floor check first: its observed value and se are the measurement
+    assert [check.sense for check in report.checks] == [">=", "<="]
     assert report.passed
     assert any("lower" in line for line in report.lines())
+    floor = report.checks[0]
+    assert f"measured_per_round={floor.observed:.6f} ci95=±{1.96 * floor.se:.6f}" in report.lines()
     skeleton = bound_report(cfg, measure=False)
-    assert skeleton.measured_mean is None and skeleton.checks == []
+    assert skeleton.checks == []
+    assert not any(line.startswith("measured") for line in skeleton.lines())
 
 
 def test_bound_report_flags_a_vacuous_floor():
@@ -841,7 +845,7 @@ def test_mixed_roster_fuzz_invariants(cfg):
     assert traj.uncleared_good_rounds == sum(1 for r in good if not r.cleared)
     for e in traj.epochs:
         i = e.config.index
-        assert e.uncleared_final <= e.config.good_rounds
+        assert e.uncleared <= e.config.good_rounds
         assert e.end - e.start <= params.max_epoch_length
         assert e.good_revenue == revenue.get((i, "good"), 0.0)
         assert e.bad_revenue == revenue.get((i, "bad"), 0.0)

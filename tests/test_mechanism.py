@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epochfpa.distributions import Uniform
+from epochfpa.distributions import Uniform, tail_quantile
 from epochfpa.mechanism import (
     BAD_PHASE,
     GOOD_PHASE,
@@ -119,7 +119,7 @@ def test_derive_epoch_config_reference_values():
     )
     cfg = derive_epoch_config(p, range(4), [], Uniform(0.0, 1.0))
     assert (cfg.good_count, cfg.bad_count) == (4, 2)
-    assert (cfg.length, cfg.bad_rounds, cfg.good_rounds) == (8279, 83, 8196)
+    assert (cfg.bad_rounds + cfg.good_rounds, cfg.bad_rounds, cfg.good_rounds) == (8279, 83, 8196)
     assert cfg.good_reserve == pytest.approx(0.9 * 0.875)
     assert cfg.bad_reserve == pytest.approx(0.625 - 0.025 * 0.5, abs=1e-6)
     assert cfg.uncleared_threshold == math.ceil(4 * 922 / 0.9)
@@ -152,7 +152,7 @@ def test_bad_reserve_floor_holds():
     p = make_params(n=4)
     for dist in (Uniform(0.0, 1.0), Uniform(0.5, 4.0)):
         cfg = derive_epoch_config(p, range(4), [], dist)
-        assert cfg.bad_reserve >= (1 - EPS / 4) * cfg.bad_quantile - 1e-9
+        assert cfg.bad_reserve >= (1 - EPS / 4) * tail_quantile(dist, cfg.bad_count) - 1e-9
 
 
 # -- bad rounds -------------------------------------------------------------------
@@ -245,11 +245,11 @@ def test_threshold_punishes_low_bidders():
     mech = fresh(n=2)
     drain_bad_phase(mech)
     cfg = mech.config
-    mech.uncleared = cfg.uncleared_threshold - 1
+    mech._epoch.uncleared = cfg.uncleared_threshold - 1
     out = good_round(mech, {0: cfg.good_reserve + 0.01, 1: 0.1})
     # cleared round, but the counter already crossed? no: clearing keeps U fixed
     assert out.cleared and out.transitions == ()
-    mech.uncleared = cfg.uncleared_threshold
+    mech._epoch.uncleared = cfg.uncleared_threshold
     out = good_round(mech, {0: cfg.good_reserve + 0.01, 1: 0.1})
     assert (1, BuyerState.GOOD, BuyerState.BAD) in out.transitions
     assert mech.states[1] == BuyerState.BAD
@@ -259,7 +259,7 @@ def test_threshold_crossing_round_punishes_same_round():
     mech = fresh(n=2)
     drain_bad_phase(mech)
     cfg = mech.config
-    mech.uncleared = cfg.uncleared_threshold - 1
+    mech._epoch.uncleared = cfg.uncleared_threshold - 1
     out = good_round(mech, {0: 0.0, 1: 0.0})
     assert out.uncleared == cfg.uncleared_threshold
     assert set(mech.states[:2]) == {BuyerState.BAD}
@@ -273,7 +273,7 @@ def test_winner_rests_at_quota():
     drain_bad_phase(mech)
     h = mech.params.rest_threshold
     r_g = mech.config.good_reserve
-    mech.allocations = (h - 1, 0)
+    mech._epoch.allocations = (h - 1, 0)
     out = good_round(mech, {0: r_g + 0.2, 1: 0.0})
     assert (0, BuyerState.GOOD, BuyerState.REST) in out.transitions
     assert mech.states[0] == BuyerState.REST
@@ -333,7 +333,7 @@ def test_epoch_end_returns_rested_and_keeps_bad():
     assert mech.states[2] == BuyerState.BAD and mech.states[3] == BuyerState.BAD
     rec = mech.epoch_records[0]
     assert rec.completed
-    assert rec.end - rec.start == cfg.length
+    assert rec.end - rec.start == cfg.bad_rounds + cfg.good_rounds
     assert set(rec.good_end) == {0}
 
 
@@ -408,11 +408,13 @@ def test_instance_attribute_budget():
     # mechanism-only round driver 8-10% slower (60 interleaved reps), so new
     # bookkeeping is derived from what the mechanism already stores.
     mech = fresh(n=2, reset_round=5)
-    assert len(vars(mech)) <= 14
+    assert len(vars(mech)) <= 12
     while mech.epoch_index < 1:
         mech.run_round({i: 0.0 for i in mech.participants()})
     mech.run_round({i: 0.0 for i in mech.participants()})
-    assert len(vars(mech)) <= 14
+    assert len(vars(mech)) <= 12
+    # the epoch's counts live in its record only
+    assert not {"uncleared", "allocations"} & vars(mech).keys()
 
 
 def test_public_name_budget():
@@ -420,7 +422,7 @@ def test_public_name_budget():
     from epochfpa import agents, distributions, harness, mechanism, suites
 
     modules = (distributions, mechanism, agents, harness, suites)
-    assert sum(len(m.__all__) for m in modules) <= 70
+    assert sum(len(m.__all__) for m in modules) <= 68
 
 
 def test_allocations_never_exceed_quota():
@@ -670,6 +672,7 @@ def test_raw_bid_streams_keep_the_round_invariants(data):
     mech = Mechanism(params, Uniform(0.0, 1.0))
     mech._move([(i, BuyerState.GOOD, BuyerState.BAD) for i in start_bad], 0)
     payments = {}  # (epoch, phase) -> payments in round order
+    last = {}  # epoch -> the outcome of its last round
     epoch_start = 0
 
     for _ in range(horizon):
@@ -681,6 +684,7 @@ def test_raw_bid_streams_keep_the_round_invariants(data):
         bids = {i: _raw_bid(rng, str(rng.choice(kinds[i])), reserve, shared) for i in ids}
         tie = float(rng.random())
         out = mech.run_round(bids, tie)
+        last[out.epoch] = out
 
         top = max(bids.values(), default=None)
         assert out.participants == ids and out.cleared == (out.winner is not None)
@@ -711,7 +715,7 @@ def test_raw_bid_streams_keep_the_round_invariants(data):
         # the epoch closes at its length or at the reset, which fires after
         # the round at which t reaches reset_round (round 0 for a reset at 0)
         fired = reset is not None and out.t + 1 == max(reset, 1)
-        closed = fired or out.t + 1 - epoch_start == cfg.length
+        closed = fired or out.t + 1 - epoch_start == cfg.bad_rounds + cfg.good_rounds
         assert mech.epoch_index == out.epoch + closed
         if closed:
             epoch_start = out.t + 1
@@ -722,6 +726,9 @@ def test_raw_bid_streams_keep_the_round_invariants(data):
     mech.finish()
     assert sum(e.end - e.start for e in mech.epoch_records) == horizon
     for e in mech.epoch_records:
+        # a closed record keeps the counts its last round left
+        final = last[e.config.index]
+        assert (e.uncleared, e.allocations) == (final.uncleared, final.allocations)
         for phase, revenue in ((GOOD_PHASE, e.good_revenue), (BAD_PHASE, e.bad_revenue)):
             total = 0.0
             for p in payments.get((e.config.index, phase), []):
@@ -860,8 +867,8 @@ def test_run_block_leaves_a_rest_with_a_punishment_to_run_round():
     mech = fresh(n=2)
     drain_bad_phase(mech)
     h, reserve = mech.params.rest_threshold, mech.config.good_reserve
-    mech.uncleared = mech.config.uncleared_threshold
-    mech.allocations = (h - 1, 0)
+    mech._epoch.uncleared = mech.config.uncleared_threshold
+    mech._epoch.allocations = (h - 1, 0)
     # buyer 0 wins its h-th allocation while buyer 1 bids below the reserve
     assert mech.run_block(np.array([[reserve, 0.0]] * 3), np.zeros(3))[0] == 0
     assert mech.allocations == (h - 1, 0) and mech.participants() == (0, 1)
