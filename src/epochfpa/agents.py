@@ -185,6 +185,14 @@ def default_expert_family(
 # ---------------------------------------------------------------------------
 
 
+def _gamma(gamma) -> float:
+    """``gamma``, the exploration rate, as a ``float`` in (0, 1]; bools,
+    strings and nan are refused."""
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) or not 0.0 < gamma <= 1.0:
+        raise AgentError(f"gamma must lie in (0, 1], got {gamma!r}")
+    return float(gamma)
+
+
 class Exp3Learner:
     """Adversarial-bandit learner over N arms with multiplicative weights.
 
@@ -205,12 +213,11 @@ class Exp3Learner:
         reward_scale: float,
         rng: np.random.Generator,
     ):
+        n_arms = _integer(n_arms, "n_arms", AgentError)
         if n_arms < 1:
             raise AgentError("need at least one arm")
-        if not 0.0 < gamma <= 1.0:
-            raise AgentError("gamma must lie in (0, 1]")
         self.n_arms = n_arms
-        self.gamma = gamma
+        self.gamma = _gamma(gamma)
         self.reward_scale = reward_scale if reward_scale > 0 else 1.0
         self.rng = rng
         self.weights = np.ones(n_arms)
@@ -270,6 +277,11 @@ def _family(family):
 
 class Agent:
     """Base buyer: bound to a buyer slot, bids on views, observes own outcomes.
+
+    ``bid`` returns a nonnegative finite ``int`` (not a ``bool``) or
+    ``float``; anything else fails the round.  The mechanism records it as a plain ``float``, a bid
+    of ``-0.0`` as ``0.0``, and ``observe`` is shown the round's bids so
+    recorded.
 
     ``sophisticated`` says whether the bound agent counts as a sophisticated
     buyer in the revenue guarantee; every other buyer counts as naive.
@@ -518,14 +530,8 @@ class Exp3Agent(Agent):
         levels: int = 6,
     ):
         super().__init__()
-        if gamma is not None and (
-            isinstance(gamma, bool)
-            or not isinstance(gamma, numbers.Real)
-            or not 0.0 < gamma <= 1.0
-        ):
-            raise AgentError(f"gamma must be a real number in (0, 1], got {gamma!r}")
+        self.gamma = None if gamma is None else _gamma(gamma)
         self.family = _family(family)
-        self.gamma = gamma
         self.grid_step = grid_step
         self.levels = _integer(levels, "levels", AgentError, 0)
 

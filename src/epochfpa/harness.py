@@ -15,7 +15,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
-from marshal import dumps
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -186,8 +185,9 @@ class RoundColumns:
     ``()``), ``winners[t]`` its winner or ``None``, ``payments[t]`` the
     price, ``uncleared[t]`` and ``allocations[t]`` the counts after it; a
     round that left the allocations as they were holds the mechanism's same
-    tuple as the round before.  The rounds that moved a buyer map to their
-    moves in ``transitions``.
+    tuple as the round before.  Bids and prices are the plain floats
+    ``Mechanism.run_round`` records.  The rounds that moved a buyer map to
+    their moves in ``transitions``.
     """
 
     bids: list[tuple] = field(default_factory=list)
@@ -309,10 +309,12 @@ def run_simulation(
     must be the block this (config, replication) draws, e.g. the ``values``
     of an earlier run of it, which makes a counterfactual replay skip
     re-sampling the prior; the trajectory then shares that array.  A block
-    of another shape raises ``ConfigError``.
+    of another shape raises ``ConfigError``, as does a ``replication`` that
+    is not an integer of at least 0.
     """
     if record not in ("full", "light"):
         raise ConfigError(f"unknown record mode {record!r}")
+    replication = _integer(replication, "replication", ConfigError, 0)
     params, dist, n = config.params, config.distribution, config.params.n
     horizon = params.horizon
 
@@ -394,7 +396,7 @@ def run_simulation(
         for i in participants:
             observe = observers[i]
             if observe is not None:
-                observe(view, vrow[i], gain if i == winner else 0.0, bids, winner)
+                observe(view, vrow[i], gain if i == winner else 0.0, outcome.bids, winner)
         if columns is not None:
             if segment is None or view.states is not segment.states or view.phase != segment.phase:
                 segment = view
@@ -873,19 +875,16 @@ def _ndjson_chunks(columns: RoundColumns) -> Iterator[str]:
     shares are formatted once per segment, an idle round's line comes from
     its segment's template, and the allocations are formatted again only
     after a win.  Each distinct bid tuple of a participant order, and each
-    distinct payment, is formatted once, keyed by its ``marshal`` bytes,
-    which hold the type and exact bits of every number, so ``0``, ``0.0``,
-    ``-0.0`` and ``np.float64(0.0)`` never share a key; one with a number
-    marshal refuses, a subclass of ``int`` or ``float`` other than numpy's,
-    is formatted every time.  An exact finite float is written with
-    ``float.__repr__``, as the encoder does, and any other number goes
-    through the encoder itself.
+    distinct payment, is formatted once.  Every bid and payment is a plain
+    finite float and none is ``-0.0``, as ``Mechanism.run_round`` records
+    them, so equal numbers share a text, and ``repr`` writes each as the
+    encoder does.
     """
     bids, winners, payments = columns.bids, columns.winners, columns.payments
     uncleared, allocations, moves = columns.uncleared, columns.allocations, columns.transitions
     # a tuple carries no buyer ids, so its text is cached per participant order
-    bid_texts: dict[tuple[int, ...], dict[bytes, str]] = {}
-    pay_texts: dict[bytes, str] = {}
+    bid_texts: dict[tuple[int, ...], dict[tuple[float, ...], str]] = {}
+    pay_texts: dict[float, str] = {}
     last_allocations = alloc_text = None
     for view, participants, end in columns.segment_ends():
         start, phase, epoch = view.t, view.phase, view.config.index
@@ -911,19 +910,15 @@ def _ndjson_chunks(columns: RoundColumns) -> Iterator[str]:
         lines = []
         for t in range(start, end):
             round_bids = bids[t]
-            key = _exact_key(round_bids)
-            bid_text = texts.get(key)
+            bid_text = texts.get(round_bids)
             if bid_text is None:
-                bid_text = ",".join([label + _number_text(round_bids[j]) for j, label in order])
-                if key is not None:
-                    texts[key] = bid_text
+                bid_text = texts[round_bids] = ",".join(
+                    [label + repr(round_bids[j]) for j, label in order]
+                )
             payment = payments[t]
-            key = _exact_key(payment)
-            pay_text = pay_texts.get(key)
+            pay_text = pay_texts.get(payment)
             if pay_text is None:
-                pay_text = _number_text(payment)
-                if key is not None:
-                    pay_texts[key] = pay_text
+                pay_text = pay_texts[payment] = repr(payment)
             winner = winners[t]
             if winner is None:
                 cleared = '"cleared":false'
@@ -948,25 +943,6 @@ def _ndjson_chunks(columns: RoundColumns) -> Iterator[str]:
 def _ids_text(ints: tuple[int, ...]) -> str:
     """A tuple of plain ints, such as buyer ids or counts, as a JSON list."""
     return f"[{','.join(map(str, ints))}]"
-
-
-def _exact_key(x) -> Optional[bytes]:
-    """The ``marshal`` bytes of ``x``, or ``None`` for a subclass of ``int``
-    or ``float`` other than numpy's, which marshal refuses."""
-    try:
-        return dumps(x, 2)
-    except ValueError:
-        return None
-
-
-def _number_text(x) -> str:
-    """``x`` as the compact JSON encoder writes it."""
-    return repr(x) if type(x) is float and x - x == 0.0 else _COMPACT_ENCODER.encode(x)
-
-
-# for the numbers a line does not format itself: all but exact finite floats
-# (ints, float subclasses, inf and nan)
-_COMPACT_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def write_epoch_csv(traj: Trajectory, path) -> None:

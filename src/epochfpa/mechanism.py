@@ -24,6 +24,7 @@ the ``lemma-b1``, ``lemma-b3`` and ``theorem-1`` figures unchanged.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -349,8 +350,9 @@ class Mechanism:
         uncleared auction bumps the uncleared counter.  Once the counter has
         reached the epoch threshold, every good buyer bidding below the
         reserve is moved to the bad state; a winner reaching the allocation
-        quota is rested.  A round at or past the horizon raises
-        ``MechanismError``.
+        quota is rested.  The outcome holds each bid, and the payment, as a
+        plain ``float``, a bid of ``-0.0`` as ``0.0``.  A round at or past
+        the horizon raises ``MechanismError``.
         """
         if self.t >= self.params.horizon:
             raise MechanismError(f"round {self.t} is past the horizon T={self.params.horizon}")
@@ -362,7 +364,7 @@ class Mechanism:
             ids, reserve = self._good_ids, cfg.good_reserve
         else:
             ids, reserve = self._bad_ids, cfg.bad_reserve
-        self._check_bids(bids, ids)
+        bids = self._check_bids(bids, ids)
         winner, payment = None, 0.0
         if bids:
             winner, payment = self._settle(bids, ids, reserve, tie)
@@ -398,7 +400,7 @@ class Mechanism:
             self._phase,
             cfg.index,
             ids,  # participants
-            dict(bids),
+            bids,
             winner,
             payment,
             winner is not None,  # cleared
@@ -549,18 +551,27 @@ class Mechanism:
         tied = [i for i in ordered_ids if bids[i] == best]
         return (tied[int(tie * len(tied))] if len(tied) > 1 else tied[0]), best
 
-    def _check_bids(self, bids, ids: tuple[int, ...]) -> None:
+    def _check_bids(self, bids, ids: tuple[int, ...]) -> dict[int, float]:
+        """``bids`` as plain floats, once they come from exactly the
+        participants and each is a nonnegative finite int or float."""
         # bids in participant order pass the first test; any order, the second
         if tuple(bids) != ids and bids.keys() != set(ids):
             raise MechanismError(
                 f"bids must come from exactly the current participants {sorted(ids)}"
             )
+        checked = {}
         for i, b in bids.items():
-            # a bool is an int, but True is no bid
-            if type(b) is bool or not (
-                isinstance(b, (int, float)) and math.isfinite(b) and b >= 0.0
-            ):
-                raise MechanismError(f"buyer {i} submitted an invalid bid {b!r}")
+            # one test for a finite nonnegative float, the bid of every
+            # built-in agent; a bool is an int, but True is no bid, and nan,
+            # inf and an int too large for a float fail the range test
+            if type(b) is not float or not 0.0 <= b < math.inf:
+                if type(b) is bool or not (
+                    isinstance(b, (int, float)) and 0.0 <= b <= sys.float_info.max
+                ):
+                    raise MechanismError(f"buyer {i} submitted an invalid bid {b!r}")
+                b = float(b)
+            checked[i] = b + 0.0  # -0.0 is recorded as 0.0
+        return checked
 
     def _move(self, moves, since: int) -> None:
         """Apply ``moves``, ``(buyer, from, to)`` triples, from round ``since``

@@ -351,11 +351,20 @@ def test_exp3_single_step_hand_value():
 
 @pytest.mark.parametrize(
     "n_arms, gamma, message",
-    [(0, 0.1, "at least one arm"), (2, 0.0, "gamma must lie"), (2, 1.5, "gamma must lie")],
+    [(0, 0.1, "at least one arm"), (2, 0.0, "gamma must lie"), (2, 1.5, "gamma must lie")]
+    + [(2, g, "gamma must lie") for g in (True, "0.1", math.nan, None)]
+    + [(k, 0.1, "n_arms must be an integer") for k in ("3", 2.5, True, None)],
 )
 def test_exp3_learner_rejects_no_arms_or_gamma_outside_its_range(n_arms, gamma, message):
     with pytest.raises(AgentError, match=message):
         Exp3Learner(n_arms, gamma, 1.0, substream(4, "l"))
+
+
+def test_exp3_learner_takes_numpy_scalars_as_plain_numbers():
+    learner = Exp3Learner(np.int64(3), np.float64(0.5), 1.0, substream(4, "l"))
+    assert type(learner.n_arms) is int and learner.n_arms == 3
+    assert type(learner.gamma) is float and learner.gamma == 0.5
+    assert type(Exp3Agent(gamma=np.float64(0.5)).gamma) is float
 
 
 def test_exp3_update_pairing_enforced():
@@ -525,7 +534,7 @@ def test_build_agent_from_specs():
     + [{"kind": "exp3", "gamma": v} for v in ("0.5", 0.0, 1.5, math.nan, True)],
 )
 def test_learner_options_are_checked_when_built(spec):
-    with pytest.raises(AgentError, match="levels must be an integer|gamma must be a real"):
+    with pytest.raises(AgentError, match=r"levels must be an integer|gamma must lie in \(0, 1\]"):
         build_agent(spec)
 
 

@@ -345,7 +345,7 @@ def test_uniform_infinite_bound_exits_two(capsys, recwarn):
         ({"kind": "exp3", "levels": True}, "levels must be an integer of at least 0, got True"),
         ({"kind": "exp3", "levels": -3}, "levels must be an integer of at least 0, got -3"),
         ({"kind": "etc", "levels": "6"}, "levels must be an integer of at least 0, got '6'"),
-        ({"kind": "exp3", "gamma": "0.5"}, "gamma must be a real number in (0, 1], got '0.5'"),
+        ({"kind": "exp3", "gamma": "0.5"}, "gamma must lie in (0, 1], got '0.5'"),
         ({"kind": ["exp3"]}, "agent kind must be a string, got ['exp3']"),
         ({"kind": {"a": 1}}, "agent kind must be a string, got {'a': 1}"),
         ({"kind": "exp3", "family": "abc"}, "family must be an ExpertFamily, got 'abc'"),

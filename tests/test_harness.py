@@ -143,6 +143,25 @@ def test_run_simulation_rejects_an_unknown_record_mode():
         run_simulation(make_config(horizon=10), record="x")
 
 
+@pytest.mark.parametrize("replication", [1.0, "1", True, -1])
+def test_run_simulation_rejects_a_replication_that_is_no_index(replication):
+    message = rf"replication must be an integer of at least 0, got {re.escape(repr(replication))}"
+    for record in ("full", "light"):
+        with pytest.raises(ConfigError, match=message):
+            run_simulation(make_config(horizon=300), replication, record)
+
+
+def test_a_numpy_replication_runs_that_replication():
+    cfg = make_config(horizon=300, agents=[{"kind": "myopic"}, {"kind": "exp3"}])
+    want, got = run_simulation(cfg, 1), run_simulation(cfg, np.int64(1))
+    assert type(got.replication) is int and got.replication == 1
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.agent_utilities, want.agent_utilities)
+    assert trajectory_ndjson(got) == trajectory_ndjson(want)
+    # and another replication draws other streams
+    assert not np.array_equal(run_simulation(cfg, 0).values, want.values)
+
+
 def test_single_buyer_single_epoch_round_count():
     cfg = make_config(n=1, horizon=160, agents=[{"kind": "myopic"}])
     traj = run_simulation(cfg)
@@ -925,10 +944,11 @@ def test_ndjson_matches_reference_encoder_on_twelve_buyers():
 def test_ndjson_matches_reference_encoder_on_int_and_float64_bids():
     cfg = make_config(n=3, horizon=700, agents=[{"kind": "myopic"}] * 3)
     traj = run_simulation(cfg, substitutes={0: IntBidder, 2: Float64Bidder})
-    payments = {type(o.payment) for o in traj.rounds if o.winner is not None}
-    assert {int, np.float64} <= payments
+    # the int and np.float64 bids are recorded, and paid, as plain floats
+    assert {type(o.payment) for o in traj.rounds} == {float}
+    assert {type(b) for o in traj.rounds for b in o.bids.values()} == {float}
     text = reference_ndjson(traj)
-    assert '"payment":1,' in text and "np.float64" not in text
+    assert '"payment":1.0,' in text and '"payment":1,' not in text
     assert_same_text(trajectory_ndjson(traj), text)
 
 
@@ -941,7 +961,7 @@ class SignedZeroBidder(Agent):
 
 
 class Count(int):
-    """An int subclass, which the writer cannot key by its marshal bytes."""
+    """An int subclass, recorded as a plain float like any int."""
 
 
 class CountBidder(Agent):
@@ -968,10 +988,11 @@ def exact(value):
 def test_columns_give_the_outcomes_run_round_returned(roster, monkeypatch):
     config, substitutes = mixed_number_rosters()[roster]
     traj = run_simulation(config, substitutes=substitutes)
-    bids = [b for o in traj.rounds for b in o.bids.values()]
-    kinds = {exact(b)[1] for b in bids if b == 0} | {type(b).__name__ for b in bids}
-    assert {"0", "0.0", "-0.0", "int", "float", "float64"} <= kinds
-    assert ("Count" in kinds) == (roster == "five")
+    # ints, an int subclass, np.float64 and -0.0 were bid: each is recorded
+    # as a plain float, -0.0 as 0.0
+    numbers = [b for row in traj.columns.bids for b in row] + traj.columns.payments
+    assert {0.0, 1.0} <= set(numbers) and {type(x) for x in numbers} == {float}
+    assert all(math.copysign(1.0, x) == 1.0 for x in numbers)
     assert_same_text(trajectory_ndjson(traj), reference_ndjson(traj))
 
     # the same run with every round, idle ones too, through run_round
@@ -1442,7 +1463,9 @@ def test_profile_examples_cover_the_edge_cases():
         and o.uncleared_before < thresholds[o.epoch] <= o.uncleared
         for o in crossing.rounds
     )
-    assert any(type(o.bids.get(0)) is int for o in crossing.rounds)
+    # the int bids are recorded as floats
+    int_bids = {o.bids[0] for o in crossing.rounds if 0 in o.bids}
+    assert int_bids == {0.0, 1.0} and {type(b) for b in int_bids} == {float}
 
 
 @pytest.mark.parametrize("agent", [-1, 2, 5, True, 0.0])

@@ -200,7 +200,10 @@ def test_bids_must_come_from_exactly_the_participants_in_any_order():
     assert good_round(mech, {2: r_g, 0: r_g, 1: r_g}).winner == 0
 
 
-@pytest.mark.parametrize("bid", [True, -0.5, math.nan, math.inf, "1", None])
+@pytest.mark.parametrize(
+    "bid",
+    [True, -0.5, math.nan, math.inf, "1", None, pytest.param(10**400, id="10**400")],
+)
 def test_invalid_bids_are_rejected(bid):
     mech = fresh(n=2)
     drain_bad_phase(mech)
@@ -209,14 +212,17 @@ def test_invalid_bids_are_rejected(bid):
     assert mech.allocations == (0, 0) and mech.uncleared == 0
 
 
-@pytest.mark.parametrize("bid", [0, 1, 0.0, np.float64(0.5)])
+@pytest.mark.parametrize("bid", [0, 1, 0.0, np.float64(0.5), -0.0])
 def test_valid_bids_are_accepted(bid):
     mech = fresh(n=2)
     drain_bad_phase(mech)
     out = good_round(mech, {0: bid, 1: 0.0})
-    assert out.bids[0] is bid
+    # recorded as a plain float of the same value, and -0.0 as 0.0
+    assert type(out.bids[0]) is float and out.bids[0] == bid
+    assert math.copysign(1.0, out.bids[0]) == 1.0
+    assert type(out.payment) is float
     if bid >= mech.config.good_reserve:
-        assert out.winner == 0 and out.payment is bid
+        assert out.winner == 0 and out.payment == bid
 
 
 # -- good rounds ------------------------------------------------------------------
