@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import ValueDistribution, _integer
+from .distributions import ValueDistribution, _integer, _number
 from .mechanism import AgentView, BuyerState, MechanismParams
 
 __all__ = [
@@ -218,7 +218,9 @@ class Exp3Learner:
             raise AgentError("need at least one arm")
         self.n_arms = n_arms
         self.gamma = _gamma(gamma)
-        self.reward_scale = reward_scale if reward_scale > 0 else 1.0
+        self.reward_scale = _number(reward_scale, "reward_scale", AgentError)
+        if self.reward_scale <= 0.0:
+            raise AgentError(f"reward_scale must be positive, got {reward_scale!r}")
         self.rng = rng
         self.weights = np.ones(n_arms)
         self._pending: Optional[tuple[int, float]] = None
@@ -544,7 +546,8 @@ class Exp3Agent(Agent):
         if gamma is None:
             gamma = Exp3Learner.tuned_gamma(len(self.family), self.params.horizon)
         self.learner = Exp3Learner(
-            len(self.family), gamma, self.dist.support_max, self.rng
+            # a point mass at 0 has no value range to scale by
+            len(self.family), gamma, self.dist.support_max or 1.0, self.rng
         )
 
     def bid(self, view: AgentView, value: float) -> float:

@@ -36,6 +36,7 @@ from .harness import (
     write_epoch_csv,
     write_trajectory,
 )
+from .rng import _seed
 from .suites import SUITES, run_suite
 
 # every error the package raises for bad input is a ValueError
@@ -81,7 +82,7 @@ def _load_config(path) -> RunConfig:
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)  # a new config checks it
     target = args.out if args.out is not None else config.out_dir
     if target is None:
         raise ConfigError("no output directory: pass --out or set out_dir in the config")
@@ -126,7 +127,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     overrides = {}
     if args.seed is not None:
-        overrides["seed"] = args.seed
+        overrides["seed"] = _seed(args.seed, ConfigError)
     if args.replications is not None:
         overrides["replications"] = args.replications
     accepted = inspect.signature(SUITES[args.suite]).parameters

@@ -14,7 +14,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import count, repeat
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -39,7 +39,7 @@ from .mechanism import (
     RoundOutcome,
     _roster,
 )
-from .rng import substream
+from .rng import _seed, substream
 
 __all__ = [
     "ConfigError",
@@ -81,7 +81,7 @@ class RunConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        self.seed = _integer(self.seed, "seed", ConfigError)
+        self.seed = _seed(self.seed, ConfigError)
         self.replications = _integer(self.replications, "replications", ConfigError, 1)
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
@@ -174,43 +174,25 @@ class RunConfig:
 
 @dataclass
 class RoundColumns:
-    """The rounds of a full-mode run, one list entry per round.
+    """The rounds of a full-mode run, as two arrays and the segments.
 
     A segment is a stretch of rounds sharing phase, epoch and buyer states,
     and ``segments[s]`` is the ``AgentView`` of its first round; it runs up
     to the next one's start.  Phase, epoch, the states and the uncleared
     count before the segment's first round are read from that view, and its
-    participants follow from the view's states and phase.  ``bids[t]`` is
-    the tuple of round ``t``'s bids in participant order (idle rounds share
-    ``()``), ``winners[t]`` its winner or ``None``, ``payments[t]`` the
-    price, ``uncleared[t]`` and ``allocations[t]`` the counts after it; a
-    round that left the allocations as they were holds the mechanism's same
-    tuple as the round before.  Bids and prices are the plain floats
-    ``Mechanism.run_round`` records.  The rounds that moved a buyer map to
-    their moves in ``transitions``.
+    participants follow from the view's states and phase.  Row ``t`` of the
+    (T, n) array ``bids`` holds round ``t``'s bids, NaN where a buyer did
+    not bid, and ``winners[t]`` its winner, -1 if it was uncleared.  The
+    rounds that moved a buyer map to their moves in ``transitions``.  The
+    rest follows from the mechanism's rules: the price is the winner's bid,
+    an uncleared good round adds 1 to the uncleared count, and a good
+    round's win adds 1 to its winner's allocations, 0 when an epoch starts.
     """
 
-    bids: list[tuple] = field(default_factory=list)
-    winners: list[Optional[int]] = field(default_factory=list)
-    payments: list[float] = field(default_factory=list)
-    uncleared: list[int] = field(default_factory=list)
-    allocations: list[tuple[int, ...]] = field(default_factory=list)
+    bids: np.ndarray
+    winners: np.ndarray
     segments: list[AgentView] = field(default_factory=list)
     transitions: dict[int, tuple] = field(default_factory=dict)
-
-    def add_idle(self, view: AgentView, allocations: tuple[int, ...], k: int) -> None:
-        """Record ``k`` rounds without participants from ``view``, the first
-        one's, as a segment of their own: the rounds before them had bidders
-        or another phase."""
-        self.segments.append(view)
-        self.bids += [()] * k
-        self.winners += [None] * k
-        self.payments += [0.0] * k
-        if view.phase == GOOD_PHASE:  # an empty good auction is uncleared
-            self.uncleared += range(view.uncleared + 1, view.uncleared + k + 1)
-        else:
-            self.uncleared += [view.uncleared] * k
-        self.allocations += [allocations] * k
 
     def segment_ends(self) -> Iterator[tuple[AgentView, tuple[int, ...], int]]:
         """Every segment's view, with its participants and the round its
@@ -244,20 +226,28 @@ class Trajectory:
         c = self.columns
         if c is None:
             return None
-        out = []
+        out, epoch = [], None
         for view, participants, end in c.segment_ends():
-            before = view.uncleared
-            for t in range(view.t, end):
-                winner, after = c.winners[t], c.uncleared[t]
+            start, phase, index = view.t, view.phase, view.config.index
+            if index != epoch:
+                epoch, allocations = index, [0] * len(view.states)
+            good, counts, after = phase == GOOD_PHASE, tuple(allocations), view.uncleared
+            rows = c.bids[start:end, participants].tolist()
+            for t, row, winner in zip(range(start, end), rows, c.winners[start:end].tolist()):
+                bids, before = dict(zip(participants, row)), after
+                if winner < 0:
+                    winner, payment, after = None, 0.0, after + good
+                else:
+                    payment = bids[winner]
+                    if good:
+                        allocations[winner] += 1
+                        counts = tuple(allocations)
                 out.append(
                     RoundOutcome(
-                        t, view.phase, view.config.index, participants,
-                        dict(zip(participants, c.bids[t])),
-                        winner, c.payments[t], winner is not None,
-                        c.transitions.get(t, ()), before, after, c.allocations[t], view.states,
+                        t, phase, index, participants, bids, winner, payment, winner is not None,
+                        c.transitions.get(t, ()), before, after, counts, view.states,
                     )
                 )
-                before = after
         return out
 
     @property
@@ -344,14 +334,22 @@ def run_simulation(
     wins = [0] * n
     # each epoch's utilities, by epoch index
     epoch_utils: defaultdict[int, list[float]] = defaultdict(lambda: [0.0] * n)
-    columns = RoundColumns() if record == "full" else None
-    blocks = columns is None
-    if columns is not None:
-        segments, moves = columns.segments, columns.transitions
-        bid_column, winner_column = columns.bids, columns.winners
-        payment_column, uncleared_column = columns.payments, columns.uncleared
-        allocation_column = columns.allocations
+    blocks = record == "light"
+    columns = None
+    if not blocks:
+        columns = RoundColumns(np.full((horizon, n), math.nan), np.full(horizon, -1))
     segment = None  # the view the current segment starts with
+    # and its bids so far, row after row in participant order, which
+    # write_bids moves to their rows once the segment ends before round
+    # ``end``: one array write per segment costs less than one per round
+    pending: list[float] = []
+
+    def write_bids(end: int) -> None:
+        if pending:
+            roster = _roster(segment.states, segment.phase)
+            columns.bids[segment.t : end, roster] = np.reshape(pending, (end - segment.t, -1))
+            pending.clear()
+
     unsteady = frozenset(i for i, agent in enumerate(agents) if not agent.stationary)
 
     while mech.t < horizon:
@@ -362,8 +360,10 @@ def run_simulation(
             if columns is None:
                 mech.run_idle()
                 continue
+            write_bids(mech.t)
             segment = mech.view()
-            columns.add_idle(segment, mech.allocations, mech.run_idle())
+            columns.segments.append(segment)
+            mech.run_idle()
             continue
         if blocks and unsteady.isdisjoint(participants):
             t = mech.t
@@ -399,15 +399,15 @@ def run_simulation(
                 observe(view, vrow[i], gain if i == winner else 0.0, outcome.bids, winner)
         if columns is not None:
             if segment is None or view.states is not segment.states or view.phase != segment.phase:
+                write_bids(t)
                 segment = view
-                segments.append(view)
-            bid_column.append(tuple(outcome.bids.values()))
-            winner_column.append(winner)
-            payment_column.append(outcome.payment)
-            uncleared_column.append(outcome.uncleared)
-            allocation_column.append(outcome.allocations)
+                columns.segments.append(view)
+            pending += outcome.bids.values()
+            if winner is not None:
+                columns.winners[t] = winner
             if outcome.transitions:
-                moves[t] = outcome.transitions
+                columns.transitions[t] = outcome.transitions
+    write_bids(horizon)
 
     final_states = mech.states
     mech.finish()
@@ -717,49 +717,26 @@ def external_regret_profile(
     if len(family) == 0:
         raise ConfigError("expert family must be non-empty")
     agent = _buyer(agent, traj.values.shape[1])
-    column = traj.values[:, agent]
-    # of each round the agent bid in: value, own bid, top rival bid, realized utility, reserve
-    vals, own, rival, realized, reserve = [], [], [], [], []
+    reserve = []  # of each round the agent bid in
     stretches = []  # (index of the epoch's first such round, view)
-    epoch = None
-    gathered = 0
+    epoch, gathered = None, 0
     for view, participants, end in columns.segment_ends():
-        if agent not in participants:
-            continue
-        start, config = view.t, view.config
-        size = end - start
-        if config.index != epoch:
-            epoch = config.index
-            stretches.append((gathered, view))
-        gathered += size
-        # one row of bids per round, in participant order
-        width = len(participants)
-        bid_rows = np.fromiter(
-            chain.from_iterable(columns.bids[start:end]),
-            float,
-            size * width,
-        ).reshape(size, width)
-        j = participants.index(agent)
-        own.append(bid_rows[:, j])
-        if width > 1:
-            rival.append(np.delete(bid_rows, j, axis=1).max(axis=1))
-        else:
-            rival.append(np.full(size, -math.inf))
-        seg_vals = column[start:end]
-        vals.append(seg_vals)
-        gain = np.zeros(size)
-        won = [r for r, w in enumerate(columns.winners[start:end]) if w == agent]
-        if won:
-            paid = np.fromiter((columns.payments[start + r] for r in won), float, len(won))
-            gain[won] = seg_vals[won] - paid
-        realized.append(gain)
-        good = view.phase == GOOD_PHASE
-        reserve.append(np.full(size, config.good_reserve if good else config.bad_reserve))
-    if not vals:
+        if agent in participants:
+            config = view.config
+            if config.index != epoch:
+                epoch = config.index
+                stretches.append((gathered, view))
+            gathered += end - view.t
+            good = view.phase == GOOD_PHASE
+            reserve.append(np.full(end - view.t, config.good_reserve if good else config.bad_reserve))
+    if not stretches:
         return np.zeros(len(family))
-    vals, own, rival, realized, reserve = (
-        np.concatenate(parts) for parts in (vals, own, rival, realized, reserve)
-    )
+    # of the same rounds, in order: value, own bid, top rival bid, realized utility
+    bid = ~np.isnan(columns.bids[:, agent])
+    rows, vals = columns.bids[bid], traj.values[bid, agent]
+    own, reserve = rows[:, agent], np.concatenate(reserve)
+    rival = np.fmax.reduce(np.delete(rows, agent, axis=1), axis=1, initial=-math.inf)
+    realized = np.where(columns.winners[bid] == agent, vals - own, 0.0)  # a winner pays its bid
     ends = [lo for lo, _ in stretches[1:]] + [gathered]
     totals = np.empty(len(family))
     for j in range(len(family)):
@@ -871,34 +848,40 @@ def _full_columns(traj: Trajectory) -> RoundColumns:
 def _ndjson_chunks(columns: RoundColumns) -> Iterator[str]:
     """The ndjson lines of each segment, as one string per segment.
 
-    Lines are formatted from the columns directly.  The texts a segment
+    Lines are formatted from the columns directly, one segment's rows of
+    them at a time, with the payment, the uncleared count and the
+    allocations derived as ``RoundColumns`` says.  The texts a segment
     shares are formatted once per segment, an idle round's line comes from
     its segment's template, and the allocations are formatted again only
-    after a win.  Each distinct bid tuple of a participant order, and each
-    distinct payment, is formatted once.  Every bid and payment is a plain
+    after a good round's win.  Each distinct bid row of a participant order,
+    and each distinct payment, is formatted once.  Every bid is a plain
     finite float and none is ``-0.0``, as ``Mechanism.run_round`` records
     them, so equal numbers share a text, and ``repr`` writes each as the
     encoder does.
     """
-    bids, winners, payments = columns.bids, columns.winners, columns.payments
-    uncleared, allocations, moves = columns.uncleared, columns.allocations, columns.transitions
-    # a tuple carries no buyer ids, so its text is cached per participant order
+    bids, winners, moves = columns.bids, columns.winners, columns.transitions
+    # a row carries no buyer ids, so its text is cached per participant order
     bid_texts: dict[tuple[int, ...], dict[tuple[float, ...], str]] = {}
     pay_texts: dict[float, str] = {}
-    last_allocations = alloc_text = None
+    epoch = None
     for view, participants, end in columns.segment_ends():
-        start, phase, epoch = view.t, view.phase, view.config.index
-        a = allocations[start]
-        if a != last_allocations:
-            last_allocations, alloc_text = a, _ids_text(a)
+        start, phase = view.t, view.phase
+        if view.config.index != epoch:
+            epoch = view.config.index
+            allocations = [0] * len(view.states)
+            alloc_text = _ids_text(allocations)
+        good = phase == GOOD_PHASE
+        uncleared = view.uncleared
         if not participants:
             head = (
                 f'{{"allocations":{alloc_text},"bids":{{}},"cleared":false,'
                 f'"epoch":{epoch},"participants":[],"payment":0.0,"phase":"{phase}","t":'
             )
+            # an empty good auction is uncleared
+            counts = count(uncleared + 1) if good else repeat(uncleared)
             yield "".join([
                 f'{head}{t},"transitions":[],"uncleared":{u},"winner":null}}\n'
-                for t, u in zip(range(start, end), uncleared[start:end])
+                for t, u in zip(range(start, end), counts)
             ])
             continue
         texts = bid_texts.setdefault(participants, {})
@@ -907,27 +890,29 @@ def _ndjson_chunks(columns: RoundColumns) -> Iterator[str]:
         ]
         middle = f',"epoch":{epoch},"participants":{_ids_text(participants)},"payment":'
         tail = f',"phase":"{phase}","t":'
+        rows = map(tuple, bids[start:end, participants].tolist())
         lines = []
-        for t in range(start, end):
-            round_bids = bids[t]
+        for t, round_bids, winner in zip(range(start, end), rows, winners[start:end].tolist()):
             bid_text = texts.get(round_bids)
             if bid_text is None:
                 bid_text = texts[round_bids] = ",".join(
                     [label + repr(round_bids[j]) for j, label in order]
                 )
-            payment = payments[t]
-            pay_text = pay_texts.get(payment)
-            if pay_text is None:
-                pay_text = pay_texts[payment] = repr(payment)
-            winner = winners[t]
-            if winner is None:
+            if winner < 0:
                 cleared = '"cleared":false'
+                pay_text = "0.0"
                 winner = "null"
+                if good:
+                    uncleared += 1
             else:
                 cleared = '"cleared":true'
-                a = allocations[t]
-                if a != last_allocations:
-                    last_allocations, alloc_text = a, _ids_text(a)
+                payment = round_bids[participants.index(winner)]
+                pay_text = pay_texts.get(payment)
+                if pay_text is None:
+                    pay_text = pay_texts[payment] = repr(payment)
+                if good:
+                    allocations[winner] += 1
+                    alloc_text = _ids_text(allocations)
             move = moves.get(t)
             move_text = ",".join(
                 f'[{i},"{frm.label}","{to.label}"]' for i, frm, to in move
@@ -935,13 +920,13 @@ def _ndjson_chunks(columns: RoundColumns) -> Iterator[str]:
             lines.append(
                 f'{{"allocations":{alloc_text},"bids":{{{bid_text}}},{cleared}{middle}'
                 f'{pay_text}{tail}{t},"transitions":[{move_text}],'
-                f'"uncleared":{uncleared[t]},"winner":{winner}}}\n'
+                f'"uncleared":{uncleared},"winner":{winner}}}\n'
             )
         yield "".join(lines)
 
 
 def _ids_text(ints: tuple[int, ...]) -> str:
-    """A tuple of plain ints, such as buyer ids or counts, as a JSON list."""
+    """A sequence of plain ints, such as buyer ids or counts, as a JSON list."""
     return f"[{','.join(map(str, ints))}]"
 
 

@@ -12,14 +12,23 @@ import hashlib
 
 import numpy as np
 
+from .distributions import _integer
+
 __all__ = ["substream"]
 
-_MASK = 0xFFFFFFFFFFFFFFFF
+
+def _seed(x, error: type = ValueError, name: str = "seed") -> int:
+    """``x`` as an int in [0, 2**64), where distinct ints name distinct
+    streams; anything else raises ``error``."""
+    x = _integer(x, name, error)
+    if not 0 <= x < 2**64:
+        raise error(f"{name} must lie in [0, 2**64), got {x!r}")
+    return x
 
 
 def _token(label) -> int:
     if isinstance(label, (int, np.integer)):
-        return int(label) & _MASK
+        return _seed(label, name="stream label")
     digest = hashlib.sha256(str(label).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -28,7 +37,8 @@ def substream(master_seed: int, *labels) -> np.random.Generator:
     """Return the generator for the stream named by ``labels``.
 
     The same (seed, labels) pair always yields an identical stream; distinct
-    label paths yield independent streams.
+    label paths yield independent streams.  The seed and every int label
+    must lie in [0, 2**64): ``ValueError`` otherwise.
     """
-    entropy = [_token(master_seed)] + [_token(lab) for lab in labels]
+    entropy = [_seed(master_seed)] + [_token(lab) for lab in labels]
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -360,6 +360,23 @@ def test_exp3_learner_rejects_no_arms_or_gamma_outside_its_range(n_arms, gamma, 
         Exp3Learner(n_arms, gamma, 1.0, substream(4, "l"))
 
 
+@pytest.mark.parametrize(
+    "scale, message",
+    [("1", "reward_scale must be a number"), (True, "reward_scale must be a number")]
+    + [(x, "reward_scale must be finite") for x in (math.nan, math.inf)]
+    + [(x, "reward_scale must be positive") for x in (0.0, -1.0)],
+)
+def test_exp3_learner_rejects_a_reward_scale_that_is_no_positive_number(scale, message):
+    with pytest.raises(AgentError, match=message):
+        Exp3Learner(2, 0.1, scale, substream(4, "l"))
+
+
+def test_exp3_agent_on_a_point_mass_at_zero_scales_rewards_by_one():
+    params, _ = make_view()
+    agent = bind(Exp3Agent(), params, dist=FiniteSupport(((0.0, 1.0),)))
+    assert agent.learner.reward_scale == 1.0
+
+
 def test_exp3_learner_takes_numpy_scalars_as_plain_numbers():
     learner = Exp3Learner(np.int64(3), np.float64(0.5), 1.0, substream(4, "l"))
     assert type(learner.n_arms) is int and learner.n_arms == 3

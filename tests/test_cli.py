@@ -142,6 +142,37 @@ def test_simulate_seed_override_changes_output(tmp_path, config_file):
     assert (out_a / rep0).read_bytes() != (out_c / rep0).read_bytes()
 
 
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_simulate_seed_outside_the_stream_range_exits_two(tmp_path, config_file, capsys, seed):
+    # from --seed, which replaces the checked seed of the file, and from the file
+    (tmp_path / "bad").mkdir()
+    in_file = one_buyer_config(tmp_path / "bad", seed=seed)
+    for path, option in ((config_file, ["--seed", str(seed)]), (in_file, [])):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)] + option) == 2
+        assert f"seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_verify_seed_outside_the_stream_range_exits_two_before_the_suite_runs(
+    monkeypatch, capsys, seed
+):
+    from epochfpa import suites
+
+    real, calls = suites.SUITES["lemma-b1"], []
+
+    @functools.wraps(real)  # keeps the signature the option check reads
+    def recording(**overrides):
+        calls.append(overrides)
+        return real(**overrides)
+
+    monkeypatch.setitem(suites.SUITES, "lemma-b1", recording)
+    assert main(["verify", "--suite", "lemma-b1", "--seed", str(seed)]) == 2
+    assert f"seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_bounds_prints_report(config_file, capsys):
     assert main(["bounds", "--config", str(config_file)]) == 0
     out = capsys.readouterr().out

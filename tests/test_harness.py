@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -48,6 +49,7 @@ from epochfpa.mechanism import (
     MechanismParams,
     RoundOutcome,
 )
+from epochfpa.rng import substream
 
 EPS = 0.3
 RHO = EPS * (1 - EPS) ** 4 / 12
@@ -97,6 +99,23 @@ def test_config_checks_its_fields_on_construction(field, bad):
             params=make_config().params, distribution=Uniform(0.0, 1.0),
             agents=[{"kind": "myopic"}] * 2, **fields,
         )
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_config_refuses_a_seed_outside_the_stream_range(seed):
+    with pytest.raises(ConfigError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+        make_config(seed=seed)
+
+
+def test_seeds_name_streams_one_to_one():
+    # 2**64 - 1 and 0 were 2**64 apart from -1 and 2**64, which named their streams
+    texts = [trajectory_ndjson(run_simulation(make_config(seed=s))) for s in (0, 2**64 - 1)]
+    assert texts[0] != texts[1]
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\)"):
+            substream(seed, "values")
+    with pytest.raises(ValueError, match=r"^stream label must lie in \[0, 2\*\*64\)"):
+        substream(0, "rep", 2**64)
 
 
 def test_config_refuses_zero_replications():
@@ -972,10 +991,20 @@ class CountBidder(Agent):
 def mixed_number_rosters():
     twelve = twelve_buyer_config()
     five = make_config(n=5, horizon=700, agents=[{"kind": "myopic"}] * 5, reset_round=300)
+    # the good-strategy buyer rests and the zero bidder is punished, so the
+    # good phase runs idle; a completed epoch follows the reset epoch, and
+    # the horizon cuts the last one short
+    three = make_config(
+        n=3,
+        horizon=1300,
+        agents=[{"kind": "good-strategy"}] + [{"kind": "myopic", "good_mode": "zero"}] * 2,
+        reset_round=600,
+    )
     return {
         # ids 10 and 11 sort before 2, and every kind of number is bid
         "twelve": (twelve, {2: IntBidder, 4: SignedZeroBidder, 10: Float64Bidder, 11: IntBidder}),
         "five": (five, {0: IntBidder, 1: SignedZeroBidder, 3: Float64Bidder, 4: CountBidder}),
+        "three": (three, {2: IntBidder}),
     }
 
 
@@ -984,13 +1013,17 @@ def exact(value):
     return type(value), repr(value)
 
 
-@pytest.mark.parametrize("roster", ["twelve", "five"])
+@pytest.mark.parametrize("roster", ["twelve", "five", "three"])
 def test_columns_give_the_outcomes_run_round_returned(roster, monkeypatch):
     config, substitutes = mixed_number_rosters()[roster]
     traj = run_simulation(config, substitutes=substitutes)
+    # a reset epoch, idle good rounds and a truncated last epoch
+    assert any(e.reset for e in traj.epochs)
+    assert not traj.epochs[-1].completed and not traj.epochs[-1].reset
+    assert any(o.phase == "good" and not o.participants for o in traj.rounds)
     # ints, an int subclass, np.float64 and -0.0 were bid: each is recorded
     # as a plain float, -0.0 as 0.0
-    numbers = [b for row in traj.columns.bids for b in row] + traj.columns.payments
+    numbers = [b for o in traj.rounds for b in o.bids.values()] + [o.payment for o in traj.rounds]
     assert {0.0, 1.0} <= set(numbers) and {type(x) for x in numbers} == {float}
     assert all(math.copysign(1.0, x) == 1.0 for x in numbers)
     assert_same_text(trajectory_ndjson(traj), reference_ndjson(traj))
@@ -1038,18 +1071,45 @@ def test_written_file_equals_the_text(roster, tmp_path):
     assert path.read_bytes() == trajectory_ndjson(traj).encode()
 
 
-def test_columns_hold_bid_tuples_and_share_unchanged_allocations():
-    config, substitutes = mixed_number_rosters()["five"]
-    columns = run_simulation(config, substitutes=substitutes).columns
+def test_columns_hold_bid_and_winner_arrays():
+    for roster in ("five", "three"):
+        config, substitutes = mixed_number_rosters()[roster]
+        assert_bid_and_winner_arrays(run_simulation(config, substitutes=substitutes), config.params)
+
+
+def assert_bid_and_winner_arrays(traj, params):
+    columns, n = traj.columns, params.n
+    assert [f.name for f in dataclasses.fields(columns)] == [
+        "bids", "winners", "segments", "transitions"
+    ]
+    assert columns.bids.shape == (params.horizon, n) and columns.bids.dtype == float
+    assert columns.winners.shape == (params.horizon,)
+    assert np.issubdtype(columns.winners.dtype, np.integer)
+    uncleared = dict.fromkeys(range(len(traj.epochs)), 0)
+    idle = 0
     for view, participants, end in columns.segment_ends():
-        for t in range(view.t, end):
-            assert type(columns.bids[t]) is tuple
-            assert len(columns.bids[t]) == len(participants)
-            if not participants:
-                assert columns.bids[t] is columns.bids[view.t]
-    pairs = list(zip(columns.allocations, columns.allocations[1:]))
-    assert any(a != b for a, b in pairs)
-    assert all(a is b for a, b in pairs if a == b)
+        rows, winners = columns.bids[view.t : end], columns.winners[view.t : end]
+        # NaN exactly off the roster
+        off = [i not in participants for i in range(n)]
+        assert (np.isnan(rows) == off).all()
+        reserve = view.config.good_reserve if view.phase == "good" else view.config.bad_reserve
+        top = rows[:, list(participants)].max(axis=1, initial=-math.inf)
+        # -1 exactly on the uncleared rounds: those whose top bid missed the reserve
+        assert ((winners == -1) == (top < reserve)).all()
+        cleared = winners >= 0
+        assert set(winners[cleared].tolist()) <= set(participants)
+        assert (rows[cleared, winners[cleared]] == top[cleared]).all()
+        if view.phase == "good":
+            uncleared[view.config.index] += int(np.count_nonzero(~cleared))
+        if not participants:
+            # an idle stretch is one segment and nothing more
+            idle += 1
+            assert not any(view.t <= t < end for t in columns.transitions)
+    assert idle > 0
+    assert uncleared == {e.config.index: e.uncleared for e in traj.epochs}
+    assert np.bincount(columns.winners[columns.winners >= 0], minlength=n).tolist() == (
+        traj.agent_wins.tolist()
+    )
 
 
 def test_write_trajectory_holds_one_segment_at_a_time(tmp_path):
