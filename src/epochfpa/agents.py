@@ -289,12 +289,15 @@ class Agent:
     buyer in the revenue guarantee; every other buyer counts as naive.
 
     ``stationary`` says that the bound agent's ``bid`` is a pure function of
-    the value and of the view's buyer states, phase and epoch config, and
-    that ``observe`` teaches it nothing.  A stationary agent also implements
-    ``bids(view, values)``: the bids for an array of values under one such
-    view, equal bit for bit to ``bid`` on each value.  Light-mode runs settle
-    the rounds whose participants are all stationary in blocks with it.  Both
-    flags are read once the agent is bound.
+    the value and of three things of the view: its phase, the epoch config
+    fields other than ``index``, and the agent's own entry in ``states``;
+    and that ``observe`` teaches it nothing.  A stationary agent also
+    implements ``bids(view, values)``: the bids for an array of values under
+    one such view, equal bit for bit to ``bid`` on each value, which may read
+    the same three things only.  Light-mode runs settle a phase whose
+    bidders are all stationary with it, and reuse one view's bids across
+    epochs and past other buyers' rests.  Both flags are read once the agent
+    is bound.
     """
 
     kind = "agent"

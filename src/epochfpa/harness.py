@@ -286,14 +286,15 @@ def run_simulation(
     in freshly built agents for selected buyer slots; all other streams are
     unaffected.
 
-    A light-mode run settles the rounds whose participants all declare
-    themselves ``stationary`` in blocks: their ``bids`` give the bids of the
-    coming rounds, and ``Mechanism.run_block`` settles them up to the next
-    event, which runs round by round like every round of a full-mode run.  A
-    round whose only event is a rest ends its block inside it, and the next
-    block starts from the round after it.  Stationary agents are not shown
-    the rounds of a block.  Both modes give the same epochs, utilities and
-    states, bit for bit.
+    A light-mode run settles a phase whose participants all declare
+    themselves ``stationary`` at once: their ``bids`` give the bids of the
+    rest of the phase, and ``Mechanism.run_block`` settles it, rests and an
+    idle tail included, up to an invalid bid or the threshold crossing with
+    bidders, which run round by round like every round of a full-mode run.
+    Once the partition holds from one epoch to the next, the same bids
+    cover that phase in the coming epochs too, bid under one view.
+    Stationary agents are not shown the rounds of a block.  Both modes give
+    the same epochs, utilities and states, bit for bit.
 
     ``values`` supplies the (T, n) valuation block instead of drawing it.  It
     must be the block this (config, replication) draws, e.g. the ``values``
@@ -352,6 +353,14 @@ def run_simulation(
 
     unsteady = frozenset(i for i, agent in enumerate(agents) if not agent.stationary)
 
+    def block_bids(view, ids, rounds):
+        if not unsteady.isdisjoint(ids):
+            return None
+        bids = np.empty((len(ids), len(rounds)))
+        for j, i in enumerate(ids):
+            bids[j] = agents[i].bids(view, values[rounds, i])
+        return bids
+
     while mech.t < horizon:
         participants = mech.participants()
         if not participants:
@@ -366,16 +375,13 @@ def run_simulation(
             mech.run_idle()
             continue
         if blocks and unsteady.isdisjoint(participants):
-            t = mech.t
-            k = min(horizon - t, mech.block_room(), _BLOCK_ROUNDS)
-            if k >= _MIN_BLOCK_ROUNDS:
-                settled = _settle_block(
-                    mech, agents, participants, values[t : t + k], tie_draws[t : t + k],
-                    utilities, wins, epoch_utils,
-                )
-                if settled == k or mech.participants() != participants:
-                    continue
-                # the next round holds an event: it runs as a round of its own
+            first, phase = mech.epoch_index, mech.phase
+            block = mech.run_block(block_bids, tie_draws)
+            _credit(block, first, values, utilities, wins, epoch_utils)
+            if (mech.epoch_index, mech.phase) != (first, phase) or mech.t == horizon:
+                continue
+            # the phase stopped before an event: it runs as a round of its own
+            participants = mech.participants()
         view = mech.view()
         t = view.t
         vrow = values[t].tolist()
@@ -429,34 +435,25 @@ def run_simulation(
     )
 
 
-# A block bids at most _BLOCK_ROUNDS rounds ahead, since most end at an event
-# well before that.  Fewer than _MIN_BLOCK_ROUNDS rounds before the phase end
-# or the reset (a bad phase is often that short) run round by round: there
-# the numpy calls of a block cost more than they save.
-_BLOCK_ROUNDS = 128
-_MIN_BLOCK_ROUNDS = 8
-
-
-def _settle_block(
-    mech, agents, participants, values, ties, utilities, wins, epoch_utils
-) -> int:
-    """Bid the coming rounds, whose values are the rows of ``values``, with
-    every participant's ``bids``, settle them with ``Mechanism.run_block``
-    and credit each settled round's winner in round order, as the round loop
-    does; returns the rounds settled."""
-    view = mech.view()
-    block = np.empty((len(values), len(participants)))
-    for j, i in enumerate(participants):
-        block[:, j] = agents[i].bids(view, values[:, i])
-    settled, winners, payments = mech.run_block(block, ties)
-    epoch_row = epoch_utils[view.config.index]
-    for row, winner, payment in zip(values[:settled].tolist(), winners.tolist(), payments.tolist()):
-        if winner >= 0:
-            gain = row[winner] - payment
-            utilities[winner] += gain
-            wins[winner] += 1
-            epoch_row[winner] += gain
-    return settled
+def _credit(block, first, values, utilities, wins, epoch_utils) -> None:
+    """Credit the winners of the rows ``Mechanism.run_block`` settled, row
+    ``k`` in epoch ``first + k``, as the round loop does: each gain is added
+    in round order (np.sum would add pairwise), and adding 0.0 for another
+    round changes no sum."""
+    rounds, winners, payments = block
+    won = winners >= 0
+    if not won.any():
+        return
+    gains = np.where(won, values[rounds, winners] - payments, 0.0)
+    for i in np.flatnonzero(np.bincount(winners[won])).tolist():
+        mine = winners == i
+        own = np.where(mine, gains, 0.0)
+        utilities[i] = float(np.add.accumulate(np.append(utilities[i], own))[-1])
+        wins[i] += int(np.count_nonzero(mine))
+        before = [epoch_utils[first + k][i] for k in range(len(own))]
+        totals = np.add.accumulate(np.column_stack((before, own)), axis=1)[:, -1]
+        for k, total in enumerate(totals.tolist()):
+            epoch_utils[first + k][i] = total
 
 
 def run_replications(config: RunConfig, record: str = "light") -> Iterator[Trajectory]:

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -57,6 +57,10 @@ __all__ = [
 
 GOOD_PHASE = "good"
 BAD_PHASE = "bad"
+
+# run_block covers the coming epochs within this many rounds of its first,
+# which bounds the bids it holds; the current phase it settles whole
+_PLAN_ROUNDS = 4096
 
 
 class MechanismError(ValueError):
@@ -191,6 +195,12 @@ def derive_epoch_config(
     )
 
 
+@lru_cache(maxsize=1024)
+def _rosters(states: tuple[BuyerState, ...]) -> dict[str, tuple[int, ...]]:
+    """``_roster`` of both phases, by phase; never mutated."""
+    return {phase: _roster(states, phase) for phase in (GOOD_PHASE, BAD_PHASE)}
+
+
 def _roster(states: tuple[BuyerState, ...], phase: str) -> tuple[int, ...]:
     """The buyers who bid in ``phase`` under ``states``, in id order: the bad
     ones in the bad phase, the good ones in the good phase."""
@@ -269,17 +279,18 @@ class Mechanism:
     No round runs at or past ``params.horizon``: ``run_round`` raises
     there.  When ``participants()`` is empty, ``run_idle()`` runs the rounds
     up to the end of the phase, the pending reset or the horizon at once;
-    they read no bid and no tie draw.  ``run_block(bids, ties)`` settles the
-    bids of the coming rounds, given as one array, in numpy.  A round whose
-    only event is a rest ends the block and is settled with it, the winner
-    rested from the next round on.  The block stops before the first round
-    holding any other event (an invalid bid, a punishment, the threshold
-    crossing, the end of the phase or the reset), which is left to
-    ``run_round``, and before the horizon.  ``block_room()`` bounds the
-    rounds it can settle within the phase.  Neither keeps an outcome, and
-    both leave the mechanism exactly as the ``run_round`` calls of their
-    rounds would.  All three end with ``advance(rounds)``, the only code that
-    moves ``t`` and books a phase end, an epoch end or the reset.
+    they read no bid and no tie draw.  ``run_block(bids_for, ties)`` settles
+    the rest of the phase in numpy, from one bid array of bidders that bid
+    ahead: a rest masks its buyer from the next round on, and the idle tail
+    after the last rest is booked too.  It stops before a round holding a
+    bid that is not a finite number >= 0 or the threshold crossing with
+    bidders, which are left to ``run_round``.  When the buyer partition held
+    through the previous epoch, the same array also covers that phase in
+    the coming epochs, whose rows are kept until their phase starts.
+    Neither keeps an outcome, and both leave the mechanism exactly as the
+    ``run_round`` calls of their rounds would.  All three end with
+    ``advance(rounds)``, the only code that moves ``t`` and books a phase
+    end, an epoch end, the reset or a phase settled ahead.
 
     ``states`` is the tuple of buyer states the current round runs under;
     ``view()`` and each outcome's ``states_before`` hold it as it is.
@@ -303,6 +314,8 @@ class Mechanism:
         self.epoch_records: list[EpochRecord] = []
         self.state_rounds = [[0, 0, 0] for _ in range(params.n)]
         self._states_since = 0
+        # rows that run_block settled ahead, by the round their phase starts
+        self._planned: dict[int, tuple] = {}
         self._start_epoch()
 
     # -- state inspection ---------------------------------------------------
@@ -328,17 +341,18 @@ class Mechanism:
         return len(self.epoch_records)
 
     def participants(self) -> tuple[int, ...]:
-        return self._bad_ids if self._phase == BAD_PHASE else self._good_ids
+        return self._rosters[self._phase]
 
     def view(self) -> AgentView:
+        rosters = self._rosters
         return AgentView(
             self.t,
             self._phase,
             self._epoch.config,
             self._epoch.uncleared,
             self.states,
-            len(self._good_ids),
-            len(self._bad_ids),
+            len(rosters[GOOD_PHASE]),
+            len(rosters[BAD_PHASE]),
         )
 
     # -- rounds ---------------------------------------------------------------
@@ -360,10 +374,8 @@ class Mechanism:
         states_before = self.states
         uncleared_before = epoch.uncleared
         good = self._phase == GOOD_PHASE
-        if good:
-            ids, reserve = self._good_ids, cfg.good_reserve
-        else:
-            ids, reserve = self._bad_ids, cfg.bad_reserve
+        ids = self._rosters[self._phase]
+        reserve = cfg.good_reserve if good else cfg.bad_reserve
         bids = self._check_bids(bids, ids)
         winner, payment = None, 0.0
         if bids:
@@ -432,107 +444,267 @@ class Mechanism:
         self.advance(k)
         return k
 
-    def block_room(self) -> int:
-        """Rounds that can run from the current one before the round that
-        ends the phase or fires the pending reset."""
-        return self._rounds_left - 1
+    def run_block(self, bids_for, ties: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Settle the rest of the current phase from one bid array, and the
+        same phase of the coming epochs when the partition held.
 
-    def run_block(
-        self, bids: np.ndarray, ties: np.ndarray
-    ) -> tuple[int, np.ndarray, np.ndarray]:
-        """Settle the leading event-free rows of a block of rounds at once.
+        ``bids_for(view, ids, rounds)`` returns the bids of the buyers
+        ``ids`` in the rounds of the int array ``rounds``, as a float array
+        of shape ``(len(ids), len(rounds))`` bid under ``view``, whose states
+        put each of ``ids`` in the phase's bidder state; or ``None`` when
+        some of them cannot bid ahead.  ``ties[t]`` is round ``t``'s tie
+        draw.  The phase is settled up to the first round holding a bid
+        that is not a finite number >= 0, or the threshold crossing with
+        bidders: both are left to ``run_round``.  A rest masks its winner
+        from the next round on, so rests apply in the order they happen, and
+        an idle tail is booked with its crossing, if any.  A good roster at
+        the threshold settles nothing.
 
-        Row ``r`` of the float array ``bids`` holds the bids of
-        ``participants()``, in that order, in round ``t + r``, and
-        ``ties[r]`` is that round's tie draw.  The block stops before the
-        first row with an event: a bid that is not a finite number >= 0, the
-        threshold crossing, or a row past ``block_room()`` or the horizon.
-        Once the threshold is reached it settles nothing.  A row whose winner
-        reaches the rest quota, with none of these, is settled as the last
-        row, and its winner is rested.  Returns the ``k`` rows settled, each one's
-        winner (-1 if uncleared) and payment.  The state afterwards is that
-        of ``k`` ``run_round`` calls; revenue is added in round order.
+        When the last closed epoch started from the current partition and
+        moved nobody to the bad state, the same bids cover that phase in the
+        coming epochs too, bid by the phase's buyers at the epoch start,
+        within ``_PLAN_ROUNDS`` rounds, before the pending reset and up to
+        the horizon; a bad phase only up to the first good phase not settled
+        ahead.  They are kept up to the first epoch holding an invalid bid
+        or the crossing with bidders, and booked when their phase starts.
+
+        Returns ``(rounds, winners, payments)``, arrays of shape ``(epochs,
+        rounds of the phase)`` from the current epoch on: each row's round,
+        -1 if this call settled none, its winner, -1 if none, and its
+        payment.  Revenue is added in round order.
         """
-        ids = self.participants()
-        k = min(len(bids), self.block_room(), self.params.horizon - self.t)
-        epoch, cfg = self._epoch, self._epoch.config
-        good = self._phase == GOOD_PHASE
+        ids, epoch = self.participants(), self._epoch
+        cfg, good, t = epoch.config, self._phase == GOOD_PHASE, self.t
+        horizon = self.params.horizon
+        none = np.empty((0, 0), dtype=int), np.empty((0, 0), dtype=int), np.empty((0, 0))
         # no run has a good bidder past the threshold, since the crossing
         # round is uncleared and so punishes every bidder in it
-        if k < 1 or not ids or good and epoch.uncleared >= cfg.uncleared_threshold:
-            return 0, np.empty(0, dtype=int), np.empty(0)
-        bids, ties = bids[:k], ties[:k]
+        if t >= horizon or not ids or good and epoch.uncleared >= cfg.uncleared_threshold:
+            return none
+        length = cfg.bad_rounds + cfg.good_rounds
+        size = cfg.good_rounds if good else cfg.bad_rounds
+        start = epoch.start + (cfg.bad_rounds if good else 0)  # of the phase
+        # no row at or past the horizon or the pending reset
+        limit, reset = horizon, self.params.reset_round
+        if reset is not None and max(reset, 1) > t:
+            limit = min(limit, max(reset, 1))
+        epochs, bids = 1, None
+        last = self.epoch_records[-1] if self.epoch_records else None
+        if last and not last.punishments and last.good_start == epoch.good_start:
+            epochs = self._coming_epochs(start, size, limit) + 1
+        if epochs > 1:
+            # the buyers of the phase at the epoch start, each in its bidder state
+            roster = epoch.good_start if good else epoch.bad_start
+            bidder = BuyerState.GOOD if good else BuyerState.BAD
+            states = tuple(bidder if i in roster else s for i, s in enumerate(self.states))
+            view = self.view()._replace(states=states, num_good=len(_roster(states, GOOD_PHASE)))
+            rounds = (start + length * np.arange(epochs))[:, None] + np.arange(size)
+            # rounds before the current one or from the limit on are bid
+            # too, and settled by no row
+            bids = bids_for(view, roster, np.minimum(rounds, horizon - 1).ravel())
+        if bids is None:
+            roster, rounds = ids, start + np.arange(size)[None, :]
+            bids = bids_for(self.view(), ids, np.minimum(rounds, horizon - 1).ravel())
+            if bids is None:
+                return none
+        live = (rounds >= t) & (rounds < limit)
+        bids = bids.reshape((len(roster),) + rounds.shape)
+        valid = live & (bids >= 0.0) & (bids < math.inf)  # nan fails both
+        tie = ties[np.minimum(rounds, horizon - 1)]
+        rows = self._settle_rows(np.where(valid, bids, -math.inf), valid, live, tie, roster, ids)
+        return self._keep_rows(rounds, live, roster, *rows)
+
+    def _coming_epochs(self, start: int, size: int, limit: int) -> int:
+        """How many coming epochs ``run_block`` covers the current phase of,
+        from the phase's first round ``start``, its ``size`` rounds and the
+        ``limit`` no row reaches."""
+        cfg, coming = self._epoch.config, 0
+        length = cfg.bad_rounds + cfg.good_rounds
+        while True:
+            begin = start + (coming + 1) * length
+            if begin >= limit or min(begin + size, limit) > self.t + _PLAN_ROUNDS:
+                return coming
+            # the good phase before it, if not settled ahead, may punish
+            # someone (an empty one moves nobody)
+            if self._phase == BAD_PHASE and self._epoch.good_start:
+                if begin - length + cfg.bad_rounds not in self._planned:
+                    return coming
+            coming += 1
+
+    def _settle_rows(self, masked, valid, live, tie, roster, ids):
+        """Settle the rows of ``masked``, an (epochs, size) grid of bids per
+        buyer of ``roster``, -inf where it does not bid: each row's winner,
+        as a position in ``roster`` (-1 if none), top bid and bidder count,
+        the column each buyer rested at (-1 if none), each epoch's crossing
+        in an idle tail (-1 if none) and the column each epoch stops before
+        (``size`` if none).  Each rest masks its buyer in ``masked``."""
+        epoch, cfg = self._epoch, self._epoch.config
+        (m, epochs, size), good = masked.shape, self._phase == GOOD_PHASE
         reserve = cfg.good_reserve if good else cfg.bad_reserve
-        best, col = bids.max(axis=1), bids.argmax(axis=1)  # the first top bid
-        # a NaN reaches both; the round of an invalid bid is left to run_round
-        valid = bids.min() >= 0.0 and best.max() < math.inf
-        stop = k if valid else int((~((bids >= 0.0) & (bids < math.inf)).all(axis=1)).argmax())
-        if len(ids) > 1:
-            top = bids == best[:, None]
-            if not valid or top.sum() > k:  # some row has a tie
-                # tied[int(tie * len(tied))] over the tied ids, in participant order
-                pick = (ties * top.sum(axis=1)).astype(int)
-                col = (top.cumsum(axis=1) > pick[:, None]).argmax(axis=1)
-        cleared = best >= reserve
-        rest = k  # the first row that rests its winner
+        # the column from which each buyer sits out: 0 if it rested before
+        # this call, ``size`` while it bids
+        out = np.full((m, epochs), size)
+        out[:, 0] = [size if i in ids else 0 for i in roster]
+        masked[out[:, 0] == 0, 0] = -math.inf
+        quotas = np.full((m, epochs), self.params.rest_threshold)
+        quotas[:, 0] -= [epoch.allocations[i] for i in roster]
+        rested = np.full((m, epochs), -1)
+        # positions in the roster, and -1, in the narrowest int type
+        position = np.min_scalar_type(-m)
+        winner, best = np.empty(live.shape, dtype=position), np.empty(live.shape)
+        buyers = np.arange(m)[:, None, None]
+        # columns before ``lo`` are settled in every epoch, and ``won``
+        # counts each buyer's wins there
+        lo, won = 0, np.zeros((m, epochs), dtype=int)
+        while True:
+            bids = masked[:, :, lo:]
+            best[:, lo:] = top_bid = bids.max(axis=0)
+            picked = np.zeros(top_bid.shape, dtype=position)
+            if m > 1:
+                # tied[int(tie * len(tied))] over the tied bidders, in id order
+                top = bids == top_bid
+                pick = (tie[:, lo:] * top.sum(axis=0, dtype=position)).astype(position)
+                seen = top[0].astype(position)
+                for j, is_top in enumerate(top[1:], 1):
+                    picked += (is_top & (seen == pick)) * position.type(j)
+                    seen += is_top
+            winner[:, lo:] = picked = np.where(top_bid < reserve, -1, picked)
+            if not good:
+                break
+            # each epoch's first rest after the ones already masked: the
+            # column of a buyer's quota-th win, from its wins in
+            # (buyer, epoch, column) order
+            wins = picked == buyers
+            count = wins.sum(axis=2)
+            need = quotas - won
+            due = (count >= need) & (out == size)
+            first = (np.cumsum(count) - count.ravel()).reshape(m, epochs)
+            ends = np.full((m, epochs), size)
+            ends[due] = lo + np.flatnonzero(wins)[first[due] + need[due] - 1] % (size - lo)
+            new = np.flatnonzero(ends.min(axis=0) < size)
+            if not len(new):
+                break
+            who = ends[:, new].argmin(axis=0)
+            at = ends[who, new]
+            after = np.arange(size) > at[:, None]
+            out[who, new], rested[who, new] = at + 1, at
+            if (out[:, new] < size).all():
+                # everyone has rested in these epochs: the rest is idle
+                winner[new] = np.where(after, -1, winner[new])
+                best[new] = np.where(after, -math.inf, best[new])
+                break
+            masked[who, new] = np.where(after, -math.inf, masked[who, new])
+            step = int(at.min()) + 1 - lo
+            won += wins[:, :, :step].sum(axis=2)
+            lo += step
+        bidding = live & (np.arange(size) < out[:, :, None])
+        bidders = bidding.sum(axis=0)
+        invalid = (bidding & ~valid).any(axis=0)
+        stop = np.full(epochs, size)
+        held = invalid.any(axis=1)
+        stop[held] = invalid.argmax(axis=1)[held]
+        crossing = np.full(epochs, -1)
         if good:
-            need = cfg.uncleared_threshold - epoch.uncleared
-            if k - np.count_nonzero(cleared) >= need:
-                stop = min(stop, int(np.flatnonzero(~cleared)[need - 1]))
-            wins = np.bincount(col[cleared], minlength=len(ids)).tolist()
-            for j, i in enumerate(ids):
-                quota = self.params.rest_threshold - epoch.allocations[i]
-                if wins[j] >= quota:
-                    rest = min(rest, int(np.flatnonzero(cleared & (col == j))[quota - 1]))
-        k = rest + 1 if rest < stop else stop
-        cleared, col = cleared[:k], col[:k]
-        payments = np.where(cleared, best[:k], 0.0)
-        winners = np.where(cleared, np.array(ids)[col], -1)
-        # revenue in round order, as run_round adds it (np.sum adds pairwise)
+            need = np.full(epochs, cfg.uncleared_threshold)
+            need[0] -= epoch.uncleared
+            reached = np.cumsum(live & (winner < 0), axis=1) >= need[:, None]
+            at = reached.argmax(axis=1)
+            crossed = reached[:, -1]
+            busy = crossed & (bidders[np.arange(epochs), at] > 0)
+            stop[busy] = np.minimum(stop, at)[busy]
+            crossing[crossed & ~busy] = at[crossed & ~busy]
+        return winner, best, bidders, rested, crossing, stop
+
+    def _keep_rows(self, rounds, live, roster, winner, best, bidders, rested, crossing, stop):
+        """Book the settled rows of the current epoch, keep those of the
+        coming epochs up to the first that stops early, and return
+        ``run_block``'s arrays."""
+        epoch, size = self._epoch, rounds.shape[1]
+        good = self._phase == GOOD_PHASE
+        stops, keep = stop.tolist(), 1
+        while keep < len(stops) and stops[keep - 1] == size and stops[keep] == size:
+            keep += 1
+        rounds, winner, best, bidders = rounds[:keep], winner[:keep], best[:keep], bidders[:keep]
+        settled = live[:keep] & (np.arange(size) < stop[:keep, None])
+        cleared = settled & (winner >= 0)
+        payments = np.where(cleared, best, 0.0)
         revenue = epoch.good_revenue if good else epoch.bad_revenue
-        for payment in payments.tolist():
-            revenue += payment
+        # in round order, as run_round adds them (np.sum adds pairwise)
+        revenue = np.add.accumulate(
+            np.column_stack(([revenue] + [0.0] * (keep - 1), payments)), axis=1
+        )[:, -1].tolist()
+        count = settled.sum(axis=1).tolist()
+        idle = (settled & (bidders == 0)).sum(axis=1).tolist()
+        books = [[n, r, i] for n, r, i in zip(count, revenue, idle)]
+        firsts = rounds[:, 0].tolist()
         if good:
-            if k < len(bids):
-                wins = np.bincount(col[cleared], minlength=len(ids)).tolist()
-            allocations = list(epoch.allocations)
-            for i, count in zip(ids, wins):
-                allocations[i] += count
-            epoch.allocations = tuple(allocations)
-            # the block stops before the crossing, so this records none
-            self._add_uncleared(k - int(np.count_nonzero(cleared)))
-            epoch.good_revenue = revenue
+            uncleared = (settled & (winner < 0)).sum(axis=1).tolist()
+            uncleared[0] += epoch.uncleared
+            wins = [(cleared & (winner == j)).sum(axis=1).tolist() for j in range(len(roster))]
+            rests, crossing = rested[:, :keep].T.tolist(), crossing.tolist()
+            for k, (row, won) in enumerate(zip(books, zip(*wins))):
+                allocations = list(epoch.allocations) if k == 0 else [0] * self.params.n
+                for i, w in zip(roster, won):
+                    allocations[i] += w
+                first, end, at = firsts[k], stops[k], crossing[k]
+                since = [(first + r + 1, i) for r, i in zip(rests[k], roster) if 0 <= r < end]
+                row += [
+                    tuple(allocations),
+                    uncleared[k],
+                    tuple(sorted(since)),
+                    first + at if 0 <= at < end else None,
+                ]
+        for row, first in zip(books[1:], firsts[1:]):
+            self._planned[first] = tuple(row)
+        if count[0]:
+            self.advance(self._book(books[0]))
+        winners = np.where(cleared, np.array(roster)[np.maximum(winner, 0)], -1)
+        return np.where(settled, rounds, -1), winners, payments
+
+    def _book(self, row) -> int:
+        """Book the counts of a phase's rows settled by ``run_block``: its
+        revenue, idle rounds and, in a good phase, allocations, uncleared
+        count, rests and crossing; returns the rows, for ``advance``."""
+        epoch = self._epoch
+        if self._phase == BAD_PHASE:
+            rounds, epoch.bad_revenue, idle = row
         else:
-            epoch.bad_revenue = revenue
-        if rest < k:
-            epoch.rests += 1
-            # the rest takes effect from the next round on
-            self._move(((ids[col[rest]], BuyerState.GOOD, BuyerState.REST),), self.t + k)
-        # no row reaches the end of the phase or the reset
-        self.advance(k)
-        return k, winners, payments
+            rounds, epoch.good_revenue, idle, epoch.allocations, epoch.uncleared, rests, at = row
+            if at is not None:  # in an idle tail: nobody bids
+                epoch.threshold_round, epoch.good_at_threshold = at, ()
+            for since, i in rests:
+                self._move(((i, BuyerState.GOOD, BuyerState.REST),), since)
+            epoch.rests += len(rests)
+        epoch.idle_rounds += idle
+        return rounds
 
     def advance(self, rounds: int = 1) -> None:
         """Move on past ``rounds`` settled rounds and book what ends with the
-        last of them: a phase switch, an epoch end or the reset.  Only
+        last of them: a phase switch, an epoch end or the reset, and then the
+        rows of a phase ``run_block`` settled ahead, if one starts.  Only
         ``run_round``, ``run_idle`` and ``run_block`` call it, and none of
         their rounds but the last can end the phase or fire the reset."""
-        self.t += rounds
-        self._rounds_left -= rounds
-        if self._rounds_left > 0:
-            return
-        reset = self.params.reset_round
-        # the countdown ends on the reset round, max(reset_round, 1), while
-        # the reset is pending: a reset at round 0 fires after round 0
-        if reset is not None and self.t == max(reset, 1):
-            self._close_epoch(completed=False, reset=True)
-            self._start_epoch(reset=True)
-        elif self._phase == BAD_PHASE:
-            self._phase = GOOD_PHASE
-            self._count_down(self._epoch.config.good_rounds)
-        else:
-            self._close_epoch(completed=True)
-            self._start_epoch()
+        while True:
+            self.t += rounds
+            self._rounds_left -= rounds
+            if self._rounds_left > 0:
+                return
+            reset = self.params.reset_round
+            # the countdown ends on the reset round, max(reset_round, 1), while
+            # the reset is pending: a reset at round 0 fires after round 0
+            if reset is not None and self.t == max(reset, 1):
+                self._close_epoch(completed=False, reset=True)
+                self._start_epoch(reset=True)
+            elif self._phase == BAD_PHASE:
+                self._phase = GOOD_PHASE
+                self._count_down(self._epoch.config.good_rounds)
+            else:
+                self._close_epoch(completed=True)
+                self._start_epoch()
+            row = self._planned.pop(self.t, None)
+            if row is None:
+                return
+            rounds = self._book(row)
 
     def finish(self) -> None:
         """Count ``state_rounds`` up to the current round and record the final
@@ -576,7 +748,7 @@ class Mechanism:
     def _move(self, moves, since: int) -> None:
         """Apply ``moves``, ``(buyer, from, to)`` triples, from round ``since``
         on: count the rounds the current states held, then install the new
-        states tuple and its rosters."""
+        states tuple and its rosters, by phase."""
         held = since - self._states_since
         for row, s in zip(self.state_rounds, self.states):
             row[s] += held
@@ -585,8 +757,7 @@ class Mechanism:
         for i, _, to in moves:
             states[i] = to
         self.states = states = tuple(states)
-        self._good_ids = _roster(states, GOOD_PHASE)
-        self._bad_ids = _roster(states, BAD_PHASE)
+        self._rosters = _rosters(states)
 
     def _add_uncleared(self, rounds: int) -> None:
         """Count ``rounds`` uncleared good rounds from the current one on, and
@@ -596,7 +767,7 @@ class Mechanism:
         crossing = epoch.config.uncleared_threshold - epoch.uncleared - 1
         if 0 <= crossing < rounds:
             epoch.threshold_round = self.t + crossing
-            epoch.good_at_threshold = self._good_ids
+            epoch.good_at_threshold = self._rosters[GOOD_PHASE]
         epoch.uncleared += rounds
 
     def _start_epoch(self, reset: bool = False) -> None:
@@ -606,16 +777,18 @@ class Mechanism:
             [(i, s, BuyerState.GOOD) for i, s in enumerate(self.states) if s in returning],
             self.t,
         )
-        config = derive_epoch_config(
-            self.params, self._good_ids, self._bad_ids, self.dist, index=self.epoch_index
-        )
+        good, bad = self._rosters[GOOD_PHASE], self._rosters[BAD_PHASE]
+        last = self._epoch if self.epoch_records else None
+        if last and (last.good_start, last.bad_start) == (good, bad):
+            # the config depends on the partition alone
+            config = replace(last.config, index=self.epoch_index)
+        else:
+            config = derive_epoch_config(self.params, good, bad, self.dist, index=self.epoch_index)
         # an epoch after one without wins keeps that epoch's tuple of zeros
-        zeros = self._epoch.allocations if self.epoch_records else ()
+        zeros = last.allocations if last else ()
         if not zeros or any(zeros):
             zeros = (0,) * self.params.n
-        self._epoch = EpochRecord(
-            config, self.t, good_start=self._good_ids, bad_start=self._bad_ids, allocations=zeros
-        )
+        self._epoch = EpochRecord(config, self.t, good_start=good, bad_start=bad, allocations=zeros)
         self._phase = BAD_PHASE
         self._count_down(config.bad_rounds)
 

@@ -39,6 +39,7 @@ from .distributions import (
 )
 from .harness import (
     Check,
+    ConfigError,
     RunConfig,
     bound_report,
     estimate_policy_regret,
@@ -92,6 +93,16 @@ def _params(n: int, horizon: int, reset_round=None) -> MechanismParams:
         n=n, horizon=horizon, epsilon=EPSILON, delta=EPSILON, rho=RHO,
         reset_round=reset_round,
     )
+
+
+def _check_run_seeds(seed: int, offset: int) -> None:
+    """Fail before the first run when a suite that runs the seeds ``seed``
+    up to ``seed + offset`` would leave the stream range, naming ``seed``."""
+    if seed + offset >= 2**64:
+        raise ConfigError(
+            f"seed must lie in [0, 2**64 - {offset}) for a suite that runs the seeds "
+            f"seed to seed + {offset}, got {seed}"
+        )
 
 
 def _config_mismatches(config: RunConfig, traj) -> int:
@@ -191,6 +202,7 @@ def suite_myerson_oracle(seed: int = 20260810, supports: int = 20) -> SuiteRepor
 
 def suite_lemma_b1(runs: int = 100, seed: int = 101) -> SuiteReport:
     """Deterministic per-epoch revenue floor from good-phase auctions."""
+    _check_run_seeds(seed, runs - 1)
     report = SuiteReport("lemma-b1")
     violations = mismatches = epochs_checked = 0
     for r in range(runs):
@@ -393,6 +405,7 @@ def suite_regret(seeds: int = 8, horizon: int = 8000, seed: int = 707) -> SuiteR
     """No-regret learner: sublinear hindsight regret in a stationary
     environment; explore-then-commit learner: negligible bad-state occupancy
     in the full mechanism once exploration fits the budget."""
+    _check_run_seeds(seed, max(seeds - 1, 40 + 3))
     report = SuiteReport("regret")
     n_arms = len(SMOKE_LEVELS)
     per_round = []

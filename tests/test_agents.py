@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from collections import deque
@@ -630,6 +631,38 @@ def test_stationary_bids_equal_bid_bit_for_bit(dist):
                 got = agent.bids(view, values)
                 want = np.array([agent.bid(view, v) for v in values.tolist()])
                 assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), agent
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Uniform(0.0, 1.0), FiniteSupport(((1.0, 0.5), (2.0, 0.5)))],
+    ids=["uniform", "two-point"],
+)
+def test_stationary_bids_read_only_the_phase_the_config_and_their_own_state(dist):
+    """The stationary contract ``run_block`` relies on: views that differ
+    only in the round, the uncleared count, the config's index and the
+    other buyers' states give equal bids."""
+    family = default_expert_family(dist)
+    rng = np.random.default_rng(11)
+    for own in (BuyerState.GOOD, BuyerState.BAD):
+        for phase in ("good", "bad"):
+            params, view = make_view(n=3, states=[own, BuyerState.GOOD, BuyerState.BAD], dist=dist)
+            view = view._replace(phase=phase)
+            values = _edge_values(view, family.grid, rng)
+            others = [
+                view._replace(t=517, uncleared=view.config.uncleared_threshold + 3),
+                view._replace(config=dataclasses.replace(view.config, index=9)),
+                view._replace(states=(own, BuyerState.REST, BuyerState.GOOD), num_bad=0),
+                view._replace(states=(own, BuyerState.BAD, BuyerState.REST), num_good=0),
+            ]
+            agents = [build_agent(spec) for spec in STATIONARY_SPECS]
+            agents += [ExpertAgent(family, j) for j in range(len(family))]
+            for agent in agents:
+                bind(agent, params, dist=dist)
+                assert agent.stationary
+                want = agent.bids(view, values).tobytes()
+                for other in others:
+                    assert agent.bids(other, values).tobytes() == want, (agent, other)
 
 
 def test_snap_all_equals_snap():

@@ -173,6 +173,24 @@ def test_verify_seed_outside_the_stream_range_exits_two_before_the_suite_runs(
     assert calls == []
 
 
+@pytest.mark.parametrize("suite, offset", [("lemma-b1", 99), ("regret", 43)])
+def test_verify_seed_whose_run_seeds_leave_the_range_exits_two_before_any_run(
+    monkeypatch, capsys, suite, offset
+):
+    from epochfpa import suites
+
+    runs = []
+    monkeypatch.setattr(suites, "run_simulation", lambda *a, **k: runs.append(a))
+    monkeypatch.setattr(suites, "_smoke_regret", lambda *a: runs.append(a))
+    seed = 2**64 - 1
+    assert main(["verify", "--suite", suite, "--seed", str(seed)]) == 2
+    err = capsys.readouterr().err
+    assert f"seed must lie in [0, 2**64 - {offset}) " in err and err.endswith(f"got {seed}\n")
+    assert str(seed + 1) not in err and runs == []
+    # the largest seed whose run seeds all fit is accepted
+    assert suites._check_run_seeds(2**64 - 1 - offset, offset) is None
+
+
 def test_bounds_prints_report(config_file, capsys):
     assert main(["bounds", "--config", str(config_file)]) == 0
     out = capsys.readouterr().out

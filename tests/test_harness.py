@@ -48,6 +48,7 @@ from epochfpa.mechanism import (
     MechanismError,
     MechanismParams,
     RoundOutcome,
+    _PLAN_ROUNDS,
 )
 from epochfpa.rng import substream
 
@@ -1296,12 +1297,12 @@ def test_light_mode_settles_most_stationary_rounds_in_blocks(monkeypatch):
     settled = []
     run_block = Mechanism.run_block
 
-    def counted(self, bids, ties):
-        # a block that ends on a rest changes the participants: read them first
+    def counted(self, bids_for, ties):
+        # a block that rests a buyer changes the participants: read them first
         ids = self.participants()
-        k, winners, payments = run_block(self, bids, ties)
-        settled.append((ids, k))
-        return k, winners, payments
+        rounds, winners, payments = run_block(self, bids_for, ties)
+        settled.append((ids, int(np.count_nonzero(rounds >= 0))))
+        return rounds, winners, payments
 
     monkeypatch.setattr(Mechanism, "run_block", counted)
     agents = [{"kind": "lookahead"}] * 3 + [{"kind": "myopic"}] * 3
@@ -1316,31 +1317,174 @@ def test_light_mode_settles_most_stationary_rounds_in_blocks(monkeypatch):
     assert settled and all(ids == (1,) for ids, _ in settled)
 
 
-class InvalidBidAt(GoodStrategyAgent):
-    """The good strategy, but bidding ``bad`` in round ``at``."""
+# -- phases settled ahead, across epochs -----------------------------------------------
 
-    def __init__(self, at, bad):
+GOOD_PAIR = [{"kind": "good-strategy"}, {"kind": "good-strategy"}]
+PAIR_CONFIG = Mechanism(make_config().params, Uniform(0.0, 1.0)).config
+PAIR_EPOCH = PAIR_CONFIG.bad_rounds + PAIR_CONFIG.good_rounds  # two good buyers, none bad
+
+
+def ahead_case(name):
+    """A config whose light run settles phases of coming epochs ahead, and
+    a check of the epochs it must give."""
+    if name == "reset inside an epoch":
+        reset = 4 * PAIR_EPOCH + PAIR_CONFIG.bad_rounds + 50
+        config = make_config(n=2, horizon=3000, agents=GOOD_PAIR, reset_round=reset)
+        return config, lambda e: e[4].reset and (e[4].start, e[4].end) == (4 * PAIR_EPOCH, reset)
+    if name == "reset at an epoch end":
+        config = make_config(n=2, horizon=3000, agents=GOOD_PAIR, reset_round=4 * PAIR_EPOCH)
+        return config, lambda e: e[3].reset and not e[3].completed and e[3].end == 4 * PAIR_EPOCH
+    if name == "horizon inside an epoch":
+        horizon = 5 * PAIR_EPOCH + PAIR_CONFIG.bad_rounds + 40
+        config = make_config(n=2, horizon=horizon, agents=GOOD_PAIR)
+        return config, lambda e: len(e) == 6 and not e[5].completed and e[5].end == horizon
+    if name == "crossing in an idle tail":
+        # a lone buyer rests at its quota before the threshold, every epoch
+        config = make_config(n=1, horizon=3000, agents=[{"kind": "good-strategy"}])
+        return config, lambda e: all(
+            x.threshold_round is not None and x.good_at_threshold == () for x in e[2:-1]
+        )
+    if name == "crossing with bidders after clean epochs":
+        # value 1 bids nothing, so the threshold is crossed with a bidder now and then
+        config = make_config(
+            n=1, horizon=3000, seed=1, agents=[{"kind": "myopic"}], dist=BLOCK_PRIORS[1]
+        )
+        return config, lambda e: [x.punishments for x in e[:10]] == [0] * 9 + [1]
+    if name == "empty good roster":
+        agents = [{"kind": "myopic", "good_mode": "zero"}] * 2
+        config = make_config(n=2, horizon=3000, agents=agents)
+        return config, lambda e: all(x.good_start == () for x in e[1:])
+    if name == "empty bad roster":  # and a horizon past the window
+        config = make_config(n=2, horizon=10_000, agents=GOOD_PAIR)
+        return config, lambda e: all(x.bad_start == () and x.idle_rounds for x in e)
+    assert name == "ties at the reserve"
+    # both bid exactly the good reserve: lookahead above the cutoff, myopic
+    # above the reserve
+    config = make_config(n=2, horizon=3000, agents=[{"kind": "lookahead"}, {"kind": "myopic"}])
+    return config, lambda e: all(x.punishments == 0 for x in e)
+
+
+AHEAD_CASES = (
+    "reset inside an epoch",
+    "reset at an epoch end",
+    "horizon inside an epoch",
+    "crossing in an idle tail",
+    "crossing with bidders after clean epochs",
+    "empty good roster",
+    "empty bad roster",
+    "ties at the reserve",
+)
+
+
+@pytest.mark.parametrize("name", AHEAD_CASES)
+def test_phases_settled_ahead_keep_the_accounts(monkeypatch, name):
+    config, expected = ahead_case(name)
+    ahead = []  # per run_block call: its phase and the coming epochs it settled rows of
+    run_block, run_round = Mechanism.run_block, Mechanism.run_round
+    punished = []  # rounds whose punishments run_round applied
+
+    def logged(self, bids_for, ties):
+        phase, t, records = self.phase, self.t, self.epoch_records
+        rounds, winners, payments = run_block(self, bids_for, ties)
+        coming = rounds[1:][rounds[1:] >= 0]
+        # only after a closed epoch without punishments, and within the window
+        held = bool(records) and records[-1].punishments == 0
+        assert not coming.size or held and coming.max() < t + _PLAN_ROUNDS
+        ahead.append((phase, int((rounds[1:] >= 0).any(axis=1).sum())))
+        return rounds, winners, payments
+
+    def watched(self, bids, tie=0.0):
+        out = run_round(self, bids, tie)
+        if any(to == BuyerState.BAD for _, _, to in out.transitions):
+            punished.append(out.t)
+        return out
+
+    monkeypatch.setattr(Mechanism, "run_block", logged)
+    monkeypatch.setattr(Mechanism, "run_round", watched)
+    light = run_simulation(config, record="light")
+    assert any(coming for _, coming in ahead), "no phase was settled ahead"
+    full = run_simulation(config, record="full")
+    assert_same_accounts(light, full)
+    assert expected(light.epochs)
+    crossings = [e.threshold_round for e in light.epochs if e.punishments]
+    assert punished == crossings + crossings  # light, then full mode
+    if name == "empty good roster":
+        assert any(phase == "bad" and coming for phase, coming in ahead)
+    if name == "ties at the reserve":
+        reserve = full.epochs[0].config.good_reserve
+        assert (full.columns.bids == reserve).all(axis=1).sum() > 100
+
+
+class DefectsFrom(GoodStrategyAgent):
+    """The good strategy up to epoch ``epoch``, and 0 from then on: not
+    stationary, since it reads the epoch index."""
+
+    stationary = False
+
+    def __init__(self, epoch):
         super().__init__()
-        self.at, self.bad = at, bad
+        self.epoch = epoch
 
     def bid(self, view, value):
-        return self.bad if view.t == self.at else super().bid(view, value)
+        return 0.0 if view.config.index >= self.epoch else super().bid(view, value)
+
+
+def test_a_bad_phase_is_not_settled_ahead_of_a_good_phase_that_may_punish(monkeypatch):
+    # buyer 0 is punished in epoch 0 and bids alone in the bad phases after;
+    # buyer 1 bids alone in the good phases, round by round, and is punished
+    # in epoch 3, which changes the bad roster of epoch 4
+    agents = [{"kind": "myopic", "good_mode": "zero"}, {"kind": "good-strategy"}]
+    config = make_config(n=2, horizon=3000, agents=agents)
+    substitutes = {1: lambda: DefectsFrom(3)}
+    coming = recorded_coming(monkeypatch)
+    light = run_simulation(config, record="light", substitutes=substitutes)
+    full = run_simulation(config, record="full", substitutes=substitutes)
+    assert_same_accounts(light, full)
+    assert [e.punishments for e in light.epochs[:5]] == [1, 0, 0, 1, 0]
+    assert coming and not any(coming)
+
+
+def recorded_coming(monkeypatch):
+    """Patch ``Mechanism.run_block`` to log, per call, the coming epochs it
+    settled rows of."""
+    calls = []
+    run_block = Mechanism.run_block
+
+    def logged(self, bids_for, ties):
+        rounds, winners, payments = run_block(self, bids_for, ties)
+        calls.append(int((rounds[1:] >= 0).any(axis=1).sum()))
+        return rounds, winners, payments
+
+    monkeypatch.setattr(Mechanism, "run_block", logged)
+    return calls
+
+
+class InvalidBidFor(GoodStrategyAgent):
+    """The good strategy, but bidding ``bad`` when its value is ``value``: a
+    stationary agent reads no round, so its value names the round."""
+
+    def __init__(self, value, bad):
+        super().__init__()
+        self.value, self.bad = value, bad
+
+    def bid(self, view, value):
+        return self.bad if value == self.value else super().bid(view, value)
 
     def bids(self, view, values):
-        out = super().bids(view, values)
-        if 0 <= self.at - view.t < len(out):
-            out[self.at - view.t] = self.bad
-        return out
+        return np.where(values == self.value, self.bad, super().bids(view, values))
 
 
 @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
 @pytest.mark.parametrize("at", [3, 40, 333])
 def test_invalid_block_bid_raises_as_on_the_per_round_path(at, bad):
     config = make_config(n=2, horizon=700)
+    value = run_simulation(config, record="light").values[at, 1]
     messages = []
     for record in ("light", "full"):
         with pytest.raises(MechanismError) as caught:
-            run_simulation(config, record=record, substitutes={1: lambda: InvalidBidAt(at, bad)})
+            run_simulation(
+                config, record=record, substitutes={1: lambda: InvalidBidFor(value, bad)}
+            )
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
     assert re.match(rf"round {at} \(good phase, epoch \d+\): ", messages[0])
@@ -1353,11 +1497,11 @@ def recorded_blocks(monkeypatch):
     calls = []
     run_block = Mechanism.run_block
 
-    def logged(self, bids, ties):
+    def logged(self, bids_for, ties):
         before = (self.phase, self.uncleared, self.config.uncleared_threshold)
-        k, winners, payments = run_block(self, bids, ties)
-        calls.append((*before, k))
-        return k, winners, payments
+        rounds, winners, payments = run_block(self, bids_for, ties)
+        calls.append((*before, int(np.count_nonzero(rounds >= 0))))
+        return rounds, winners, payments
 
     monkeypatch.setattr(Mechanism, "run_block", logged)
     return calls
@@ -1392,36 +1536,38 @@ def test_a_block_that_settles_nothing_raises_as_on_the_per_round_path(monkeypatc
     )
 
 
-class HighIn(Agent):
-    """Stationary, bidding 1.0 in the rounds of ``high`` and 0 otherwise."""
+class HighFor(Agent):
+    """Stationary, bidding 1.0 when its value is one of ``high`` and 0
+    otherwise: a stationary agent reads no round, so values name them."""
 
     stationary = True
 
     def __init__(self, high):
         super().__init__()
-        self.high = high
+        self.high = np.array(sorted(high))
 
     def bid(self, view, value):
-        return 1.0 if view.t in self.high else 0.0
+        return 1.0 if value in self.high else 0.0
 
     def bids(self, view, values):
-        t = np.arange(view.t, view.t + len(values))
-        return np.where((t >= self.high.start) & (t < self.high.stop), 1.0, 0.0)
+        return np.where(np.isin(values, self.high), 1.0, 0.0)
 
 
 def test_a_block_opening_on_the_threshold_crossing_keeps_the_accounts(monkeypatch):
     # buyer 0 wins its quota right after the good phase's first threshold - 1
-    # uncleared rounds, so the block holding its rest ends there and the
-    # next block opens on the crossing
+    # uncleared rounds, so that the round after its rest is the crossing:
+    # the block runs on past the rest and stops there, and buyer 1, who bids
+    # in it, is punished by run_round
     config = make_config(n=2, horizon=700)
     cfg = Mechanism(config.params, config.distribution).config
     quota, threshold = config.params.rest_threshold, cfg.uncleared_threshold
     first_win = cfg.bad_rounds + threshold - 1
     crossing = first_win + quota
-    substitutes = {0: lambda: HighIn(range(first_win, crossing)), 1: lambda: HighIn(range(0))}
+    values = run_simulation(config, record="light").values[first_win:crossing, 0]
+    substitutes = {0: lambda: HighFor(values.tolist()), 1: lambda: HighFor([])}
     blocks = recorded_blocks(monkeypatch)
     light = run_simulation(config, record="light", substitutes=substitutes)
-    assert ("good", threshold - 1, threshold, 0) in blocks
+    assert blocks[0] == ("good", 0, threshold, crossing - cfg.bad_rounds)
     full = run_simulation(config, record="full", substitutes=substitutes)
     assert_same_accounts(light, full)
     assert light.epochs[0].threshold_round == crossing

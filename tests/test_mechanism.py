@@ -46,6 +46,11 @@ def drain_bad_phase(mech):
         bad_round(mech, {i: 0.0 for i in mech.participants()})
 
 
+def table_bids(table):
+    """A ``run_block`` bid source: buyer ``i`` bids ``table[t, i]`` in round ``t``."""
+    return lambda view, ids, rounds: table[rounds][:, ids].T
+
+
 # -- parameters ----------------------------------------------------------------
 
 
@@ -356,12 +361,12 @@ def test_reset_round_restores_everyone_once():
 @pytest.mark.parametrize("reset_round", [0, 1])
 def test_a_reset_at_round_zero_fires_after_round_zero_as_at_one(reset_round):
     mech = fresh(n=2, reset_round=reset_round)
-    assert mech.block_room() == 0  # round 0 fires the reset
+    assert mech._rounds_left == 1  # round 0 fires the reset
     mech.run_round({})  # nobody is bad, so the bad phase has no bidders
     rec = mech.epoch_records[0]
     assert (rec.start, rec.end, rec.reset) == (0, 1, True)
     # the reset is booked once: the new epoch runs its whole bad phase
-    assert mech.block_room() == mech.config.bad_rounds - 1
+    assert mech._rounds_left == mech.config.bad_rounds
     assert mech.run_idle() == mech.config.bad_rounds and mech.epoch_index == 1
 
 
@@ -393,18 +398,17 @@ def test_no_round_runs_past_the_horizon():
     with pytest.raises(MechanismError, match="round 1 is past the horizon T=1"):
         mech.run_round({i: 0.0 for i in mech.participants()})
     assert mech.t == 1 and mech.run_idle() == 0
-    ids = mech.participants()
-    settled, winners, payments = mech.run_block(np.zeros((8, len(ids))), np.zeros(8))
-    assert (settled, len(winners), len(payments), mech.t) == (0, 0, 0, 1)
+    rounds, winners, payments = mech.run_block(table_bids(np.zeros((1, 2))), np.zeros(1))
+    assert (rounds.size, winners.size, payments.size, mech.t) == (0, 0, 0, 1)
 
 
 def test_run_block_stops_at_the_horizon():
     mech = fresh(n=2, horizon=30, rho=0.5, enforce_rho_cap=False)
     mech._move([(1, BuyerState.GOOD, BuyerState.BAD)], 0)
-    assert mech.block_room() > 30  # the bad phase alone outlasts the run
-    ids = mech.participants()
-    settled, _, _ = mech.run_block(np.full((64, len(ids)), 0.9), np.zeros(64))
-    assert settled == mech.t == 30
+    assert mech._rounds_left > 30  # the bad phase alone outlasts the run
+    rounds, winners, _ = mech.run_block(table_bids(np.full((30, 2), 0.9)), np.zeros(30))
+    assert rounds[rounds >= 0].tolist() == list(range(30)) and mech.t == 30
+    assert winners[rounds >= 0].tolist() == [1] * 30
     with pytest.raises(MechanismError, match="past the horizon"):
         mech.run_round({i: 0.9 for i in mech.participants()})
 
@@ -757,14 +761,42 @@ def _books(mech):
     )
 
 
+class LazyBids:
+    """Random bids drawn the first time a round is asked for, by each buyer's
+    kinds around the reserve of the phase asking, and kept: ``run_block``
+    and ``run_round`` read one table."""
+
+    def __init__(self, rng, kinds, horizon):
+        self.rng, self.kinds = rng, kinds
+        self.table = np.full((horizon, len(kinds)), math.nan)
+
+    def draw(self, t, ids, view):
+        missing = [i for i in ids if math.isnan(self.table[t, i])]
+        if missing:
+            cfg, rng = view.config, self.rng
+            reserve = cfg.good_reserve if view.phase == GOOD_PHASE else cfg.bad_reserve
+            shared = _raw_bid(rng, str(rng.choice(["reserve", "below", "above"])), reserve, 0.0)
+            for i in missing:
+                self.table[t, i] = _raw_bid(rng, str(rng.choice(self.kinds[i])), reserve, shared)
+
+    def __call__(self, view, ids, rounds):
+        for t in np.unique(rounds).tolist():
+            self.draw(t, ids, view)
+        return self.table[rounds][:, ids].T
+
+    def row(self, mech):
+        ids = mech.participants()
+        self.draw(mech.t, ids, mech.view())
+        return dict(zip(ids, self.table[mech.t, list(ids)].tolist()))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.data())
 def test_run_block_settles_exactly_up_to_the_first_event(data):
-    """``run_block`` on random float bid blocks against ``run_round`` row by
-    row: it settles every row before the first one that
-    moves a buyer, crosses the threshold, ends the phase or fires the reset,
-    and stops there, with the same winners, payments and books.  A row whose
-    only move is a rest is settled too, as the block's last."""
+    """``run_block`` on random float bids against ``run_round`` row by row:
+    it settles the rest of the phase, rests included, and the same phase of
+    the coming epochs it covers, with the same winners, payments and books,
+    and stops only before the threshold crossing with bidders."""
     n = data.draw(st.integers(1, 4), label="n")
     epsilon = data.draw(st.sampled_from([0.3, 0.5, 0.6]), label="epsilon")
     delta = data.draw(st.sampled_from([0.7, 0.8, 0.9]), label="delta")
@@ -785,6 +817,8 @@ def test_run_block_settles_exactly_up_to_the_first_event(data):
         label="kinds",
     )
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ties = rng.random(horizon)
+    bids = LazyBids(rng, kinds, horizon)
     params = MechanismParams(
         n=n, horizon=horizon, epsilon=epsilon, delta=delta, rho=rho, reset_round=reset, **kw
     )
@@ -792,81 +826,88 @@ def test_run_block_settles_exactly_up_to_the_first_event(data):
     for mech in (block, ref):
         mech._move([(i, BuyerState.GOOD, BuyerState.BAD) for i in start_bad], 0)
 
-    while ref.t < horizon:
-        ids = ref.participants()
-        if not ids:
-            for mech in (block, ref):
-                mech.run_round({})
-            continue
-        rows = int(rng.integers(1, 60))
-        rows = min(rows, horizon - ref.t)
-        cfg = ref.config
-        reserve = cfg.good_reserve if ref.phase == GOOD_PHASE else cfg.bad_reserve
-        bids = np.empty((rows, len(ids)))
-        for r in range(rows):
-            shared = _raw_bid(rng, str(rng.choice(["reserve", "below", "above"])), reserve, 0.0)
-            bids[r] = [_raw_bid(rng, str(rng.choice(kinds[i])), reserve, shared) for i in ids]
-        ties = rng.random(rows)
-
-        k, winners, payments = block.run_block(bids, ties)
-        # the reference runs the rows one by one, up to and including the
-        # first with an event or a rest
-        books, outcomes, event, settled = [], [], None, rows
-        for r in range(rows):
-            books.append(_books(ref))
-            phase, epoch = ref.phase, ref.epoch_index
-            threshold = ref.config.uncleared_threshold
-            out = ref.run_round(dict(zip(ids, bids[r].tolist())), float(ties[r]))
-            outcomes.append(out)
-            crossed = phase == GOOD_PHASE and out.uncleared_before < threshold <= out.uncleared
-            if crossed or (ref.phase, ref.epoch_index) != (phase, epoch):
-                event = r
-            elif out.transitions == ((out.winner, BuyerState.GOOD, BuyerState.REST),):
-                settled = r + 1
-            elif not out.transitions:
-                continue
-            else:
-                event = r
-            break
-        assert k == (settled if event is None else event)
-        assert winners.tolist() == [-1 if o.winner is None else o.winner for o in outcomes[:k]]
-        assert payments.tolist() == [o.payment for o in outcomes[:k]]
-        assert _books(block) == (_books(ref) if event is None else books[event])
-        if event is not None:
-            block.run_round(dict(zip(ids, bids[event].tolist())), float(ties[event]))
+    expected = {}  # round -> (winner, payment) of every row run_block settled
+    while block.t < horizon:
+        event = False
+        if not block.participants():
+            block.run_idle()
+        else:
+            where = (block.epoch_index, block.phase)
+            rounds, winners, payments = block.run_block(bids, ties)
+            settled = rounds >= 0
+            for t, w, p in zip(rounds[settled], winners[settled], payments[settled]):
+                expected[int(t)] = (None if w < 0 else int(w), float(p))
+            event = where == (block.epoch_index, block.phase) and block.t < horizon
+        # the reference runs the same rounds one by one
+        while ref.t < block.t:
+            out = ref.run_round(bids.row(ref) if ref.participants() else {}, float(ties[ref.t]))
+            if out.t in expected:  # an idle tail's rows too
+                assert (out.winner, out.payment) == expected.pop(out.t)
+        assert _books(block) == _books(ref)
+        if block.participants() and event:
+            # the round it stopped before crosses the threshold with bidders
+            threshold = block.config.uncleared_threshold
+            row = bids.row(block)
+            out = block.run_round(row, float(ties[block.t]))
+            assert out.uncleared_before < threshold <= out.uncleared
+            assert out.transitions and out.transitions[0][2] == BuyerState.BAD
+            ref.run_round(row, float(ties[ref.t]))
             assert _books(block) == _books(ref)
+    assert expected == {}
     for mech in (block, ref):
         mech.finish()
     assert _books(block) == _books(ref)
 
 
 def test_run_block_ends_at_a_rest_and_stops_at_an_invalid_bid():
+    """The phase goes on past a rest with the rested buyer masked, stops
+    before an invalid bid of a bidder, and reads none of a rested buyer."""
     mech = fresh(n=2)
     drain_bad_phase(mech)
-    h, reserve = mech.params.rest_threshold, mech.config.good_reserve
-    # buyer 0 wins every round: the round of its h-th win rests it and ends the block
-    bids = np.array([[reserve, 0.0]] * (h + 5))
-    t = mech.t
-    k, winners, payments = mech.run_block(bids, np.zeros(len(bids)))
-    assert k == h and winners.tolist() == [0] * k and payments.tolist() == [reserve] * k
-    assert mech.allocations == (h, 0) and mech.states[0] == BuyerState.REST
-    assert mech.participants() == (1,) and mech._epoch.rests == 1
+    h, cfg, t = mech.params.rest_threshold, mech.config, mech.t
+    reserve, threshold = cfg.good_reserve, cfg.uncleared_threshold
+    # buyer 0 wins every round up to its h-th win, then rests; buyer 1 bids
+    # 0 alone from then on, which leaves the rounds uncleared up to the
+    # crossing, where it is punished: left to run_round
+    table = np.zeros((mech.params.horizon, 2))
+    table[:, 0] = reserve
+    table[t + h :, 0] = math.nan  # never read: buyer 0 rests before
+    rounds, winners, payments = mech.run_block(table_bids(table), np.zeros(len(table)))
+    settled = rounds >= 0
+    assert rounds[settled].tolist() == list(range(t, t + h + threshold - 1))
+    assert winners[settled].tolist() == [0] * h + [-1] * (threshold - 1)
+    assert payments[settled].tolist() == [reserve] * h + [0.0] * (threshold - 1)
+    assert mech.allocations == (h, 0) and mech.uncleared == threshold - 1
+    assert mech.states[0] == BuyerState.REST and mech.participants() == (1,)
+    assert mech._epoch.rests == 1 and mech._epoch.threshold_round is None
     # the rest holds from the round after the h-th win on
-    assert mech.state_rounds[0] == [t + h, 0, 0] and mech.t == t + h
+    assert mech.state_rounds[0] == [t + h, 0, 0] and mech.t == t + h + threshold - 1
+    out = mech.run_round({1: 0.0})
+    assert out.transitions == ((1, BuyerState.GOOD, BuyerState.BAD),)
     for bad in (-0.5, math.nan, math.inf):
-        block = np.array([[reserve], [reserve], [bad]])
-        assert mech.run_block(block, np.zeros(3))[0] == 2
-    assert mech.allocations == (h, 6)
+        mech = fresh(n=2)
+        drain_bad_phase(mech)
+        t = mech.t
+        table = np.full((mech.params.horizon, 2), reserve)
+        table[t + 2, 1] = bad
+        rounds, winners, _ = mech.run_block(table_bids(table), np.zeros(len(table)))
+        assert rounds[rounds >= 0].tolist() == [t, t + 1] and mech.t == t + 2
+        assert mech.allocations == (2, 0)
+        with pytest.raises(MechanismError, match="buyer 1 submitted an invalid bid"):
+            mech.run_round({0: reserve, 1: bad})
 
 
 def test_run_block_breaks_ties_before_an_invalid_bid():
     mech = fresh(n=2)
     drain_bad_phase(mech)
-    reserve = mech.config.good_reserve
+    t, reserve = mech.t, mech.config.good_reserve
     # a NaN row has no top bid, which must not hide the tie of the row before it
-    bids = np.array([[reserve, reserve], [math.nan, reserve]])
-    k, winners, _ = mech.run_block(bids, np.array([0.9, 0.0]))
-    assert k == 1 and winners.tolist() == [1]
+    table = np.full((mech.params.horizon, 2), reserve)
+    table[t + 1, 0] = math.nan
+    ties = np.zeros(len(table))
+    ties[t] = 0.9
+    rounds, winners, _ = mech.run_block(table_bids(table), ties)
+    assert rounds[rounds >= 0].tolist() == [t] and winners[rounds >= 0].tolist() == [1]
 
 
 def test_run_block_leaves_a_rest_with_a_punishment_to_run_round():
@@ -876,7 +917,9 @@ def test_run_block_leaves_a_rest_with_a_punishment_to_run_round():
     mech._epoch.uncleared = mech.config.uncleared_threshold
     mech._epoch.allocations = (h - 1, 0)
     # buyer 0 wins its h-th allocation while buyer 1 bids below the reserve
-    assert mech.run_block(np.array([[reserve, 0.0]] * 3), np.zeros(3))[0] == 0
+    table = np.array([[reserve, 0.0]] * mech.params.horizon)
+    rounds, _, _ = mech.run_block(table_bids(table), np.zeros(len(table)))
+    assert rounds.size == 0 and mech.t == mech.config.bad_rounds
     assert mech.allocations == (h - 1, 0) and mech.participants() == (0, 1)
     out = mech.run_round({0: reserve, 1: 0.0})
     assert out.transitions == (
