@@ -156,13 +156,20 @@ class RunConfig:
         """The roster of one replication, each agent built and bound to its slot.
 
         ``substitutes`` swaps in freshly built agents for selected slots; every
-        agent draws from its own named stream either way.
+        agent draws from its own named stream either way.  A slot outside
+        the roster, or a factory that builds no ``Agent``, raises
+        ``ConfigError``.
         """
+        substitutes = substitutes or {}
+        for slot in substitutes:
+            _buyer(slot, self.params.n)
         agents = [
-            substitutes[i]() if substitutes and i in substitutes else build_agent(spec)
+            substitutes[i]() if i in substitutes else build_agent(spec)
             for i, spec in enumerate(self.agents)
         ]
         for i, agent in enumerate(agents):
+            if not isinstance(agent, Agent):
+                raise ConfigError(f"the substitute for buyer {i} built {agent!r}, not an Agent")
             agent.bind(
                 i,
                 self.params,
@@ -287,12 +294,12 @@ def run_simulation(
     unaffected.
 
     A light-mode run settles a phase whose participants all declare
-    themselves ``stationary`` at once: their ``bids`` give the bids of the
-    rest of the phase, and ``Mechanism.run_block`` settles it, rests and an
-    idle tail included, up to an invalid bid or the threshold crossing with
-    bidders, which run round by round like every round of a full-mode run.
-    Once the partition holds from one epoch to the next, the same bids
-    cover that phase in the coming epochs too, bid under one view.
+    themselves ``stationary`` at once, from its first round: their ``bids``
+    give the bids of the phase, and ``Mechanism.run_block`` settles it,
+    rests and an idle tail included, up to an invalid bid or the threshold
+    crossing with bidders, which run round by round like every round of a
+    full-mode run.  Once the partition holds from one epoch to the next, the
+    same bids cover that phase in the coming epochs too, bid under one view.
     Stationary agents are not shown the rounds of a block.  Both modes give
     the same epochs, utilities and states, bit for bit.
 
@@ -354,8 +361,6 @@ def run_simulation(
     unsteady = frozenset(i for i, agent in enumerate(agents) if not agent.stationary)
 
     def block_bids(view, ids, rounds):
-        if not unsteady.isdisjoint(ids):
-            return None
         bids = np.empty((len(ids), len(rounds)))
         for j, i in enumerate(ids):
             bids[j] = agents[i].bids(view, values[rounds, i])
@@ -380,7 +385,8 @@ def run_simulation(
             _credit(block, first, values, utilities, wins, epoch_utils)
             if (mech.epoch_index, mech.phase) != (first, phase) or mech.t == horizon:
                 continue
-            # the phase stopped before an event: it runs as a round of its own
+            # the phase stopped before an event, or had begun before the
+            # call: its next round runs on its own
             participants = mech.participants()
         view = mech.view()
         t = view.t

@@ -280,11 +280,12 @@ class Mechanism:
     there.  When ``participants()`` is empty, ``run_idle()`` runs the rounds
     up to the end of the phase, the pending reset or the horizon at once;
     they read no bid and no tie draw.  ``run_block(bids_for, ties)`` settles
-    the rest of the phase in numpy, from one bid array of bidders that bid
-    ahead: a rest masks its buyer from the next round on, and the idle tail
-    after the last rest is booked too.  It stops before a round holding a
-    bid that is not a finite number >= 0 or the threshold crossing with
-    bidders, which are left to ``run_round``.  When the buyer partition held
+    a phase from its first round in numpy, from one bid array of bidders
+    that bid ahead: a rest masks its buyer from the next round on, and the
+    idle tail after the last rest is booked too.  It stops before a round
+    holding a bid that is not a finite number >= 0 or the threshold
+    crossing with bidders, which are left to ``run_round``, as is every
+    round of a phase it did not start.  When the buyer partition held
     through the previous epoch, the same array also covers that phase in
     the coming epochs, whose rows are kept until their phase starts.
     Neither keeps an outcome, and both leave the mechanism exactly as the
@@ -302,8 +303,10 @@ class Mechanism:
     The open epoch's ``EpochRecord`` is filled in as rounds settle and
     appended to ``epoch_records`` when the epoch closes or ``finish()`` ends
     the run.  ``uncleared`` and ``allocations`` read its counts: the uncleared
-    good rounds, which only ``_add_uncleared`` adds to, and the wins per
-    buyer, a tuple that each win replaces.
+    good rounds and the wins per buyer, a tuple that each win replaces.
+    ``_add_uncleared`` adds rounds to the first, and ``_book`` sets both,
+    with the threshold round and its bidders, from the rows of a phase
+    ``run_block`` settled.
     """
 
     def __init__(self, params: MechanismParams, dist: ValueDistribution):
@@ -445,28 +448,28 @@ class Mechanism:
         return k
 
     def run_block(self, bids_for, ties: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Settle the rest of the current phase from one bid array, and the
-        same phase of the coming epochs when the partition held.
+        """Settle the current phase from its first round in one bid array,
+        and the same phase of the coming epochs when the partition held.
 
-        ``bids_for(view, ids, rounds)`` returns the bids of the buyers
-        ``ids`` in the rounds of the int array ``rounds``, as a float array
-        of shape ``(len(ids), len(rounds))`` bid under ``view``, whose states
-        put each of ``ids`` in the phase's bidder state; or ``None`` when
-        some of them cannot bid ahead.  ``ties[t]`` is round ``t``'s tie
-        draw.  The phase is settled up to the first round holding a bid
-        that is not a finite number >= 0, or the threshold crossing with
-        bidders: both are left to ``run_round``.  A rest masks its winner
-        from the next round on, so rests apply in the order they happen, and
-        an idle tail is booked with its crossing, if any.  A good roster at
-        the threshold settles nothing.
+        ``bids_for(view, ids, rounds)`` returns the bids of the phase's
+        buyers ``ids`` in the rounds of the int array ``rounds``, as a float
+        array of shape ``(len(ids), len(rounds))`` bid under ``view``.
+        ``ties[t]`` is round ``t``'s tie draw.  Past the phase's first round,
+        or when the phase has no bidders, it settles nothing.  The phase is
+        settled up to the first round holding a bid that is not a finite
+        number >= 0, or the threshold crossing with bidders: both are left
+        to ``run_round``.  A rest masks its winner from the next round on,
+        so rests apply in the order they happen, and an idle tail is booked
+        with its crossing, if any.
 
         When the last closed epoch started from the current partition and
         moved nobody to the bad state, the same bids cover that phase in the
-        coming epochs too, bid by the phase's buyers at the epoch start,
-        within ``_PLAN_ROUNDS`` rounds, before the pending reset and up to
-        the horizon; a bad phase only up to the first good phase not settled
-        ahead.  They are kept up to the first epoch holding an invalid bid
-        or the crossing with bidders, and booked when their phase starts.
+        coming epochs too, within ``_PLAN_ROUNDS`` rounds, before the pending
+        reset and up to the horizon; a bad phase only up to the first good
+        phase not settled ahead.  Every row starts as the phase does, from
+        the epoch-start roster and no wins or uncleared rounds.  They are
+        kept up to the first epoch holding an invalid bid or the crossing
+        with bidders, and booked when their phase starts.
 
         Returns ``(rounds, winners, payments)``, arrays of shape ``(epochs,
         rounds of the phase)`` from the current epoch on: each row's round,
@@ -476,78 +479,50 @@ class Mechanism:
         ids, epoch = self.participants(), self._epoch
         cfg, good, t = epoch.config, self._phase == GOOD_PHASE, self.t
         horizon = self.params.horizon
-        none = np.empty((0, 0), dtype=int), np.empty((0, 0), dtype=int), np.empty((0, 0))
-        # no run has a good bidder past the threshold, since the crossing
-        # round is uncleared and so punishes every bidder in it
-        if t >= horizon or not ids or good and epoch.uncleared >= cfg.uncleared_threshold:
-            return none
+        start = epoch.start + (cfg.bad_rounds if good else 0)  # of the phase
+        if t != start or not ids or t >= horizon:
+            return np.empty((0, 0), dtype=int), np.empty((0, 0), dtype=int), np.empty((0, 0))
         length = cfg.bad_rounds + cfg.good_rounds
         size = cfg.good_rounds if good else cfg.bad_rounds
-        start = epoch.start + (cfg.bad_rounds if good else 0)  # of the phase
         # no row at or past the horizon or the pending reset
         limit, reset = horizon, self.params.reset_round
         if reset is not None and max(reset, 1) > t:
             limit = min(limit, max(reset, 1))
-        epochs, bids = 1, None
+        epochs = 1
         last = self.epoch_records[-1] if self.epoch_records else None
         if last and not last.punishments and last.good_start == epoch.good_start:
-            epochs = self._coming_epochs(start, size, limit) + 1
-        if epochs > 1:
-            # the buyers of the phase at the epoch start, each in its bidder state
-            roster = epoch.good_start if good else epoch.bad_start
-            bidder = BuyerState.GOOD if good else BuyerState.BAD
-            states = tuple(bidder if i in roster else s for i, s in enumerate(self.states))
-            view = self.view()._replace(states=states, num_good=len(_roster(states, GOOD_PHASE)))
-            rounds = (start + length * np.arange(epochs))[:, None] + np.arange(size)
-            # rounds before the current one or from the limit on are bid
-            # too, and settled by no row
-            bids = bids_for(view, roster, np.minimum(rounds, horizon - 1).ravel())
-        if bids is None:
-            roster, rounds = ids, start + np.arange(size)[None, :]
-            bids = bids_for(self.view(), ids, np.minimum(rounds, horizon - 1).ravel())
-            if bids is None:
-                return none
-        live = (rounds >= t) & (rounds < limit)
-        bids = bids.reshape((len(roster),) + rounds.shape)
+            while True:  # add the coming epochs the phase is settled ahead in
+                begin = t + epochs * length
+                if begin >= limit or min(begin + size, limit) > t + _PLAN_ROUNDS:
+                    break
+                # the good phase before it, if not settled ahead, may punish
+                # someone (an empty one moves nobody)
+                if not good and epoch.good_start and begin - cfg.good_rounds not in self._planned:
+                    break
+                epochs += 1
+        rounds = (t + length * np.arange(epochs))[:, None] + np.arange(size)
+        # rounds from the limit on are bid too, and settled by no row
+        bids = bids_for(self.view(), ids, np.minimum(rounds, horizon - 1).ravel())
+        live = rounds < limit
+        bids = bids.reshape((len(ids),) + rounds.shape)
         valid = live & (bids >= 0.0) & (bids < math.inf)  # nan fails both
         tie = ties[np.minimum(rounds, horizon - 1)]
-        rows = self._settle_rows(np.where(valid, bids, -math.inf), valid, live, tie, roster, ids)
-        return self._keep_rows(rounds, live, roster, *rows)
+        rows = self._settle_rows(np.where(valid, bids, -math.inf), valid, live, tie)
+        return self._keep_rows(rounds, live, ids, *rows)
 
-    def _coming_epochs(self, start: int, size: int, limit: int) -> int:
-        """How many coming epochs ``run_block`` covers the current phase of,
-        from the phase's first round ``start``, its ``size`` rounds and the
-        ``limit`` no row reaches."""
-        cfg, coming = self._epoch.config, 0
-        length = cfg.bad_rounds + cfg.good_rounds
-        while True:
-            begin = start + (coming + 1) * length
-            if begin >= limit or min(begin + size, limit) > self.t + _PLAN_ROUNDS:
-                return coming
-            # the good phase before it, if not settled ahead, may punish
-            # someone (an empty one moves nobody)
-            if self._phase == BAD_PHASE and self._epoch.good_start:
-                if begin - length + cfg.bad_rounds not in self._planned:
-                    return coming
-            coming += 1
-
-    def _settle_rows(self, masked, valid, live, tie, roster, ids):
+    def _settle_rows(self, masked, valid, live, tie):
         """Settle the rows of ``masked``, an (epochs, size) grid of bids per
-        buyer of ``roster``, -inf where it does not bid: each row's winner,
-        as a position in ``roster`` (-1 if none), top bid and bidder count,
-        the column each buyer rested at (-1 if none), each epoch's crossing
-        in an idle tail (-1 if none) and the column each epoch stops before
-        (``size`` if none).  Each rest masks its buyer in ``masked``."""
-        epoch, cfg = self._epoch, self._epoch.config
+        buyer of the phase, -inf where it does not bid: each row's winner,
+        as a position among the buyers (-1 if none), top bid and bidder
+        count, the column each buyer rested at (-1 if none), each epoch's
+        crossing in an idle tail (-1 if none) and the column each epoch
+        stops before (``size`` if none).  Each rest masks its buyer in
+        ``masked``."""
+        cfg = self._epoch.config
         (m, epochs, size), good = masked.shape, self._phase == GOOD_PHASE
         reserve = cfg.good_reserve if good else cfg.bad_reserve
-        # the column from which each buyer sits out: 0 if it rested before
-        # this call, ``size`` while it bids
+        # the column from which each buyer sits out, ``size`` while it bids
         out = np.full((m, epochs), size)
-        out[:, 0] = [size if i in ids else 0 for i in roster]
-        masked[out[:, 0] == 0, 0] = -math.inf
-        quotas = np.full((m, epochs), self.params.rest_threshold)
-        quotas[:, 0] -= [epoch.allocations[i] for i in roster]
         rested = np.full((m, epochs), -1)
         # positions in the roster, and -1, in the narrowest int type
         position = np.min_scalar_type(-m)
@@ -576,7 +551,7 @@ class Mechanism:
             # (buyer, epoch, column) order
             wins = picked == buyers
             count = wins.sum(axis=2)
-            need = quotas - won
+            need = self.params.rest_threshold - won
             due = (count >= need) & (out == size)
             first = (np.cumsum(count) - count.ravel()).reshape(m, epochs)
             ends = np.full((m, epochs), size)
@@ -605,9 +580,7 @@ class Mechanism:
         stop[held] = invalid.argmax(axis=1)[held]
         crossing = np.full(epochs, -1)
         if good:
-            need = np.full(epochs, cfg.uncleared_threshold)
-            need[0] -= epoch.uncleared
-            reached = np.cumsum(live & (winner < 0), axis=1) >= need[:, None]
+            reached = np.cumsum(live & (winner < 0), axis=1) >= cfg.uncleared_threshold
             at = reached.argmax(axis=1)
             crossed = reached[:, -1]
             busy = crossed & (bidders[np.arange(epochs), at] > 0)
@@ -619,31 +592,27 @@ class Mechanism:
         """Book the settled rows of the current epoch, keep those of the
         coming epochs up to the first that stops early, and return
         ``run_block``'s arrays."""
-        epoch, size = self._epoch, rounds.shape[1]
-        good = self._phase == GOOD_PHASE
+        size, good = rounds.shape[1], self._phase == GOOD_PHASE
         stops, keep = stop.tolist(), 1
         while keep < len(stops) and stops[keep - 1] == size and stops[keep] == size:
             keep += 1
         rounds, winner, best, bidders = rounds[:keep], winner[:keep], best[:keep], bidders[:keep]
         settled = live[:keep] & (np.arange(size) < stop[:keep, None])
         cleared = settled & (winner >= 0)
-        payments = np.where(cleared, best, 0.0)
-        revenue = epoch.good_revenue if good else epoch.bad_revenue
+        # a bid of -0.0 is paid as 0.0, as run_round records it
+        payments = np.where(cleared, best, 0.0) + 0.0
         # in round order, as run_round adds them (np.sum adds pairwise)
-        revenue = np.add.accumulate(
-            np.column_stack(([revenue] + [0.0] * (keep - 1), payments)), axis=1
-        )[:, -1].tolist()
+        revenue = np.add.accumulate(payments, axis=1)[:, -1].tolist()
         count = settled.sum(axis=1).tolist()
         idle = (settled & (bidders == 0)).sum(axis=1).tolist()
         books = [[n, r, i] for n, r, i in zip(count, revenue, idle)]
         firsts = rounds[:, 0].tolist()
         if good:
             uncleared = (settled & (winner < 0)).sum(axis=1).tolist()
-            uncleared[0] += epoch.uncleared
             wins = [(cleared & (winner == j)).sum(axis=1).tolist() for j in range(len(roster))]
             rests, crossing = rested[:, :keep].T.tolist(), crossing.tolist()
             for k, (row, won) in enumerate(zip(books, zip(*wins))):
-                allocations = list(epoch.allocations) if k == 0 else [0] * self.params.n
+                allocations = [0] * self.params.n
                 for i, w in zip(roster, won):
                     allocations[i] += w
                 first, end, at = firsts[k], stops[k], crossing[k]

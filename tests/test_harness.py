@@ -10,10 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epochfpa import suites
 from epochfpa.agents import (
     GOOD_TEMPLATE,
     Agent,
     ZERO_BID,
+    EtcAgent,
     Expert,
     ExpertAgent,
     ExpertFamily,
@@ -357,6 +359,19 @@ def test_agent_errors_carry_round_context():
     cfg = make_config(n=2, horizon=10)
     with pytest.raises(AgentError, match=r"round \d+ .*boom"):
         run_simulation(cfg, substitutes={0: BrokenAgent})
+
+
+@pytest.mark.parametrize("slot", [7, -1, 2, True])
+def test_a_substitute_outside_the_roster_is_refused(slot):
+    cfg = make_config(n=2, horizon=10)
+    with pytest.raises(ConfigError, match=rf"buyer index {slot!r} is outside 0\.\.1 \(n=2\)"):
+        run_simulation(cfg, substitutes={slot: GoodStrategyAgent})
+
+
+def test_a_substitute_that_builds_no_agent_is_refused():
+    cfg = make_config(n=2, horizon=10)
+    with pytest.raises(ConfigError, match=r"the substitute for buyer 1 built 0\.5, not an Agent"):
+        run_simulation(cfg, substitutes={1: lambda: 0.5})
 
 
 def test_policy_regret_rejects_mismatched_base():
@@ -1315,6 +1330,35 @@ def test_light_mode_settles_most_stationary_rounds_in_blocks(monkeypatch):
     agents = [{"kind": "exp3"}] + [{"kind": "lookahead"}]
     run_simulation(make_config(n=2, horizon=2000, agents=agents), record="light")
     assert settled and all(ids == (1,) for ids, _ in settled)
+
+
+def test_blocks_beside_a_resting_learner_start_at_a_phase_start(monkeypatch):
+    """The regret suite's roster, an etc buyer beside a lookahead one, reset
+    where exploration ends: once the etc buyer rests, the lookahead buyer
+    bids alone for the rest of the good phase, round by round."""
+    family = suites._etc_family()
+    horizon = 20000
+    explore_len = max(1, math.ceil(horizon ** (2.0 / 3.0) / len(family)))
+    config = suites._config(
+        [{"kind": "etc"}, {"kind": "lookahead"}], horizon, 747,
+        reset_round=len(family) * explore_len,
+    )
+    substitutes = {0: lambda: EtcAgent(family=family, explore_len=explore_len)}
+    calls = []  # per run_block call: whether it began a phase, and the rows it settled
+    run_block = Mechanism.run_block
+
+    def logged(self, bids_for, ties):
+        cfg, start = self.config, self._epoch.start
+        first = self.t == start + (cfg.bad_rounds if self.phase == "good" else 0)
+        rounds, winners, payments = run_block(self, bids_for, ties)
+        calls.append((first, int(np.count_nonzero(rounds >= 0))))
+        return rounds, winners, payments
+
+    monkeypatch.setattr(Mechanism, "run_block", logged)
+    light = run_simulation(config, record="light", substitutes=substitutes)
+    assert_same_accounts(light, run_simulation(config, record="full", substitutes=substitutes))
+    assert any(not first for first, _ in calls), "no call came after a rest"
+    assert all(first for first, settled in calls if settled)
 
 
 # -- phases settled ahead, across epochs -----------------------------------------------
