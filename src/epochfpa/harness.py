@@ -12,8 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count, repeat
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -181,7 +181,7 @@ class RunConfig:
 
 @dataclass
 class RoundColumns:
-    """The rounds of a full-mode run, as two arrays and the segments.
+    """The rounds of a full-mode run, as a bid array and the segments.
 
     A segment is a stretch of rounds sharing phase, epoch and buyer states,
     and ``segments[s]`` is the ``AgentView`` of its first round; it runs up
@@ -189,15 +189,14 @@ class RoundColumns:
     count before the segment's first round are read from that view, and its
     participants follow from the view's states and phase.  Row ``t`` of the
     (T, n) array ``bids`` holds round ``t``'s bids, NaN where a buyer did
-    not bid, and ``winners[t]`` its winner, -1 if it was uncleared.  The
+    not bid; its winner and payment are in the trajectory's arrays.  The
     rounds that moved a buyer map to their moves in ``transitions``.  The
-    rest follows from the mechanism's rules: the price is the winner's bid,
-    an uncleared good round adds 1 to the uncleared count, and a good
-    round's win adds 1 to its winner's allocations, 0 when an epoch starts.
+    rest follows from the mechanism's rules: an uncleared good round adds 1
+    to the uncleared count, and a good round's win adds 1 to its winner's
+    allocations, 0 when an epoch starts.
     """
 
     bids: np.ndarray
-    winners: np.ndarray
     segments: list[AgentView] = field(default_factory=list)
     transitions: dict[int, tuple] = field(default_factory=dict)
 
@@ -212,7 +211,12 @@ class RoundColumns:
 
 @dataclass
 class Trajectory:
-    """Complete log of one run, sufficient for seeded counterfactual replay."""
+    """Complete log of one run, sufficient for seeded counterfactual replay.
+
+    ``winners[t]`` is round ``t``'s winner, -1 if it was uncleared, and
+    ``payments[t]`` its payment.  Each buyer's wins and utility, its value
+    minus the payment summed over the rounds it won, are derived on first read.
+    """
 
     seed: int
     replication: int
@@ -220,15 +224,41 @@ class Trajectory:
     values: np.ndarray
     epochs: list[EpochRecord]
     final_states: tuple[BuyerState, ...]
-    agent_utilities: np.ndarray
-    agent_wins: np.ndarray
     state_rounds: np.ndarray
-    epoch_agent_utilities: list[np.ndarray]
+    winners: np.ndarray
+    payments: np.ndarray
     columns: Optional[RoundColumns] = None
+
+    @cached_property
+    def agent_wins(self) -> np.ndarray:
+        return np.bincount(self.winners[self.winners >= 0], minlength=self.values.shape[1])
+
+    @cached_property
+    def agent_utilities(self) -> np.ndarray:
+        return self._utilities([self.rounds_executed])[0]
+
+    @cached_property
+    def epoch_agent_utilities(self) -> list[np.ndarray]:
+        return list(self._utilities([e.end for e in self.epochs]))
+
+    def _utilities(self, ends: list[int]) -> np.ndarray:
+        """Row ``k``: each buyer's utility over the rounds ``ends[k-1]`` (0 for
+        row 0) to ``ends[k]``, added in round order from 0.0 as a loop would
+        (np.sum adds pairwise), on a grid row padded with 0.0, which adds nothing."""
+        out = np.empty((len(ends), self.values.shape[1]))
+        for i in range(out.shape[1]):
+            rounds = np.flatnonzero(self.winners == i)
+            stretch = np.searchsorted(ends, rounds, side="right")
+            counts = np.bincount(stretch, minlength=len(ends))
+            column = np.arange(len(rounds)) - (np.cumsum(counts) - counts)[stretch] + 1
+            grid = np.zeros((len(ends), counts.max(initial=0) + 1))
+            grid[stretch, column] = self.values[rounds, i] - self.payments[rounds]
+            out[:, i] = np.add.accumulate(grid, axis=1)[:, -1]
+        return out
 
     @property
     def rounds(self) -> Optional[list[RoundOutcome]]:
-        """Each round's outcome, built from ``columns`` on every access, with
+        """Each round's outcome, built from the arrays on every access, with
         its bids keyed by participant; ``None`` for a light-mode run."""
         c = self.columns
         if c is None:
@@ -240,15 +270,14 @@ class Trajectory:
                 epoch, allocations = index, [0] * len(view.states)
             good, counts, after = phase == GOOD_PHASE, tuple(allocations), view.uncleared
             rows = c.bids[start:end, participants].tolist()
-            for t, row, winner in zip(range(start, end), rows, c.winners[start:end].tolist()):
+            cols = self.winners[start:end].tolist(), self.payments[start:end].tolist()
+            for t, row, winner, payment in zip(range(start, end), rows, *cols):
                 bids, before = dict(zip(participants, row)), after
                 if winner < 0:
-                    winner, payment, after = None, 0.0, after + good
-                else:
-                    payment = bids[winner]
-                    if good:
-                        allocations[winner] += 1
-                        counts = tuple(allocations)
+                    winner, after = None, after + good
+                elif good:
+                    allocations[winner] += 1
+                    counts = tuple(allocations)
                 out.append(
                     RoundOutcome(
                         t, phase, index, participants, bids, winner, payment, winner is not None,
@@ -287,9 +316,9 @@ def run_simulation(
 ) -> Trajectory:
     """Execute one replication, deterministic given (config, replication).
 
-    ``record="full"`` keeps every round in ``Trajectory.columns`` (needed
-    for hindsight-regret replay and trajectory export); ``"light"`` keeps
-    only per-epoch records and aggregate accounting.  ``substitutes`` swaps
+    Both record modes keep each round's winner and payment and the epoch
+    records; ``record="full"`` keeps the rest of every round in ``columns``
+    (needed for hindsight-regret replay and export).  ``substitutes`` swaps
     in freshly built agents for selected buyer slots; all other streams are
     unaffected.
 
@@ -301,7 +330,7 @@ def run_simulation(
     full-mode run.  Once the partition holds from one epoch to the next, the
     same bids cover that phase in the coming epochs too, bid under one view.
     Stationary agents are not shown the rounds of a block.  Both modes give
-    the same epochs, utilities and states, bit for bit.
+    the same epochs, winners, payments and states, bit for bit.
 
     ``values`` supplies the (T, n) valuation block instead of drawing it.  It
     must be the block this (config, replication) draws, e.g. the ``values``
@@ -338,14 +367,10 @@ def run_simulation(
         agent.observe if type(agent).observe is not Agent.observe else None
         for agent in agents
     ]
-    utilities = [0.0] * n
-    wins = [0] * n
-    # each epoch's utilities, by epoch index
-    epoch_utils: defaultdict[int, list[float]] = defaultdict(lambda: [0.0] * n)
+    winners = np.full(horizon, -1, dtype=np.min_scalar_type(-n))
+    payments = np.zeros(horizon)
     blocks = record == "light"
-    columns = None
-    if not blocks:
-        columns = RoundColumns(np.full((horizon, n), math.nan), np.full(horizon, -1))
+    columns = None if blocks else RoundColumns(np.full((horizon, n), math.nan))
     segment = None  # the view the current segment starts with
     # and its bids so far, row after row in participant order, which
     # write_bids moves to their rows once the segment ends before round
@@ -371,23 +396,21 @@ def run_simulation(
         if not participants:
             # the phase stays empty until it ends or the reset fires, and no
             # agent, value or tie is read meanwhile: one mechanism step
-            if columns is None:
-                mech.run_idle()
-                continue
-            write_bids(mech.t)
-            segment = mech.view()
-            columns.segments.append(segment)
+            if columns is not None:
+                write_bids(mech.t)
+                segment = mech.view()
+                columns.segments.append(segment)
             mech.run_idle()
             continue
         if blocks and unsteady.isdisjoint(participants):
-            first, phase = mech.epoch_index, mech.phase
-            block = mech.run_block(block_bids, tie_draws)
-            _credit(block, first, values, utilities, wins, epoch_utils)
-            if (mech.epoch_index, mech.phase) != (first, phase) or mech.t == horizon:
+            rounds, won, paid = mech.run_block(block_bids, tie_draws)
+            settled = rounds >= 0
+            if settled.any():
+                winners[rounds[settled]] = won[settled]
+                payments[rounds[settled]] = paid[settled]
                 continue
-            # the phase stopped before an event, or had begun before the
-            # call: its next round runs on its own
-            participants = mech.participants()
+            # it settled none: the phase had begun, or its first round is
+            # left to run_round
         view = mech.view()
         t = view.t
         vrow = values[t].tolist()
@@ -402,9 +425,8 @@ def run_simulation(
         gain = 0.0
         if winner is not None:
             gain = vrow[winner] - outcome.payment
-            utilities[winner] += gain
-            wins[winner] += 1
-            epoch_utils[outcome.epoch][winner] += gain
+            winners[t] = winner
+            payments[t] = outcome.payment
         for i in participants:
             observe = observers[i]
             if observe is not None:
@@ -415,8 +437,6 @@ def run_simulation(
                 segment = view
                 columns.segments.append(view)
             pending += outcome.bids.values()
-            if winner is not None:
-                columns.winners[t] = winner
             if outcome.transitions:
                 columns.transitions[t] = outcome.transitions
     write_bids(horizon)
@@ -431,35 +451,11 @@ def run_simulation(
         values=values,
         epochs=list(mech.epoch_records),
         final_states=final_states,
-        agent_utilities=np.array(utilities, dtype=float),
-        agent_wins=np.array(wins, dtype=int),
         state_rounds=np.array(mech.state_rounds, dtype=int),
-        epoch_agent_utilities=[
-            np.array(epoch_utils[e], dtype=float) for e in range(len(mech.epoch_records))
-        ],
+        winners=winners,
+        payments=payments,
         columns=columns,
     )
-
-
-def _credit(block, first, values, utilities, wins, epoch_utils) -> None:
-    """Credit the winners of the rows ``Mechanism.run_block`` settled, row
-    ``k`` in epoch ``first + k``, as the round loop does: each gain is added
-    in round order (np.sum would add pairwise), and adding 0.0 for another
-    round changes no sum."""
-    rounds, winners, payments = block
-    won = winners >= 0
-    if not won.any():
-        return
-    gains = np.where(won, values[rounds, winners] - payments, 0.0)
-    for i in np.flatnonzero(np.bincount(winners[won])).tolist():
-        mine = winners == i
-        own = np.where(mine, gains, 0.0)
-        utilities[i] = float(np.add.accumulate(np.append(utilities[i], own))[-1])
-        wins[i] += int(np.count_nonzero(mine))
-        before = [epoch_utils[first + k][i] for k in range(len(own))]
-        totals = np.add.accumulate(np.column_stack((before, own)), axis=1)[:, -1]
-        for k, total in enumerate(totals.tolist()):
-            epoch_utils[first + k][i] = total
 
 
 def run_replications(config: RunConfig, record: str = "light") -> Iterator[Trajectory]:
@@ -739,7 +735,7 @@ def external_regret_profile(
     rows, vals = columns.bids[bid], traj.values[bid, agent]
     own, reserve = rows[:, agent], np.concatenate(reserve)
     rival = np.fmax.reduce(np.delete(rows, agent, axis=1), axis=1, initial=-math.inf)
-    realized = np.where(columns.winners[bid] == agent, vals - own, 0.0)  # a winner pays its bid
+    realized = np.where(traj.winners[bid] == agent, vals - traj.payments[bid], 0.0)
     ends = [lo for lo, _ in stretches[1:]] + [gathered]
     totals = np.empty(len(family))
     for j in range(len(family)):
@@ -793,17 +789,13 @@ def estimate_policy_regret(
             f"but the config has horizon {params.horizon} and n={params.n}"
         )
     realized = float(base.agent_utilities[agent])
-    best = -math.inf
-    for j in range(len(family)):
-        counter = run_simulation(
-            config,
-            replication,
-            record="light",
-            substitutes={agent: lambda j=j: ExpertAgent(family, j)},
-            values=base.values,
-        )
-        best = max(best, float(counter.agent_utilities[agent]))
-    return best - realized
+    experts = ({agent: lambda j=j: ExpertAgent(family, j)} for j in range(len(family)))
+    # each replay is read and let go before the next one runs
+    best = max(
+        run_simulation(config, replication, "light", e, values=base.values).agent_utilities[agent]
+        for e in experts
+    )
+    return float(best) - realized
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +818,7 @@ def trajectory_ndjson(traj: Trajectory) -> str:
     a time, joined.  A full-mode trajectory is required: a light-mode one
     raises ``ConfigError``.
     """
-    return "".join(_ndjson_chunks(_full_columns(traj)))
+    return "".join(_ndjson_chunks(_full(traj)))
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
@@ -836,23 +828,23 @@ def write_trajectory(traj: Trajectory, path) -> None:
     lines are held at once.  A light-mode trajectory raises ``ConfigError``
     before the file is opened, so no file is left behind.
     """
-    chunks = _ndjson_chunks(_full_columns(traj))
+    chunks = _ndjson_chunks(_full(traj))
     with open(path, "w") as fh:
         for chunk in chunks:
             fh.write(chunk)
 
 
-def _full_columns(traj: Trajectory) -> RoundColumns:
+def _full(traj: Trajectory) -> Trajectory:
     if traj.columns is None:
         raise ConfigError("trajectory was not recorded in full mode")
-    return traj.columns
+    return traj
 
 
-def _ndjson_chunks(columns: RoundColumns) -> Iterator[str]:
+def _ndjson_chunks(traj: Trajectory) -> Iterator[str]:
     """The ndjson lines of each segment, as one string per segment.
 
-    Lines are formatted from the columns directly, one segment's rows of
-    them at a time, with the payment, the uncleared count and the
+    Lines are formatted from the trajectory's arrays directly, one
+    segment's rows of them at a time, with the uncleared count and the
     allocations derived as ``RoundColumns`` says.  The texts a segment
     shares are formatted once per segment, an idle round's line comes from
     its segment's template, and the allocations are formatted again only
@@ -862,7 +854,8 @@ def _ndjson_chunks(columns: RoundColumns) -> Iterator[str]:
     them, so equal numbers share a text, and ``repr`` writes each as the
     encoder does.
     """
-    bids, winners, moves = columns.bids, columns.winners, columns.transitions
+    columns, winners, payments = traj.columns, traj.winners, traj.payments
+    bids, moves = columns.bids, columns.transitions
     # a row carries no buyer ids, so its text is cached per participant order
     bid_texts: dict[tuple[int, ...], dict[tuple[float, ...], str]] = {}
     pay_texts: dict[float, str] = {}
@@ -894,8 +887,9 @@ def _ndjson_chunks(columns: RoundColumns) -> Iterator[str]:
         middle = f',"epoch":{epoch},"participants":{_ids_text(participants)},"payment":'
         tail = f',"phase":"{phase}","t":'
         rows = map(tuple, bids[start:end, participants].tolist())
+        cols = winners[start:end].tolist(), payments[start:end].tolist()
         lines = []
-        for t, round_bids, winner in zip(range(start, end), rows, winners[start:end].tolist()):
+        for t, round_bids, winner, payment in zip(range(start, end), rows, *cols):
             bid_text = texts.get(round_bids)
             if bid_text is None:
                 bid_text = texts[round_bids] = ",".join(
@@ -909,7 +903,6 @@ def _ndjson_chunks(columns: RoundColumns) -> Iterator[str]:
                     uncleared += 1
             else:
                 cleared = '"cleared":true'
-                payment = round_bids[participants.index(winner)]
                 pay_text = pay_texts.get(payment)
                 if pay_text is None:
                     pay_text = pay_texts[payment] = repr(payment)

@@ -536,10 +536,9 @@ def test_summarize_epoch_split_totals():
         values=np.zeros((10, 2)),
         epochs=[record(0, 10.0, 0.5), record(1, 12.0, 0.0)],
         final_states=(0, 0),
-        agent_utilities=np.zeros(2),
-        agent_wins=np.zeros(2, dtype=int),
         state_rounds=np.array([[10, 0, 0], [10, 0, 0]]),
-        epoch_agent_utilities=[np.zeros(2), np.zeros(2)],
+        winners=np.full(10, -1),
+        payments=np.zeros(10),
     )
     assert (traj.good_rounds, traj.uncleared_good_rounds) == (8, 2)
     s = summarize(traj)
@@ -547,6 +546,9 @@ def test_summarize_epoch_split_totals():
     assert s.total_revenue == pytest.approx(22.5)
     assert s.revenue_per_round == pytest.approx(2.25)
     assert s.uncleared_good_fraction == pytest.approx(0.25)
+    # no round was won, so every derived account is zero
+    assert (s.agent_utilities, s.agent_wins) == ([0.0, 0.0], [0, 0])
+    assert [u.tolist() for u in traj.epoch_agent_utilities] == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_horizon_on_exact_epoch_boundary():
@@ -1062,6 +1064,10 @@ def test_columns_give_the_outcomes_run_round_returned(roster, monkeypatch):
     monkeypatch.setattr(Mechanism, "run_idle", one_idle_round)
     by_rounds = run_simulation(config, substitutes=substitutes)
     assert any(not o.participants for o in outcomes)
+    # the one winners array, and the payments, hold what run_round returned
+    for run in (traj, by_rounds):
+        assert run.winners.tolist() == [-1 if o.winner is None else o.winner for o in outcomes]
+        assert exact(run.payments.tolist()) == exact([o.payment for o in outcomes])
     for rounds in (traj.rounds, by_rounds.rounds):
         assert len(rounds) == len(outcomes) == config.params.horizon
         for got, want in zip(rounds, outcomes):
@@ -1095,16 +1101,15 @@ def test_columns_hold_bid_and_winner_arrays():
 
 def assert_bid_and_winner_arrays(traj, params):
     columns, n = traj.columns, params.n
-    assert [f.name for f in dataclasses.fields(columns)] == [
-        "bids", "winners", "segments", "transitions"
-    ]
+    assert [f.name for f in dataclasses.fields(columns)] == ["bids", "segments", "transitions"]
     assert columns.bids.shape == (params.horizon, n) and columns.bids.dtype == float
-    assert columns.winners.shape == (params.horizon,)
-    assert np.issubdtype(columns.winners.dtype, np.integer)
+    # the run's one winners array, beside its payments
+    assert traj.winners.shape == traj.payments.shape == (params.horizon,)
+    assert np.issubdtype(traj.winners.dtype, np.integer) and traj.payments.dtype == float
     uncleared = dict.fromkeys(range(len(traj.epochs)), 0)
     idle = 0
     for view, participants, end in columns.segment_ends():
-        rows, winners = columns.bids[view.t : end], columns.winners[view.t : end]
+        rows, winners = columns.bids[view.t : end], traj.winners[view.t : end]
         # NaN exactly off the roster
         off = [i not in participants for i in range(n)]
         assert (np.isnan(rows) == off).all()
@@ -1115,6 +1120,8 @@ def assert_bid_and_winner_arrays(traj, params):
         cleared = winners >= 0
         assert set(winners[cleared].tolist()) <= set(participants)
         assert (rows[cleared, winners[cleared]] == top[cleared]).all()
+        # a winner pays its bid, and an uncleared round pays nothing
+        assert (traj.payments[view.t : end] == np.where(cleared, top, 0.0)).all()
         if view.phase == "good":
             uncleared[view.config.index] += int(np.count_nonzero(~cleared))
         if not participants:
@@ -1123,7 +1130,7 @@ def assert_bid_and_winner_arrays(traj, params):
             assert not any(view.t <= t < end for t in columns.transitions)
     assert idle > 0
     assert uncleared == {e.config.index: e.uncleared for e in traj.epochs}
-    assert np.bincount(columns.winners[columns.winners >= 0], minlength=n).tolist() == (
+    assert np.bincount(traj.winners[traj.winners >= 0], minlength=n).tolist() == (
         traj.agent_wins.tolist()
     )
 
@@ -1256,15 +1263,16 @@ LEARNER_KINDS = (
 
 
 @st.composite
-def learner_runs(draw):
-    """A roster of stationary buyers and at least one learner, so that only
-    the phases or stretches the learners sit out run in blocks."""
-    n = draw(st.integers(2, 5), label="n")
+def learner_runs(draw, fewest=1):
+    """A roster of stationary buyers and at least ``fewest`` learners, so that
+    only the phases or stretches the learners sit out run in blocks, over
+    horizons from 0 rounds on."""
+    n = draw(st.integers(fewest + 1, 5), label="n")
     eps = draw(st.sampled_from((0.2, 0.3, 0.4)), label="epsilon")
     delta = draw(st.sampled_from((0.3, 0.5, 0.7)), label="delta")
     cap = min(eps * (1 - eps) ** 4, eps * (1 - eps) * (1 - delta) / (1 + eps)) / 12
-    horizon = draw(st.integers(1, 2500), label="horizon")
-    learners = draw(st.lists(st.sampled_from(LEARNER_KINDS), min_size=1, max_size=n - 1))
+    horizon = draw(st.integers(0, 2500), label="horizon")
+    learners = draw(st.lists(st.sampled_from(LEARNER_KINDS), min_size=fewest, max_size=n - 1))
     others = n - len(learners)
     steady = draw(st.lists(st.sampled_from(STATIONARY_KINDS), min_size=others, max_size=others))
     return RunConfig(
@@ -1292,6 +1300,53 @@ def test_light_mode_blocks_match_beside_learners(config):
     share the roster."""
     light = run_simulation(config, record="light")
     full = run_simulation(config, record="full")
+    assert_same_accounts(light, full)
+
+
+def looped_accounts(traj):
+    """Each buyer's utility, wins and utility per epoch, from the winners and
+    payments by a plain loop over the rounds in order."""
+    n = traj.values.shape[1]
+    utilities, wins = [0.0] * n, [0] * n
+    per_epoch = [[0.0] * n for _ in traj.epochs]
+    epoch = 0
+    for t, (winner, payment) in enumerate(zip(traj.winners.tolist(), traj.payments.tolist())):
+        while traj.epochs[epoch].end <= t:
+            epoch += 1
+        if winner >= 0:
+            gain = float(traj.values[t, winner]) - payment
+            utilities[winner] += gain
+            wins[winner] += 1
+            per_epoch[epoch][winner] += gain
+    return utilities, wins, per_epoch
+
+
+@pytest.mark.filterwarnings("ignore:mechanism reset at round")  # ETC explores past it
+@pytest.mark.filterwarnings("ignore:no mechanism reset")  # ETC explores unforgiven
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(learner_runs(fewest=0))
+def test_accounts_are_sums_over_the_winners_and_payments(config):
+    """Both modes record the same winners and payments, and the utilities and
+    wins read from a trajectory are the plain sums over them, in round order,
+    with or without exp3, etc and empirical myopic buyers."""
+    light = run_simulation(config, record="light")
+    full = run_simulation(config, record="full")
+    horizon = config.params.horizon
+    assert light.winners.tobytes() == full.winners.tobytes()
+    assert light.payments.tobytes() == full.payments.tobytes()
+    for traj in (light, full):
+        assert traj.winners.shape == traj.payments.shape == (horizon,)
+        utilities, wins, per_epoch = looped_accounts(traj)
+        assert traj.agent_utilities.dtype == np.float64
+        assert traj.agent_utilities.tobytes() == np.array(utilities).tobytes()
+        assert traj.agent_wins.dtype == np.int64 and traj.agent_wins.tolist() == wins
+        assert len(traj.epoch_agent_utilities) == len(per_epoch) == len(traj.epochs)
+        for got, want in zip(traj.epoch_agent_utilities, per_epoch):
+            assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
+        # a buyer without a win reads 0.0, not -0.0
+        for i in np.flatnonzero(traj.agent_wins == 0).tolist():
+            assert repr(float(traj.agent_utilities[i])) == "0.0"
+            assert all(repr(float(u[i])) == "0.0" for u in traj.epoch_agent_utilities)
     assert_same_accounts(light, full)
 
 
